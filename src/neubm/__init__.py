@@ -27,7 +27,6 @@ from .datasets import (
     stratified_split,
 )
 from .graph import (
-    CsrAdjacency,
     DatasetStats,
     Graph,
     build_adjacency,

@@ -16,7 +16,6 @@ from .errors import (
     DensityUndefinedError,
     EmptyScopeError,
     GraphValidationError,
-    ShapeError,
 )
 
 MASK_NAMES = ("train", "val", "test")
@@ -62,6 +61,8 @@ class Graph:
                 f"features must be (num_nodes, d); got {feats.shape} for "
                 f"{self.num_nodes} nodes"
             )
+        if not np.all(np.isfinite(feats)):
+            raise GraphValidationError("features must be finite (no NaN or inf)")
         edges = canonical_edges(self.edges)
         if edges.size and (edges.min() < 0 or edges.max() >= self.num_nodes):
             raise GraphValidationError(
@@ -120,63 +121,9 @@ class Graph:
         )
 
 
-@dataclass(frozen=True)
-class CsrAdjacency:
-    """Symmetric sparse adjacency in CSR form.
-
-    Within each row col_indices are strictly increasing; the matrix is
-    symmetric as stored (entry (i, j) present iff (j, i) present, equal value).
-    """
-
-    num_nodes: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """Product with a dense (num_nodes, d) matrix."""
-        if dense.shape[0] != self.num_nodes:
-            raise ShapeError(
-                f"adjacency is {self.num_nodes}x{self.num_nodes}, "
-                f"operand has {dense.shape[0]} rows"
-            )
-        return self.to_scipy() @ dense
-
-    def degrees(self) -> np.ndarray:
-        """Row sums (weighted degrees)."""
-        out = np.zeros(self.num_nodes)
-        np.add.at(out, _row_index(self), self.values)
-        return out
-
-
-def _row_index(adj: CsrAdjacency) -> np.ndarray:
-    counts = np.diff(adj.row_offsets)
-    return np.repeat(np.arange(adj.num_nodes), counts)
-
-
-def _csr_from_coo(num_nodes, rows, cols, vals) -> CsrAdjacency:
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(num_nodes, num_nodes))
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return CsrAdjacency(
-        num_nodes=num_nodes,
-        row_offsets=np.asarray(mat.indptr, dtype=np.int64),
-        col_indices=np.asarray(mat.indices, dtype=np.int64),
-        values=np.asarray(mat.data, dtype=np.float64),
-    )
-
-
-def build_adjacency(graph: Graph, add_self_loops: bool = True) -> CsrAdjacency:
-    """Binary symmetric adjacency; with add_self_loops the diagonal is 1."""
+def build_adjacency(graph: Graph, add_self_loops: bool = True) -> sp.csr_matrix:
+    """Binary symmetric adjacency in CSR form; with add_self_loops the
+    diagonal is 1. Column indices are strictly increasing within each row."""
     u, v = graph.edges[:, 0], graph.edges[:, 1]
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
@@ -184,28 +131,35 @@ def build_adjacency(graph: Graph, add_self_loops: bool = True) -> CsrAdjacency:
         diag = np.arange(graph.num_nodes)
         rows = np.concatenate([rows, diag])
         cols = np.concatenate([cols, diag])
-    vals = np.ones(rows.shape[0])
-    return _csr_from_coo(graph.num_nodes, rows, cols, vals)
+    n = graph.num_nodes
+    adj = sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+    adj.sum_duplicates()
+    adj.sort_indices()
+    return adj
 
 
-def symmetric_normalize(adj: CsrAdjacency) -> CsrAdjacency:
+def csr_rows(adj: sp.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry, in storage order."""
+    return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+
+
+def with_values(adj: sp.csr_matrix, values: np.ndarray) -> sp.csr_matrix:
+    """The same sparsity structure as ``adj`` with new stored values."""
+    return sp.csr_matrix((values, adj.indices, adj.indptr), shape=adj.shape)
+
+
+def symmetric_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
     """Rescale entry (i, j) to a_ij / sqrt(deg_i * deg_j).
 
     Degrees are the row sums of ``adj``. A zero-degree node keeps an all-zero
     row/column; with self-loops added beforehand this never happens.
     """
-    deg = adj.degrees()
+    rows = csr_rows(adj)
+    deg = np.bincount(rows, weights=adj.data, minlength=adj.shape[0])
     with np.errstate(divide="ignore"):
         dinv = 1.0 / np.sqrt(deg)
     dinv[~np.isfinite(dinv)] = 0.0
-    rows = _row_index(adj)
-    vals = adj.values * dinv[rows] * dinv[adj.col_indices]
-    return CsrAdjacency(
-        num_nodes=adj.num_nodes,
-        row_offsets=adj.row_offsets,
-        col_indices=adj.col_indices,
-        values=vals,
-    )
+    return with_values(adj, adj.data * dinv[rows] * dinv[adj.indices])
 
 
 def edge_density(num_nodes: int, num_edges: int) -> float:

@@ -2,6 +2,11 @@
 hand-written reverse-mode gradients, plus parameter containers and a JSON
 checkpoint format.
 
+Both architectures propagate over one sparse operator: the self-looped CSR
+adjacency of the graph. GCN stores the symmetrically normalized weights as
+its values; GAT computes attention per stored edge and aggregates with the
+attention coefficients as values, so no N x N array is ever built.
+
 Everything runs in float64; forward and backward are deterministic given
 the explicit dropout seed, so training trajectories are bit-reproducible.
 """
@@ -13,9 +18,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, ShapeError
-from .graph import CsrAdjacency, Graph, build_adjacency, symmetric_normalize
+from .graph import Graph, build_adjacency, csr_rows, symmetric_normalize, with_values
 
 LEAKY_SLOPE = 0.2  # attention score nonlinearity
 
@@ -122,7 +128,7 @@ def _dropout_mask(rng, shape, rate):
 
 def gcn_forward(
     params: ModelParams,
-    norm_adj: CsrAdjacency,
+    norm_adj: sp.csr_matrix,
     features: np.ndarray,
     mode: str = "eval",
     dropout_seed: int = 0,
@@ -138,7 +144,7 @@ def _gcn_pass(params, norm_adj, features, mode, dropout_seed):
         raise ShapeError(
             f"features have width {features.shape[1]}, layer expects {w0.shape[0]}"
         )
-    ax = norm_adj.matmul(features)
+    ax = norm_adj @ features
     z1 = ax @ w0
     a1 = np.maximum(z1, 0.0)
     if mode == "train" and params.config.dropout > 0.0:
@@ -148,7 +154,7 @@ def _gcn_pass(params, norm_adj, features, mode, dropout_seed):
     else:
         mask = None
     h1 = a1 * mask if mask is not None else a1
-    ah = norm_adj.matmul(h1)
+    ah = norm_adj @ h1
     logits = ah @ w1
     cache = (ax, z1, mask, h1, ah)
     return logits, cache
@@ -158,7 +164,7 @@ def _gcn_backward(params, norm_adj, dlogits, cache):
     w0, w1 = params.arrays
     ax, z1, mask, h1, ah = cache
     dw1 = ah.T @ dlogits
-    dh1 = norm_adj.matmul(dlogits @ w1.T)  # A_hat is symmetric
+    dh1 = norm_adj @ (dlogits @ w1.T)  # A_hat is symmetric
     da1 = dh1 * mask if mask is not None else dh1
     dz1 = da1 * (z1 > 0.0)
     dw0 = ax.T @ dz1
@@ -168,53 +174,42 @@ def _gcn_backward(params, norm_adj, dlogits, cache):
 # ---------------------------------------------------------------------------
 # GAT
 
-NEG_INF = -1e30  # masked-out attention score
 
-
-def _attention_layer(h, w, a_src, a_dst, adj_mask):
+def _attention_layer(h, w, a_src, a_dst, adj):
     """Single attention head: softmax-normalized neighbor aggregation.
 
-    Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j) over j in N(i) + {i}.
-    Returns the output and a cache for the backward pass.
+    Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one per stored entry
+    (i, j) of the self-looped CSR ``adj``; the softmax runs over each row's
+    segment of entries. Self-loops keep every segment nonempty. Returns the
+    output and a cache (g, per-edge scores, per-edge alpha) for the backward
+    pass.
     """
     g = h @ w
-    s_src = g @ a_src
-    s_dst = g @ a_dst
-    e = s_src[:, None] + s_dst[None, :]
+    rows, starts = csr_rows(adj), adj.indptr[:-1]
+    e = (g @ a_src)[rows] + (g @ a_dst)[adj.indices]
     e_act = np.where(e > 0.0, e, LEAKY_SLOPE * e)
-    scores = np.where(adj_mask, e_act, NEG_INF)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    exps = np.exp(scores) * adj_mask
-    alpha = exps / exps.sum(axis=1, keepdims=True)
-    out = alpha @ g
+    exps = np.exp(e_act - np.maximum.reduceat(e_act, starts)[rows])
+    alpha = exps / np.add.reduceat(exps, starts)[rows]
+    out = with_values(adj, alpha) @ g
     return out, (g, e, alpha)
 
 
-def _attention_backward(dout, h, w, a_src, a_dst, adj_mask, cache):
+def _attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     g, e, alpha = cache
-    dalpha = dout @ g.T
-    dg = alpha.T @ dout
-    # softmax rows: restricted to the neighborhood mask
-    row_dot = (alpha * dalpha).sum(axis=1, keepdims=True)
-    de_act = alpha * (dalpha - row_dot)
-    de = de_act * np.where(e > 0.0, 1.0, LEAKY_SLOPE)
-    ds_src = de.sum(axis=1)
-    ds_dst = de.sum(axis=0)
+    rows, cols, starts = csr_rows(adj), adj.indices, adj.indptr[:-1]
+    dalpha = np.einsum("ij,ij->i", dout[rows], g[cols])
+    dg = with_values(adj, alpha).T @ dout
+    # softmax rows: one segment of stored entries per row
+    row_dot = np.add.reduceat(alpha * dalpha, starts)
+    de = alpha * (dalpha - row_dot[rows]) * np.where(e > 0.0, 1.0, LEAKY_SLOPE)
+    ds_src = np.add.reduceat(de, starts)
+    ds_dst = np.bincount(cols, weights=de, minlength=g.shape[0])
     dg += np.outer(ds_src, a_src) + np.outer(ds_dst, a_dst)
     da_src = g.T @ ds_src
     da_dst = g.T @ ds_dst
     dw = h.T @ dg
     dh = dg @ w.T
     return dh, dw, da_src, da_dst
-
-
-def _gat_mask(graph: Graph) -> np.ndarray:
-    mask = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
-    mask[u, v] = True
-    mask[v, u] = True
-    np.fill_diagonal(mask, True)
-    return mask
 
 
 def gat_forward(
@@ -224,11 +219,12 @@ def gat_forward(
     mode: str = "eval",
     dropout_seed: int = 0,
 ) -> np.ndarray:
-    logits, _ = _gat_pass(params, _gat_mask(graph), features, mode, dropout_seed)
+    adj = build_adjacency(graph, add_self_loops=True)
+    logits, _ = _gat_pass(params, adj, features, mode, dropout_seed)
     return logits
 
 
-def _gat_pass(params, adj_mask, features, mode, dropout_seed):
+def _gat_pass(params, adj, features, mode, dropout_seed):
     cfg = params.config
     if features.shape[1] != cfg.input_dim:
         raise ShapeError(
@@ -238,7 +234,7 @@ def _gat_pass(params, adj_mask, features, mode, dropout_seed):
     head_outs, head_caches = [], []
     for i in range(k):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
-        out, cache = _attention_layer(features, w, a_s, a_d, adj_mask)
+        out, cache = _attention_layer(features, w, a_s, a_d, adj)
         head_outs.append(out)
         head_caches.append(cache)
     z1 = np.concatenate(head_outs, axis=1)
@@ -251,17 +247,17 @@ def _gat_pass(params, adj_mask, features, mode, dropout_seed):
         mask = None
     h1 = a1 * mask if mask is not None else a1
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
-    logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, adj_mask)
+    logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, adj)
     return logits, (head_caches, z1, mask, h1, out_cache)
 
 
-def _gat_backward(params, adj_mask, features, dlogits, cache):
+def _gat_backward(params, adj, features, dlogits, cache):
     cfg = params.config
     k = cfg.num_heads
     head_caches, z1, mask, h1, out_cache = cache
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     dh1, dw1, da1_s, da1_d = _attention_backward(
-        dlogits, h1, w1, a1_s, a1_d, adj_mask, out_cache
+        dlogits, h1, w1, a1_s, a1_d, adj, out_cache
     )
     da1 = dh1 * mask if mask is not None else dh1
     dz1 = da1 * (z1 > 0.0)
@@ -270,7 +266,7 @@ def _gat_backward(params, adj_mask, features, dlogits, cache):
     for i in range(k):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
         _, dw, da_s, da_d = _attention_backward(
-            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, adj_mask,
+            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, adj,
             head_caches[i],
         )
         grads.extend([dw, da_s, da_d])
@@ -283,14 +279,12 @@ def _gat_backward(params, adj_mask, features, dlogits, cache):
 
 
 def prepare_operator(graph: Graph, config: ModelConfig):
-    """Precompute the fixed propagation operator for a graph.
-
-    gcn: symmetrically normalized self-looped adjacency. gat: the dense
-    neighborhood mask (with self-loops).
+    """Precompute the fixed propagation operator for a graph: the self-looped
+    CSR adjacency, with symmetrically normalized values for gcn. gat uses
+    only its structure and supplies attention coefficients as values.
     """
-    if config.architecture == "gcn":
-        return symmetric_normalize(build_adjacency(graph, add_self_loops=True))
-    return _gat_mask(graph)
+    adj = build_adjacency(graph, add_self_loops=True)
+    return symmetric_normalize(adj) if config.architecture == "gcn" else adj
 
 
 def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0):

@@ -66,29 +66,29 @@ class TestBuildAdjacency:
     def test_two_node_self_loops(self):
         g = make_graph(2, [(0, 1)])
         adj = build_adjacency(g, add_self_loops=True)
-        assert adj.to_dense().tolist() == [[1, 1], [1, 1]]
+        assert adj.toarray().tolist() == [[1, 1], [1, 1]]
 
     def test_single_node_identity(self):
         g = make_graph(1, [])
         adj = build_adjacency(g, add_self_loops=True)
-        assert adj.to_dense().tolist() == [[1]]
+        assert adj.toarray().tolist() == [[1]]
 
     def test_path_graph_no_self_loops(self):
         # hand-constructed adjacency of the 3-node path 0-1-2
         g = make_graph(3, [(0, 1), (1, 2)])
         adj = build_adjacency(g, add_self_loops=False)
         expected = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-        assert adj.to_dense().tolist() == expected
+        assert adj.toarray().tolist() == expected
 
     def test_csr_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             adj = build_adjacency(random_graph(rng), add_self_loops=True)
-            assert np.all(np.diff(adj.row_offsets) >= 0)
-            for i in range(adj.num_nodes):
-                cols = adj.col_indices[adj.row_offsets[i] : adj.row_offsets[i + 1]]
+            assert np.all(np.diff(adj.indptr) >= 0)
+            for i in range(adj.shape[0]):
+                cols = adj.indices[adj.indptr[i] : adj.indptr[i + 1]]
                 assert np.all(np.diff(cols) > 0)
-            dense = adj.to_dense()
+            dense = adj.toarray()
             np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -97,18 +97,18 @@ class TestSymmetricNormalize:
         # degrees 2,2 -> every entry 1/sqrt(4) = 0.5
         g = make_graph(2, [(0, 1)])
         norm = symmetric_normalize(build_adjacency(g, add_self_loops=True))
-        np.testing.assert_allclose(norm.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(norm.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_identity_fixed_point(self):
         g = make_graph(3, [])
         norm = symmetric_normalize(build_adjacency(g, add_self_loops=True))
-        np.testing.assert_array_equal(norm.to_dense(), np.eye(3))
+        np.testing.assert_array_equal(norm.toarray(), np.eye(3))
 
     def test_path_graph_values(self):
         # degrees 1,2,1 -> off-diagonal entries 1/sqrt(2)
         g = make_graph(3, [(0, 1), (1, 2)])
         norm = symmetric_normalize(build_adjacency(g, add_self_loops=False))
-        dense = norm.to_dense()
+        dense = norm.toarray()
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(
             dense, [[0, s, 0], [s, 0, s], [0, s, 0]], atol=1e-15
@@ -117,7 +117,7 @@ class TestSymmetricNormalize:
     def test_zero_degree_row_stays_zero(self):
         g = make_graph(3, [(0, 1)])
         norm = symmetric_normalize(build_adjacency(g, add_self_loops=False))
-        dense = norm.to_dense()
+        dense = norm.toarray()
         assert np.all(dense[2] == 0) and np.all(dense[:, 2] == 0)
 
     def test_output_symmetric(self):
@@ -126,7 +126,7 @@ class TestSymmetricNormalize:
             norm = symmetric_normalize(
                 build_adjacency(random_graph(rng), add_self_loops=True)
             )
-            dense = norm.to_dense()
+            dense = norm.toarray()
             np.testing.assert_allclose(dense, dense.T, atol=1e-12)
 
     def test_idempotent_on_regular_graphs(self):
@@ -136,18 +136,18 @@ class TestSymmetricNormalize:
         g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
         once = symmetric_normalize(build_adjacency(g, add_self_loops=True))
         twice = symmetric_normalize(once)
-        np.testing.assert_allclose(twice.to_dense(), once.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(twice.toarray(), once.toarray(), atol=1e-12)
 
     def test_degree_scaling_oracle(self):
         # entry (i,j) must equal a_ij / sqrt(deg_i deg_j) from a dense recomputation
         rng = np.random.default_rng(11)
         g = random_graph(rng, n_max=9)
         adj = build_adjacency(g, add_self_loops=True)
-        dense = adj.to_dense()
+        dense = adj.toarray()
         deg = dense.sum(axis=1)
         expected = dense / np.sqrt(np.outer(deg, deg))
         np.testing.assert_allclose(
-            symmetric_normalize(adj).to_dense(), expected, atol=1e-14
+            symmetric_normalize(adj).toarray(), expected, atol=1e-14
         )
 
 

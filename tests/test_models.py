@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neubm.errors import ShapeError
-from neubm.graph import Graph, build_adjacency, symmetric_normalize
+from neubm.graph import Graph, build_adjacency, symmetric_normalize, with_values
 from neubm.models import (
     ModelConfig,
+    LEAKY_SLOPE,
+    _attention_backward,
+    _attention_layer,
     gat_forward,
     gcn_forward,
     init_params,
@@ -114,11 +119,11 @@ class TestGatForward:
         cfg = ModelConfig("gat", input_dim=2, hidden_dim=3, num_classes=2,
                           dropout=0.0, seed=1)
         params = init_params(cfg)
-        from neubm.models import _attention_layer, _gat_mask
-
+        adj = build_adjacency(g, add_self_loops=True)
         w, a_s, a_d = params.arrays[0:3]
-        _, (_, _, alpha) = _attention_layer(feats, w, a_s, a_d, _gat_mask(g))
-        assert alpha[0, 1] == pytest.approx(alpha[0, 2], abs=1e-15)
+        _, (_, _, alpha) = _attention_layer(feats, w, a_s, a_d, adj)
+        dense = with_values(adj, alpha).toarray()
+        assert dense[0, 1] == pytest.approx(dense[0, 2], abs=1e-15)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -127,13 +132,11 @@ class TestGatForward:
             cfg = ModelConfig("gat", input_dim=3, hidden_dim=4, num_classes=3,
                               dropout=0.0, num_heads=2, seed=2)
             params = init_params(cfg)
-            from neubm.models import _attention_layer, _gat_mask
-
+            adj = build_adjacency(g, add_self_loops=True)
             w, a_s, a_d = params.arrays[0:3]
-            _, (_, _, alpha) = _attention_layer(
-                g.features, w, a_s, a_d, _gat_mask(g)
-            )
-            np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
+            _, (_, _, alpha) = _attention_layer(g.features, w, a_s, a_d, adj)
+            dense = with_values(adj, alpha).toarray()
+            np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
     def test_multi_head_shapes(self):
         rng = np.random.default_rng(6)
@@ -142,6 +145,60 @@ class TestGatForward:
                           dropout=0.0, num_heads=3, seed=0)
         logits = gat_forward(init_params(cfg), g, g.features)
         assert logits.shape == (6, 3)
+
+
+def dense_attention_head(h, w, a_src, a_dst, mask):
+    """Reference head over a dense N x N neighborhood mask (self-loops set)."""
+    g = h @ w
+    e = (g @ a_src)[:, None] + (g @ a_dst)[None, :]
+    e_act = np.where(e > 0.0, e, LEAKY_SLOPE * e)
+    scores = np.where(mask, e_act, -np.inf)
+    exps = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = exps / exps.sum(axis=1, keepdims=True)
+    return alpha @ g, (g, e, alpha)
+
+
+def dense_attention_backward(dout, h, w, a_src, a_dst, cache):
+    g, e, alpha = cache
+    dalpha = dout @ g.T
+    dg = alpha.T @ dout
+    row_dot = (alpha * dalpha).sum(axis=1, keepdims=True)
+    de = alpha * (dalpha - row_dot) * np.where(e > 0.0, 1.0, LEAKY_SLOPE)
+    ds_src, ds_dst = de.sum(axis=1), de.sum(axis=0)
+    dg += np.outer(ds_src, a_src) + np.outer(ds_dst, a_dst)
+    return dg @ w.T, h.T @ dg, g.T @ ds_src, g.T @ ds_dst
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    d_in=st.integers(min_value=1, max_value=4),
+    d_out=st.integers(min_value=1, max_value=4),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
+    # p = 0 gives all-isolated nodes; n = 1 a lone self-loop
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pr for pr in pairs if rng.random() < p]
+    g = Graph(num_nodes=n, features=rng.normal(size=(n, d_in)), edges=edges)
+    w = rng.normal(size=(d_in, d_out))
+    a_s, a_d = rng.normal(size=d_out), rng.normal(size=d_out)
+    dout = rng.normal(size=(n, d_out))
+    adj = build_adjacency(g, add_self_loops=True)
+    mask = adj.toarray() > 0
+
+    out, cache = _attention_layer(g.features, w, a_s, a_d, adj)
+    ref_out, ref_cache = dense_attention_head(g.features, w, a_s, a_d, mask)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(
+        with_values(adj, cache[2]).toarray(), ref_cache[2], rtol=1e-12, atol=1e-14
+    )
+    grads = _attention_backward(dout, g.features, w, a_s, a_d, adj, cache)
+    ref_grads = dense_attention_backward(dout, g.features, w, a_s, a_d, ref_cache)
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 class TestCheckpoint:
