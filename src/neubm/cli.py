@@ -43,6 +43,7 @@ from .neutral import (
     load_neutral,
     neutral_logit_vector,
     save_neutral,
+    train_rows,
 )
 from .training import TrainConfig, train
 
@@ -237,11 +238,15 @@ def cmd_calibrate(args) -> int:
         neutral_vec = neutral_logit_vector(params, neutral)
     else:
         stats = compute_dataset_stats(graph)
+        source = None
+        if args.neutral_variant != "mean_cov":
+            # copied rows come from the train split (masks.json) only
+            source = train_rows(graph, graph.mask("train"))
         neutral = construct_neutral(
             stats,
             NeutralConfig(construction_variant=args.neutral_variant,
                           seed=args.neutral_seed),
-            labeled_source=graph,
+            labeled_source=source,
         )
         if args.save_neutral:
             save_neutral(neutral, args.save_neutral)

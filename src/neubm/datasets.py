@@ -140,11 +140,17 @@ def _read_features(path: Path, n: int, d: int) -> np.ndarray:
                     line=lineno,
                 )
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise DatasetParseError(
                     f"non-numeric feature value: {exc}", file=str(path), line=lineno
                 ) from exc
+            if not np.all(np.isfinite(row)):
+                raise DatasetParseError(
+                    "non-finite feature value (NaN or inf)",
+                    file=str(path), line=lineno,
+                )
+            rows.append(row)
     if len(rows) != n:
         raise DatasetParseError(
             f"expected {n} feature rows, found {len(rows)}", file=str(path)

@@ -33,7 +33,12 @@ from .errors import ConfigError, NeubmError, NumericError
 from .graph import Graph, compute_dataset_stats
 from .metrics import evaluate, mmd_rbf
 from .models import ModelConfig, predict_logits
-from .neutral import NeutralConfig, construct_neutral, neutral_logit_vector
+from .neutral import (
+    NeutralConfig,
+    construct_neutral,
+    neutral_logit_vector,
+    train_rows,
+)
 from .training import TrainConfig, softmax, train
 
 OUTPUT_ROOT_ENV = "NEUBM_OUTPUT_ROOT"
@@ -287,7 +292,7 @@ def ablation_rows() -> list[AblationRow]:
     return rows
 
 
-def _make_refresh_hook(graph, stats, neutral_config, neutral_seed):
+def _make_refresh_hook(source, stats, neutral_config, neutral_seed):
     """Validation-selection hook: rebuild the reference every k epochs and
     score validation on subtraction-calibrated logits."""
     k = neutral_config.refresh_every
@@ -297,7 +302,7 @@ def _make_refresh_hook(graph, stats, neutral_config, neutral_seed):
         block = epoch // k
         if state.get("block") != block:
             cfg = replace(neutral_config, seed=neutral_seed + block)
-            state["neutral"] = construct_neutral(stats, cfg, labeled_source=graph)
+            state["neutral"] = construct_neutral(stats, cfg, labeled_source=source)
             state["block"] = block
         vec = neutral_logit_vector(params, state["neutral"])
         return logits - vec[None, :]
@@ -327,9 +332,11 @@ def _run_single(
     }
 
     hook = None
+    masks = fold.to_masks(graph.num_nodes)
     stats = compute_dataset_stats(graph, scope="all_nodes")
+    source = train_rows(graph, masks["train"])
     if config.neutral.refresh_every != "never":
-        hook = _make_refresh_hook(graph, stats, config.neutral, neutral_seed)
+        hook = _make_refresh_hook(source, stats, config.neutral, neutral_seed)
 
     start = time.perf_counter()
     try:
@@ -358,7 +365,7 @@ def _run_single(
     }
 
     logits = predict_logits(params, graph)
-    test_mask = fold.to_masks(graph.num_nodes)["test"]
+    test_mask = masks["test"]
     labels = graph.labels
     uncal_probs = softmax(logits)
     majority = int(np.bincount(labels[labels >= 0]).argmax())
@@ -369,7 +376,7 @@ def _run_single(
         if variant not in neutral_vectors:
             cfg = replace(config.neutral, construction_variant=variant,
                           seed=neutral_seed)
-            neutral = construct_neutral(stats, cfg, labeled_source=graph)
+            neutral = construct_neutral(stats, cfg, labeled_source=source)
             neutral_vectors[variant] = neutral_logit_vector(params, neutral)
         return neutral_vectors[variant]
 

@@ -14,7 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GraphValidationError, InfeasibleError, ShapeError
+from .errors import (
+    EmptyScopeError,
+    GraphValidationError,
+    InfeasibleError,
+    ShapeError,
+)
 from .graph import DatasetStats, Graph
 from .models import ModelParams, predict_logits
 
@@ -120,6 +125,25 @@ def sample_mvn(
         )
     factor = regularized_covariance_factor(sigma, eps_scale)
     return mu + z @ factor.T
+
+
+def train_rows(graph: Graph, train_mask: np.ndarray) -> Graph:
+    """The train-mask nodes of ``graph`` as an edgeless graph.
+
+    This is the only source the random and class_balanced variants may copy
+    rows from: the method is post hoc, so neither which rows a neutral graph
+    holds nor what they contain may depend on a held-out label.
+    """
+    idx = np.flatnonzero(train_mask)
+    if idx.size == 0:
+        raise EmptyScopeError("the train mask selects no nodes")
+    return Graph(
+        num_nodes=idx.size,
+        features=graph.features[idx],
+        edges=[],
+        labels=None if graph.labels is None else graph.labels[idx],
+        num_classes=graph.num_classes,
+    )
 
 
 def construct_neutral(

@@ -260,18 +260,15 @@ def train(
                 dropout_seed=train_config.seed * 1_000_003 + epoch,
                 operator=operator,
             )
+            if not np.isfinite(loss):
+                raise NumericError("non-finite loss")
+            flat, state = adam_step(state, flat, grad, train_config.learning_rate)
+            metric = val_f1(params.from_flat(flat), epoch)
         except NumericError as exc:
             raise TrainingFailureError(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch
             ) from exc
-        if not np.isfinite(loss):
-            raise TrainingFailureError(
-                f"non-finite loss at epoch {epoch}", epoch=epoch
-            )
-        flat, state = adam_step(state, flat, grad, train_config.learning_rate)
         loss_curve.append(loss)
-
-        metric = val_f1(params.from_flat(flat), epoch)
         val_curve.append(metric)
         if metric > best_metric:
             best_metric = metric

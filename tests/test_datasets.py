@@ -81,6 +81,17 @@ class TestCanonicalFormat:
             load_canonical(tmp_path / "ds")
         assert "features.csv:2" in str(exc.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        save_canonical(small_graph(), tmp_path / "ds")
+        path = tmp_path / "ds" / "features.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join([value] + lines[2].split(",")[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetParseError) as exc:
+            load_canonical(tmp_path / "ds")
+        assert "features.csv:3" in str(exc.value)
+
     def test_label_out_of_range_rejected(self, tmp_path):
         save_canonical(small_graph(), tmp_path / "ds")
         (tmp_path / "ds" / "labels.csv").write_text("0\n1\n7\n")

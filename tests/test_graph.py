@@ -56,6 +56,13 @@ class TestGraphInvariants:
         with pytest.raises(GraphValidationError):
             make_graph(2, [], masks=masks)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = value
+        with pytest.raises(GraphValidationError):
+            Graph(num_nodes=3, features=feats, edges=[(0, 1)])
+
     def test_arrays_are_frozen(self):
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValueError):

@@ -334,3 +334,32 @@ class TestRefreshHook:
         cfg2 = replace(cfg, output_dir=str(tmp_path / "refresh2"))
         agg2 = run_experiment(cfg2)
         assert agg1 == agg2
+
+
+class TestPostHocLeakage:
+    def test_test_labels_leave_neutral_vectors_unchanged(self, tmp_path):
+        from neubm.graph import Graph
+        from neubm.harness import _run_single, ablation_rows
+        from neubm.neutral import NeutralConfig
+
+        # the refresh hook draws class_balanced rows during model selection
+        cfg = small_config(
+            tmp_path,
+            neutral=NeutralConfig(construction_variant="class_balanced",
+                                  refresh_every=5, seed=3),
+        )
+        graph = generate_sbm(cfg.dataset)
+        fold = stratified_split(graph, 0.15, 0.15, 3, seed=0)
+        labels = graph.labels.copy()
+        labels[fold.test] = np.random.default_rng(0).permutation(labels[fold.test])
+        assert not np.array_equal(labels, graph.labels)
+        permuted = Graph(num_nodes=graph.num_nodes, features=graph.features,
+                         edges=graph.edges, labels=labels,
+                         num_classes=graph.num_classes)
+
+        def neutral_vectors(g):
+            records = _run_single(g, cfg, ablation_rows(), 0, fold, None, None, "h")
+            assert all(r.status == "ok" for r in records)
+            return {r.row_id: r.bias["neutral_vector"] for r in records}
+
+        assert neutral_vectors(permuted) == neutral_vectors(graph)

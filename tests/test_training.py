@@ -260,3 +260,18 @@ class TestTrainLoop:
                                 seed=0),
                 )
         assert exc.value.epoch is not None
+
+    def test_non_finite_parameters_reported_with_epoch(self):
+        # an infinite step makes the epoch-1 parameters non-finite while the
+        # loss and gradients stay finite: validation must fail categorized
+        g = easy_sbm(seed=6)
+        split = stratified_split(g, 0.3, 0.3, 2, seed=4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(TrainingFailureError) as exc:
+                train(
+                    g, split,
+                    ModelConfig("gcn", 4, 8, 2, dropout=0.0, seed=0),
+                    TrainConfig(learning_rate=np.inf, max_epochs=5, patience=5,
+                                seed=0),
+                )
+        assert exc.value.epoch == 1
