@@ -361,6 +361,9 @@ def _run_single(
     train_summary = {
         "epochs_run": report.epochs_run,
         "best_epoch": report.best_epoch,
+        "final_loss": report.loss_curve[-1] if report.loss_curve else None,
+        # val_metric_curve[e] is the score after epoch e (0 = before training)
+        "best_val_metric": report.val_metric_curve[report.best_epoch],
         "wall_time_seconds": time.perf_counter() - start,
     }
 
@@ -380,6 +383,7 @@ def _run_single(
             neutral_vectors[variant] = neutral_logit_vector(params, neutral)
         return neutral_vectors[variant]
 
+    mmd_before: dict = {}  # filled by the first row that is calibrated
     records = []
     for row in rows:
         timestamp = _now()
@@ -391,7 +395,8 @@ def _run_single(
                 num_classes=graph.num_classes,
             )
             bias = _bias_diagnostics(
-                logits, uncal_probs, out, vec, labels, test_mask, majority, row.spec
+                logits, uncal_probs, out, vec, labels, test_mask, majority,
+                row.spec, mmd_before,
             )
             records.append(ResultRecord(
                 config_hash=config_hash, seed=run_index,
@@ -415,7 +420,8 @@ def _run_single(
     return records
 
 
-def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority, spec):
+def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority,
+                      spec, mmd_before):
     report = check_bias_reduction(
         uncal_probs[test_mask], out.probabilities[test_mask],
         labels[test_mask], majority,
@@ -441,13 +447,19 @@ def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority
         "neutral_vector": [float(x) for x in vec],
     }
     if spec.variant != "none":
-        bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels, test_mask))
+        bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels,
+                                    test_mask, mmd_before))
     return bias
 
 
-def _mmd_diagnostic(probs_before, probs_after, labels, test_mask):
+def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, before):
     """Exploratory: probability-space distance between the two largest test
-    classes, before/after calibration. Not an invariant."""
+    classes, before/after calibration. Not an invariant.
+
+    `before` caches the class pair and the pre-calibration distance: both
+    depend only on the uncalibrated probabilities and the test labels, so
+    the rows of one (seed, fold) share one dict and compute them once.
+    """
     test_labels = labels[test_mask]
     counts = np.bincount(test_labels[test_labels >= 0])
     top = np.argsort(counts)[::-1]
@@ -460,9 +472,12 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask):
         idx = sel[test_labels == c][:MMD_DIAG_MAX_ROWS]
         return probs[idx]
 
+    if not before:
+        before["mmd_classes"] = [c1, c2]
+        before["mmd_prob_before"] = mmd_rbf(rows(probs_before, c1),
+                                            rows(probs_before, c2))
     return {
-        "mmd_classes": [c1, c2],
-        "mmd_prob_before": mmd_rbf(rows(probs_before, c1), rows(probs_before, c2)),
+        **before,
         "mmd_prob_after": mmd_rbf(rows(probs_after, c1), rows(probs_after, c2)),
     }
 

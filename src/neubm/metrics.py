@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphValidationError, ShapeError
+from .errors import GraphValidationError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,8 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
 
     k(a, b) = exp(-|a-b|^2 / (2 h^2)); h defaults to the median pairwise
     Euclidean distance over the pooled samples (1.0 when that median is 0).
-    Returns sqrt(max(0, MMD^2)).
+    Returns sqrt(max(0, MMD^2)). Non-finite samples or bandwidth raise
+    NumericError; a malformed or non-positive bandwidth raises ShapeError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -166,26 +167,47 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
         raise ShapeError("zero-dimensional samples")
     if x.shape[0] == 0 or y.shape[0] == 0:
         raise ShapeError("need at least one sample on each side")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericError("MMD samples must be finite")
+
+    # Pooled squared distances by the Gram identity |a|^2 + |b|^2 - 2 a.b,
+    # built in place. Centring keeps a shared offset out of the cancellation;
+    # taking the norms from the Gram diagonal makes the diagonal (and the
+    # distance between bitwise-equal rows) exactly 0.
+    n = x.shape[0]
+    pooled = np.concatenate([x, y], axis=0)
+    pooled -= pooled.mean(axis=0)
+    sq = pooled @ pooled.T
+    norms = np.diag(sq).copy()
+    sq *= -2.0
+    sq += norms[:, None]
+    sq += norms[None, :]
+    np.maximum(sq, 0.0, out=sq)
 
     if bandwidth == "median":
-        pooled = np.concatenate([x, y], axis=0)
-        sq = _sq_dists(pooled, pooled)
-        iu = np.triu_indices(pooled.shape[0], k=1)
-        h = float(np.sqrt(np.median(sq[iu]))) if iu[0].size else 0.0
+        # both sides are nonempty, so the strict upper triangle is too
+        upper = ~np.tri(sq.shape[0], dtype=bool)
+        h = float(np.sqrt(np.median(sq[upper])))
         if h == 0.0:
             h = 1.0
     else:
-        h = float(bandwidth)
+        try:
+            h = float(bandwidth)
+        except (TypeError, ValueError):
+            raise ShapeError(f"bandwidth must be 'median' or a number, "
+                             f"got {bandwidth!r}") from None
+        if not np.isfinite(h):
+            raise NumericError(f"bandwidth must be finite, got {h}")
         if h <= 0:
             raise ShapeError("bandwidth must be positive")
 
     gamma = 1.0 / (2.0 * h * h)
-    kxx = np.exp(-gamma * _sq_dists(x, x)).mean()
-    kyy = np.exp(-gamma * _sq_dists(y, y)).mean()
-    kxy = np.exp(-gamma * _sq_dists(x, y)).mean()
-    return float(np.sqrt(max(0.0, kxx + kyy - 2.0 * kxy)))
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    sq *= -gamma
+    k = np.exp(sq, out=sq)
+    kxx = k[:n, :n].mean()
+    kyy = k[n:, n:].mean()
+    kxy = k[:n, n:].mean()
+    mmd2 = kxx + kyy - 2.0 * kxy
+    if not np.isfinite(mmd2):  # finite samples whose distances overflow
+        raise NumericError("MMD is not finite")
+    return float(np.sqrt(max(0.0, mmd2)))

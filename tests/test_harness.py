@@ -221,14 +221,14 @@ class TestBiasDiagnostics:
         spec = CalibrationSpec("normalize")
         out = calibrate(logits, vec, spec)
         bias = _bias_diagnostics(
-            logits, softmax(logits), out, vec, labels, mask, 0, spec
+            logits, softmax(logits), out, vec, labels, mask, 0, spec, {}
         )
         assert bias["min_shift_exceeds_maj"] is False  # informational only
 
         spec = CalibrationSpec("subtract")
         out = calibrate(logits, vec, spec)
         bias = _bias_diagnostics(
-            logits, softmax(logits), out, vec, labels, mask, 0, spec
+            logits, softmax(logits), out, vec, labels, mask, 0, spec, {}
         )
         assert bias["min_shift_exceeds_maj"] is True  # guaranteed by algebra
 
@@ -363,3 +363,87 @@ class TestPostHocLeakage:
             return {r.row_id: r.bias["neutral_vector"] for r in records}
 
         assert neutral_vectors(permuted) == neutral_vectors(graph)
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Replace module.name with a wrapper that records (args, result)."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+class TestRunRecords:
+    def _graph_and_fold(self, tmp_path):
+        cfg = small_config(tmp_path)
+        graph = generate_sbm(cfg.dataset)
+        return cfg, graph, stratified_split(graph, 0.15, 0.15, 3, seed=0)
+
+    def test_mmd_before_computed_once_per_seed_fold(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+        from neubm.metrics import mmd_rbf
+        from neubm.training import softmax
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        test_mask = fold.to_masks(graph.num_nodes)["test"]
+        counts = np.bincount(graph.labels[test_mask])
+        mmd_calls, logits_seen = [], []
+        _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
+        _spy(monkeypatch, harness, "predict_logits", logits_seen)
+
+        for run_index in (0, 1):
+            mmd_calls.clear()
+            records = harness._run_single(graph, cfg, harness.ablation_rows(),
+                                          run_index, fold, None, None, "h")
+            assert all(r.status == "ok" for r in records)
+            calibrated = [r for r in records if r.spec["variant"] != "none"]
+            assert len(calibrated) < len(records)
+            assert len(mmd_calls) == 1 + len(calibrated)
+            assert all("mmd_prob_before" not in r.bias
+                       for r in records if r.spec["variant"] == "none")
+
+            before = {(tuple(r.bias["mmd_classes"]), r.bias["mmd_prob_before"])
+                      for r in calibrated}
+            assert len(before) == 1
+            (c1, c2), value = before.pop()
+            assert counts[c1] >= counts[c2] >= np.delete(counts, [c1, c2]).max()
+
+            probs = softmax(logits_seen[-1][1])
+
+            def rows(c):
+                idx = np.flatnonzero(test_mask & (graph.labels == c))
+                return probs[idx[:harness.MMD_DIAG_MAX_ROWS]]
+
+            assert value == mmd_rbf(rows(c1), rows(c2))
+
+    def test_no_mmd_when_every_row_is_uncalibrated(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        rows = [r for r in harness.ablation_rows() if r.spec.variant == "none"]
+        mmd_calls = []
+        _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
+        records = harness._run_single(graph, cfg, rows, 0, fold, None, None, "h")
+        assert records and all(r.status == "ok" for r in records)
+        assert mmd_calls == []
+
+    def test_train_summary_reports_curves(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        trained = []
+        _spy(monkeypatch, harness, "train", trained)
+        records = harness._run_single(graph, cfg, harness.default_rows(cfg.calibration),
+                                      0, fold, None, None, "h")
+        (_, (_, report)), = trained
+        assert len(report.val_metric_curve) == report.epochs_run + 1
+        for r in records:
+            summary = r.train_summary
+            assert summary["final_loss"] == report.loss_curve[-1]
+            assert summary["best_val_metric"] == max(report.val_metric_curve)
+            assert summary["best_val_metric"] == (
+                report.val_metric_curve[summary["best_epoch"]])

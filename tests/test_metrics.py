@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neubm.errors import GraphValidationError, ShapeError
+from neubm.errors import GraphValidationError, NumericError, ShapeError
 from neubm.metrics import (
     confusion,
     evaluate,
@@ -28,6 +28,28 @@ def brute_force_report(pred, truth, num_classes):
     weighted = sum(p[2] * p[3] for p in per) / len(truth)
     micro = sum(1 for p, t in zip(pred, truth) if p == t) / len(truth)
     return per, macro, weighted, micro
+
+
+def reference_mmd2(x, y, bandwidth="median"):
+    """Squared MMD by explicit pairwise differences, the form mmd_rbf had
+    before it moved to the Gram identity."""
+    def sq_dists(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    if bandwidth == "median":
+        pooled = np.concatenate([x, y], axis=0)
+        iu = np.triu_indices(pooled.shape[0], k=1)
+        h = float(np.sqrt(np.median(sq_dists(pooled, pooled)[iu])))
+        if h == 0.0:
+            h = 1.0
+    else:
+        h = float(bandwidth)
+    gamma = 1.0 / (2.0 * h * h)
+    kxx = np.exp(-gamma * sq_dists(x, x)).mean()
+    kyy = np.exp(-gamma * sq_dists(y, y)).mean()
+    kxy = np.exp(-gamma * sq_dists(x, y)).mean()
+    return kxx + kyy - 2.0 * kxy
 
 
 class TestConfusion:
@@ -174,6 +196,51 @@ class TestMmd:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             mmd_rbf(np.zeros((3, 2)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise(self, bad):
+        x = np.zeros((4, 2))
+        x[2, 1] = bad
+        with pytest.raises(NumericError):
+            mmd_rbf(x, np.ones((3, 2)))
+        with pytest.raises(NumericError):
+            mmd_rbf(np.ones((3, 2)), x, bandwidth=1.0)
+
+    def test_nan_bandwidth_raises(self):
+        with pytest.raises(NumericError):
+            mmd_rbf(np.zeros((3, 2)), np.ones((3, 2)), bandwidth=float("nan"))
+
+    def test_non_numeric_bandwidth_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            mmd_rbf(np.zeros((3, 2)), np.ones((3, 2)), bandwidth="med")
+
+    def test_overflowing_distances_raise(self):
+        x, y = np.array([[1e200, 0.0]]), np.array([[-1e200, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                mmd_rbf(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    d=st.integers(1, 6),
+    bandwidth=st.one_of(st.just("median"), st.floats(0.2, 5.0)),
+    shift_scale=st.sampled_from([0.0, 1.0, 1e2, 1e4]),
+)
+def test_mmd_matches_pairwise_reference(seed, n, m, d, bandwidth, shift_scale):
+    # MMD^2 is compared, not MMD: the square root amplifies rounding near 0
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.normal(size=(m, d)) + rng.uniform(0.0, 2.0)
+    shift = rng.uniform(-1.0, 1.0, size=d) * shift_scale
+    x, y = x + shift, y + shift
+    expected = reference_mmd2(x, y, bandwidth)
+    assert mmd_rbf(x, y, bandwidth) ** 2 == pytest.approx(
+        max(expected, 0.0), abs=1e-12
+    )
 
 
 @settings(max_examples=50, deadline=None)
