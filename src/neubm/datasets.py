@@ -551,34 +551,22 @@ def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
     if total_pairs - m < k:
         raise InfeasibleError("not enough absent pairs to rewire into")
     chosen = rng.choice(m, size=k, replace=False)
+    original = {(int(u), int(v)) for u, v in graph.edges}
     keep_mask = np.ones(m, dtype=bool)
     keep_mask[chosen] = False
-    if 2 * (total_pairs - m) < total_pairs:
-        # dense graph: rejection sampling would mostly draw present pairs, so
-        # draw from the enumerated absent pairs (O(n^2) = O(m) here)
-        present = np.zeros((n, n), dtype=bool)
-        present[graph.edges[:, 0], graph.edges[:, 1]] = True
-        u, v = np.triu_indices(n, k=1)
-        absent = np.flatnonzero(~present[u, v])
-        pick = absent[rng.choice(absent.size, size=k, replace=False)]
-        added = np.stack([u[pick], v[pick]], axis=1)
-    else:
-        original = {(int(u), int(v)) for u, v in graph.edges}
-        current = {(int(u), int(v)) for u, v in graph.edges[keep_mask]}
-        added = []
-        while len(added) < k:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u == v:
-                continue
-            pair = (min(u, v), max(u, v))
-            if pair in original or pair in current:
-                continue
-            current.add(pair)
-            added.append(pair)
-    edges = np.concatenate(
-        [graph.edges[keep_mask], np.asarray(added, dtype=np.int64).reshape(-1, 2)]
-    )
+    current = {(int(u), int(v)) for u, v in graph.edges[keep_mask]}
+    added = []
+    while len(added) < k:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        if pair in original or pair in current:
+            continue
+        current.add(pair)
+        added.append(pair)
+    edges = np.array(sorted(current), dtype=np.int64)
     return Graph(
         num_nodes=n,
         features=graph.features,

@@ -456,9 +456,10 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, before):
     """Exploratory: probability-space distance between the two largest test
     classes, before/after calibration. Not an invariant.
 
-    `before` caches the class pair and the pre-calibration distance: both
-    depend only on the uncalibrated probabilities and the test labels, so
-    the rows of one (seed, fold) share one dict and compute them once.
+    `before` caches the pre-calibration distance: it depends only on the
+    uncalibrated probabilities and the test labels, so the rows of one
+    (seed, fold) share one dict and compute it once. A failed computation
+    stores nothing, so every later row fails the same way.
     """
     test_labels = labels[test_mask]
     counts = np.bincount(test_labels[test_labels >= 0])
@@ -472,12 +473,12 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, before):
         idx = sel[test_labels == c][:MMD_DIAG_MAX_ROWS]
         return probs[idx]
 
-    if not before:
-        before["mmd_classes"] = [c1, c2]
+    if "mmd_prob_before" not in before:
         before["mmd_prob_before"] = mmd_rbf(rows(probs_before, c1),
                                             rows(probs_before, c2))
     return {
-        **before,
+        "mmd_classes": [c1, c2],
+        "mmd_prob_before": before["mmd_prob_before"],
         "mmd_prob_after": mmd_rbf(rows(probs_after, c1), rows(probs_after, c2)),
     }
 

@@ -158,6 +158,13 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     Euclidean distance over the pooled samples (1.0 when that median is 0).
     Returns sqrt(max(0, MMD^2)). Non-finite samples or bandwidth raise
     NumericError; a malformed or non-positive bandwidth raises ShapeError.
+
+    Precision: the distances come from the Gram identity, so each carries
+    an absolute rounding error of about eps * S^2, where S is the largest
+    norm of the mean-centred pooled sample. The kernel of a pair therefore
+    has a relative error of about eps * (S / h)^2. The median bandwidth
+    grows with S; a fixed h far below the spread loses digits on close
+    pairs (30 points of scale 1e3 in 3-d at h = 0.2: MMD^2 off by 2e-11).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))

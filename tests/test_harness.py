@@ -5,7 +5,7 @@ import pytest
 
 from neubm.calibrate import CalibrationSpec
 from neubm.datasets import SbmConfig, generate_sbm, stratified_split
-from neubm.errors import ConfigError
+from neubm.errors import ConfigError, NumericError
 from neubm.harness import (
     ExperimentConfig,
     NoiseSweep,
@@ -430,6 +430,28 @@ class TestRunRecords:
         records = harness._run_single(graph, cfg, rows, 0, fold, None, None, "h")
         assert records and all(r.status == "ok" for r in records)
         assert mmd_calls == []
+
+    def test_failed_mmd_before_is_not_cached(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        calls = []
+        original = harness.mmd_rbf
+
+        def fails_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NumericError("MMD is not finite")
+            return original(*args)
+
+        monkeypatch.setattr(harness, "mmd_rbf", fails_first)
+        records = harness._run_single(graph, cfg, harness.ablation_rows(),
+                                      0, fold, None, None, "h")
+        calibrated = [r for r in records if r.spec["variant"] != "none"]
+        assert calibrated[0].status == "failed"
+        assert "NumericError" in calibrated[0].error
+        assert all(r.status == "ok" for r in calibrated[1:])
+        assert all("mmd_prob_before" in r.bias for r in calibrated[1:])
 
     def test_train_summary_reports_curves(self, tmp_path, monkeypatch):
         import neubm.harness as harness

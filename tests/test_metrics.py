@@ -229,14 +229,16 @@ class TestMmd:
     d=st.integers(1, 6),
     bandwidth=st.one_of(st.just("median"), st.floats(0.2, 5.0)),
     shift_scale=st.sampled_from([0.0, 1.0, 1e2, 1e4]),
+    spread=st.sampled_from([1.0, 1e2]),
 )
-def test_mmd_matches_pairwise_reference(seed, n, m, d, bandwidth, shift_scale):
+def test_mmd_matches_pairwise_reference(seed, n, m, d, bandwidth, shift_scale,
+                                        spread):
     # MMD^2 is compared, not MMD: the square root amplifies rounding near 0
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     y = rng.normal(size=(m, d)) + rng.uniform(0.0, 2.0)
     shift = rng.uniform(-1.0, 1.0, size=d) * shift_scale
-    x, y = x + shift, y + shift
+    x, y = spread * x + shift, spread * y + shift
     expected = reference_mmd2(x, y, bandwidth)
     assert mmd_rbf(x, y, bandwidth) ** 2 == pytest.approx(
         max(expected, 0.0), abs=1e-12
