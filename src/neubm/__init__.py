@@ -53,8 +53,6 @@ from .metrics import (
 from .models import (
     ModelConfig,
     ModelParams,
-    gat_forward,
-    gcn_forward,
     init_params,
     load_checkpoint,
     predict_logits,
@@ -73,7 +71,6 @@ from .training import (
     TrainReport,
     adam_step,
     cross_entropy_loss,
-    gradients,
     train,
 )
 

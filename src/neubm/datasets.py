@@ -390,7 +390,15 @@ class SplitAssignment:
 
 
 def apply_split(graph: Graph, split: SplitAssignment) -> Graph:
-    return graph.with_masks(split.to_masks(graph.num_nodes))
+    """The graph with the split's masks; every split node must be labeled."""
+    masks = split.to_masks(graph.num_nodes)
+    if graph.labels is not None:
+        for name, m in masks.items():
+            if np.any(graph.labels[m] < 0):
+                raise GraphValidationError(
+                    f"{name} split holds unlabeled nodes (label -1)"
+                )
+    return graph.with_masks(masks)
 
 
 def _capped_largest_remainder(

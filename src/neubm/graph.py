@@ -21,10 +21,15 @@ from .errors import (
 MASK_NAMES = ("train", "val", "test")
 
 
+# endpoints below this bound pack into one int64 key lo * span + hi
+_MAX_ENDPOINT = 2**31
+
+
 def canonical_edges(edges) -> np.ndarray:
     """Return edges as an (m, 2) int64 array with u < v, sorted, deduplicated.
 
-    Self-pairs are rejected; orientation is normalized (v < u is flipped).
+    Self-pairs and negative endpoints are rejected; orientation is
+    normalized (v < u is flipped).
     """
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if arr.size == 0:
@@ -33,9 +38,14 @@ def canonical_edges(edges) -> np.ndarray:
         raise GraphValidationError("self-pairs are not allowed in the edge list")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    arr = np.stack([lo, hi], axis=1)
-    arr = np.unique(arr, axis=0)
-    return arr
+    if lo.min() < 0:
+        raise GraphValidationError("edge endpoints must be non-negative")
+    span = int(hi.max()) + 1
+    if span > _MAX_ENDPOINT:
+        raise GraphValidationError(f"edge endpoint {span - 1} is too large")
+    # sorting the packed keys sorts the pairs lexicographically
+    keys = np.unique(lo * span + hi)
+    return np.stack([keys // span, keys % span], axis=1)
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,7 @@ class Graph:
         if not np.all(np.isfinite(feats)):
             raise GraphValidationError("features must be finite (no NaN or inf)")
         edges = canonical_edges(self.edges)
-        if edges.size and (edges.min() < 0 or edges.max() >= self.num_nodes):
+        if edges.size and edges.max() >= self.num_nodes:
             raise GraphValidationError(
                 f"edge endpoint out of range [0, {self.num_nodes})"
             )

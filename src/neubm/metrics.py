@@ -90,6 +90,11 @@ def confusion(
     if num_classes is None:
         num_classes = int(max(pred.max(initial=-1), truth.max(initial=-1))) + 1
         num_classes = max(num_classes, 1)
+    for name, arr in (("truth", truth), ("pred", pred)):
+        if np.any((arr < 0) | (arr >= num_classes)):
+            raise GraphValidationError(
+                f"{name} holds a class outside [0, {num_classes})"
+            )
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
     return ConfusionMatrix(counts=counts)

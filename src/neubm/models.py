@@ -2,10 +2,11 @@
 hand-written reverse-mode gradients, plus parameter containers and a JSON
 checkpoint format.
 
-Both architectures propagate over one sparse operator: the self-looped CSR
+Both architectures propagate over one sparse structure: the self-looped CSR
 adjacency of the graph. GCN stores the symmetrically normalized weights as
-its values; GAT computes attention per stored edge and aggregates with the
-attention coefficients as values, so no N x N array is ever built.
+its values and precomputes the parameter-free A_hat . X once per graph;
+GAT computes attention per stored edge and aggregates with the attention
+coefficients as values, so no N x N array is ever built.
 
 Everything runs in float64; forward and backward are deterministic given
 the explicit dropout seed, so training trajectories are bit-reproducible.
@@ -126,26 +127,29 @@ def _dropout_mask(rng, shape, rate):
 # GCN
 
 
-def gcn_forward(
-    params: ModelParams,
-    norm_adj: sp.csr_matrix,
-    features: np.ndarray,
-    mode: str = "eval",
-    dropout_seed: int = 0,
-) -> np.ndarray:
-    """logits = A_hat . dropout(relu(A_hat . X . W0)) . W1"""
-    logits, _ = _gcn_pass(params, norm_adj, features, mode, dropout_seed)
-    return logits
+@dataclass(frozen=True)
+class GcnOperator:
+    """The GCN propagation operator of one graph: the symmetrically
+    normalized self-looped CSR adjacency A_hat, plus the parameter-free first
+    propagation A_hat . X of that graph's features."""
+
+    norm_adj: sp.csr_matrix
+    ax: np.ndarray
 
 
-def _gcn_pass(params, norm_adj, features, mode, dropout_seed):
+def _gcn_pass(params, operator, features, mode, dropout_seed):
+    """logits = A_hat . (dropout(relu(A_hat . X . W0)) . W1)
+
+    A_hat . X comes from the operator, so ``features`` must be the features
+    of the graph the operator was built from; only its width is checked.
+    Layer 2 projects to the class width before it propagates.
+    """
     w0, w1 = params.arrays
     if features.shape[1] != w0.shape[0]:
         raise ShapeError(
             f"features have width {features.shape[1]}, layer expects {w0.shape[0]}"
         )
-    ax = norm_adj @ features
-    z1 = ax @ w0
+    z1 = operator.ax @ w0
     a1 = np.maximum(z1, 0.0)
     if mode == "train" and params.config.dropout > 0.0:
         mask = _dropout_mask(
@@ -154,20 +158,19 @@ def _gcn_pass(params, norm_adj, features, mode, dropout_seed):
     else:
         mask = None
     h1 = a1 * mask if mask is not None else a1
-    ah = norm_adj @ h1
-    logits = ah @ w1
-    cache = (ax, z1, mask, h1, ah)
-    return logits, cache
+    logits = operator.norm_adj @ (h1 @ w1)
+    return logits, (z1, mask, h1)
 
 
-def _gcn_backward(params, norm_adj, dlogits, cache):
+def _gcn_backward(params, operator, dlogits, cache):
     w0, w1 = params.arrays
-    ax, z1, mask, h1, ah = cache
-    dw1 = ah.T @ dlogits
-    dh1 = norm_adj @ (dlogits @ w1.T)  # A_hat is symmetric
+    z1, mask, h1 = cache
+    adl = operator.norm_adj @ dlogits  # A_hat is symmetric
+    dw1 = h1.T @ adl
+    dh1 = adl @ w1.T
     da1 = dh1 * mask if mask is not None else dh1
     dz1 = da1 * (z1 > 0.0)
-    dw0 = ax.T @ dz1
+    dw0 = operator.ax.T @ dz1
     return (dw0, dw1)
 
 
@@ -210,18 +213,6 @@ def _attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     dw = h.T @ dg
     dh = dg @ w.T
     return dh, dw, da_src, da_dst
-
-
-def gat_forward(
-    params: ModelParams,
-    graph: Graph,
-    features: np.ndarray,
-    mode: str = "eval",
-    dropout_seed: int = 0,
-) -> np.ndarray:
-    adj = build_adjacency(graph, add_self_loops=True)
-    logits, _ = _gat_pass(params, adj, features, mode, dropout_seed)
-    return logits
 
 
 def _gat_pass(params, adj, features, mode, dropout_seed):
@@ -279,12 +270,19 @@ def _gat_backward(params, adj, features, dlogits, cache):
 
 
 def prepare_operator(graph: Graph, config: ModelConfig):
-    """Precompute the fixed propagation operator for a graph: the self-looped
-    CSR adjacency, with symmetrically normalized values for gcn. gat uses
-    only its structure and supplies attention coefficients as values.
+    """Precompute the fixed propagation operator for a graph.
+
+    gat gets the self-looped CSR adjacency; it uses only its structure and
+    supplies attention coefficients as values. gcn gets a
+    :class:`GcnOperator`: the same adjacency with symmetrically normalized
+    values, plus A_hat . X of ``graph.features``. Pass the operator only
+    with the features of the graph it was built from.
     """
     adj = build_adjacency(graph, add_self_loops=True)
-    return symmetric_normalize(adj) if config.architecture == "gcn" else adj
+    if config.architecture == "gat":
+        return adj
+    norm_adj = symmetric_normalize(adj)
+    return GcnOperator(norm_adj=norm_adj, ax=norm_adj @ graph.features)
 
 
 def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0):

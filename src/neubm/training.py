@@ -138,23 +138,6 @@ def loss_and_gradients(
     return loss, flat
 
 
-def gradients(
-    params: ModelParams,
-    graph: Graph,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    train_config: TrainConfig,
-    mode: str = "eval",
-    dropout_seed: int = 0,
-) -> np.ndarray:
-    _, flat = loss_and_gradients(
-        params, graph, labels, mask,
-        weight_decay=train_config.weight_decay,
-        mode=mode, dropout_seed=dropout_seed,
-    )
-    return flat
-
-
 def _array_names(params: ModelParams):
     if params.config.architecture == "gcn":
         return ["W0", "W1"]

@@ -95,6 +95,40 @@ class TestTrainCalibrateEval:
         assert code == 2  # config error
 
 
+def unlabel_split_node(dataset_dir, name):
+    """Mark the first node of one masks.json split unlabeled (-1)."""
+    node = json.loads((dataset_dir / "masks.json").read_text())[name][0]
+    path = dataset_dir / "labels.csv"
+    labels = path.read_text().splitlines()
+    labels[node] = "-1"
+    path.write_text("\n".join(labels) + "\n")
+
+
+class TestUnlabeledSplitNodes:
+    def train(self, dataset_dir, model, *extra):
+        return run_cli(
+            "train", "--data", dataset_dir, "--out", model, "--hidden", 8,
+            "--max-epochs", 5, "--patience", 5, "--train-frac", 0.2,
+            "--val-frac", 0.2, "--min-per-class", 3, *extra,
+        )
+
+    def test_train_rejects_unlabeled_train_node(self, dataset_dir, tmp_path):
+        model = tmp_path / "model.json"
+        assert self.train(dataset_dir, model, "--write-masks") == 0
+        unlabel_split_node(dataset_dir, "train")
+        assert self.train(dataset_dir, tmp_path / "again.json") == 3  # data error
+
+    def test_eval_rejects_unlabeled_test_node(self, dataset_dir, tmp_path):
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+        assert self.train(dataset_dir, model, "--write-masks") == 0
+        assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", preds, "--variant", "none") == 0
+        unlabel_split_node(dataset_dir, "test")
+        code = run_cli("eval", "--pred", preds, "--data", dataset_dir,
+                       "--out", tmp_path / "m.json", "--mask", "test")
+        assert code == 3  # data error
+
+
 class TestExperimentCommands:
     def exp_config(self, tmp_path, **extra):
         payload = {

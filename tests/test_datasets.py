@@ -4,6 +4,8 @@ import pytest
 from neubm.datasets import (
     NoiseSpec,
     SbmConfig,
+    SplitAssignment,
+    apply_split,
     describe,
     generate_sbm,
     inject_noise,
@@ -240,6 +242,22 @@ class TestStratifiedSplit:
         b = stratified_split(g, 0.2, 0.2, 3, seed=9)
         np.testing.assert_array_equal(a.train, b.train)
         np.testing.assert_array_equal(a.test, b.test)
+
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_apply_split_rejects_unlabeled_nodes(self, name):
+        g = Graph(num_nodes=4, features=np.zeros((4, 1)), edges=[],
+                  labels=[0, 1, 0, -1], num_classes=2)
+        parts = {"train": [0], "val": [1], "test": [2]}
+        parts[name] = parts[name] + [3]
+        with pytest.raises(GraphValidationError) as exc:
+            apply_split(g, SplitAssignment(**parts, seed=0))
+        assert name in str(exc.value)
+
+    def test_apply_split_keeps_unlabeled_nodes_outside_split(self):
+        g = Graph(num_nodes=4, features=np.zeros((4, 1)), edges=[],
+                  labels=[0, 1, 0, -1], num_classes=2)
+        out = apply_split(g, SplitAssignment([0], [1], [2], seed=0))
+        assert not any(m[3] for m in out.masks.values())
 
     def test_class_too_small(self):
         g = labeled_graph([30, 3])

@@ -11,6 +11,7 @@ from neubm.errors import (
 from neubm.graph import (
     Graph,
     build_adjacency,
+    canonical_edges,
     compute_dataset_stats,
     edge_density,
     symmetric_normalize,
@@ -42,6 +43,14 @@ class TestGraphInvariants:
     def test_self_pair_rejected(self):
         with pytest.raises(GraphValidationError):
             make_graph(3, [(1, 1)])
+
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(GraphValidationError):
+            make_graph(3, [(0, 1), (-1, 2)])
+
+    def test_unpackable_endpoint_rejected(self):
+        with pytest.raises(GraphValidationError):
+            canonical_edges([(0, 2**40)])
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(GraphValidationError):
@@ -227,3 +236,35 @@ def test_density_bounds_property(n, seed, p):
     assert stats.d_bar == pytest.approx(len(edges) / len(pairs))
     if len(edges) == len(pairs):
         assert stats.d_bar == 1.0
+
+
+def reference_canonical_edges(edges):
+    """The former canonicalisation: row-wise np.unique over (lo, hi) pairs."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if arr.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=3000),
+    m=st.integers(min_value=0, max_value=60),
+    dup_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_canonical_edges_matches_reference(n, m, dup_frac, seed):
+    # shuffled, partly flipped, partly duplicated pairs; m = 0 is the empty list
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n  # never a self-pair
+    pairs = np.stack([u, v], axis=1)
+    dups = pairs[rng.random(m) < dup_frac]
+    edges = np.concatenate([pairs, dups[:, ::-1], dups])
+    edges = edges[rng.permutation(len(edges))]
+    got = canonical_edges(edges)
+    want = reference_canonical_edges(edges)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)

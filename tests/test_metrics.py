@@ -69,6 +69,20 @@ class TestConfusion:
         with pytest.raises(ShapeError):
             confusion([0, 1], [0])
 
+    def test_unlabeled_truth_rejected(self):
+        # label -1 must not be tallied as the last class
+        with pytest.raises(GraphValidationError):
+            confusion([0, 1, 2], [0, 1, -1], num_classes=3)
+
+    def test_prediction_outside_classes_rejected(self):
+        with pytest.raises(GraphValidationError):
+            confusion([0, 3], [0, 1], num_classes=3)
+
+    def test_masked_out_unlabeled_truth_ignored(self):
+        cm = confusion([0, 1, 2], [0, 1, -1], mask=[True, True, False],
+                       num_classes=3)
+        assert cm.counts.sum() == 2
+
 
 class TestF1:
     def test_hand_computation(self):

@@ -10,17 +10,23 @@ from neubm.models import (
     LEAKY_SLOPE,
     _attention_backward,
     _attention_layer,
-    gat_forward,
-    gcn_forward,
+    _dropout_mask,
+    backward_with_operator,
+    forward_with_operator,
     init_params,
     load_checkpoint,
     predict_logits,
+    prepare_operator,
     save_checkpoint,
 )
 
 
-def norm_adj_for(graph):
-    return symmetric_normalize(build_adjacency(graph, add_self_loops=True))
+def forward(params, graph, mode="eval", dropout_seed=0):
+    logits, _ = forward_with_operator(
+        params, prepare_operator(graph, params.config), graph.features,
+        mode=mode, dropout_seed=dropout_seed,
+    )
+    return logits
 
 
 def random_graph(rng, n=8, d=3, p=0.4, num_classes=3):
@@ -41,7 +47,7 @@ class TestGcnForward:
         g = Graph(num_nodes=2, features=[[1.0], [0.0]], edges=[(0, 1)])
         cfg = ModelConfig("gcn", input_dim=1, hidden_dim=1, num_classes=1, dropout=0.0)
         params = init_params(cfg).from_flat(np.array([1.0, 1.0]))
-        logits = gcn_forward(params, norm_adj_for(g), g.features)
+        logits = forward(params, g)
         np.testing.assert_allclose(logits, [[0.5], [0.5]])
 
     def test_zero_weights_zero_logits(self):
@@ -50,7 +56,7 @@ class TestGcnForward:
         cfg = ModelConfig("gcn", input_dim=3, hidden_dim=4, num_classes=3, dropout=0.0)
         params = init_params(cfg)
         zero = params.from_flat(np.zeros(params.size))
-        logits = gcn_forward(zero, norm_adj_for(g), g.features)
+        logits = forward(zero, g)
         np.testing.assert_array_equal(logits, np.zeros((8, 3)))
 
     def test_permutation_equivariance(self):
@@ -59,7 +65,7 @@ class TestGcnForward:
         cfg = ModelConfig("gcn", input_dim=3, hidden_dim=4, num_classes=3,
                           dropout=0.0, seed=3)
         params = init_params(cfg)
-        base = gcn_forward(params, norm_adj_for(g), g.features)
+        base = forward(params, g)
 
         perm = rng.permutation(5)
         inv = np.argsort(perm)
@@ -70,7 +76,7 @@ class TestGcnForward:
             labels=g.labels[inv] if g.labels is not None else None,
             num_classes=g.num_classes,
         )
-        permuted = gcn_forward(params, norm_adj_for(pg), pg.features)
+        permuted = forward(params, pg)
         np.testing.assert_allclose(permuted[perm], base, atol=1e-10)
 
     def test_eval_mode_ignores_dropout(self):
@@ -78,8 +84,8 @@ class TestGcnForward:
         g = random_graph(rng)
         cfg = ModelConfig("gcn", input_dim=3, hidden_dim=4, num_classes=3, dropout=0.5)
         params = init_params(cfg)
-        a = gcn_forward(params, norm_adj_for(g), g.features, mode="eval", dropout_seed=1)
-        b = gcn_forward(params, norm_adj_for(g), g.features, mode="eval", dropout_seed=2)
+        a = forward(params, g, mode="eval", dropout_seed=1)
+        b = forward(params, g, mode="eval", dropout_seed=2)
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_dropout_deterministic(self):
@@ -87,9 +93,9 @@ class TestGcnForward:
         g = random_graph(rng)
         cfg = ModelConfig("gcn", input_dim=3, hidden_dim=16, num_classes=3, dropout=0.5)
         params = init_params(cfg)
-        a = gcn_forward(params, norm_adj_for(g), g.features, mode="train", dropout_seed=7)
-        b = gcn_forward(params, norm_adj_for(g), g.features, mode="train", dropout_seed=7)
-        c = gcn_forward(params, norm_adj_for(g), g.features, mode="train", dropout_seed=8)
+        a = forward(params, g, mode="train", dropout_seed=7)
+        b = forward(params, g, mode="train", dropout_seed=7)
+        c = forward(params, g, mode="train", dropout_seed=8)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -97,7 +103,73 @@ class TestGcnForward:
         g = Graph(num_nodes=2, features=[[1.0, 2.0], [0.0, 1.0]], edges=[(0, 1)])
         cfg = ModelConfig("gcn", input_dim=3, hidden_dim=2, num_classes=2)
         with pytest.raises(ShapeError):
-            gcn_forward(init_params(cfg), norm_adj_for(g), g.features)
+            forward(init_params(cfg), g)
+
+
+def reference_gcn_pass(params, norm_adj, features, mode, dropout_seed):
+    """The former GCN pass: A_hat . X per call, layer 2 as (A_hat . h1) . W1."""
+    w0, w1 = params.arrays
+    ax = norm_adj @ features
+    z1 = ax @ w0
+    a1 = np.maximum(z1, 0.0)
+    if mode == "train" and params.config.dropout > 0.0:
+        mask = _dropout_mask(
+            np.random.default_rng(dropout_seed), a1.shape, params.config.dropout
+        )
+    else:
+        mask = None
+    h1 = a1 * mask if mask is not None else a1
+    ah = norm_adj @ h1
+    return ah @ w1, (ax, z1, mask, h1, ah)
+
+
+def reference_gcn_backward(params, norm_adj, dlogits, cache):
+    w0, w1 = params.arrays
+    ax, z1, mask, h1, ah = cache
+    dw1 = ah.T @ dlogits
+    dh1 = norm_adj @ (dlogits @ w1.T)
+    da1 = dh1 * mask if mask is not None else dh1
+    dz1 = da1 * (z1 > 0.0)
+    return ax.T @ dz1, dw1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    d_in=st.integers(min_value=1, max_value=4),
+    hidden=st.integers(min_value=1, max_value=6),
+    classes=st.integers(min_value=1, max_value=5),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    mode=st.sampled_from(["eval", "train"]),
+    dropout_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_gcn_pass_matches_reference(n, d_in, hidden, classes, p, mode,
+                                    dropout_seed, seed):
+    # p = 0 gives all-isolated nodes; n = 1 a lone self-loop
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pr for pr in pairs if rng.random() < p]
+    g = Graph(num_nodes=n, features=rng.normal(size=(n, d_in)), edges=edges)
+    cfg = ModelConfig("gcn", input_dim=d_in, hidden_dim=hidden,
+                      num_classes=classes, dropout=0.5)
+    params = init_params(cfg)
+    params = params.from_flat(rng.normal(size=params.size))
+    dlogits = rng.normal(size=(n, classes))
+
+    operator = prepare_operator(g, cfg)
+    logits, cache = forward_with_operator(
+        params, operator, g.features, mode=mode, dropout_seed=dropout_seed
+    )
+    grads = backward_with_operator(params, operator, g.features, dlogits, cache)
+    norm_adj = symmetric_normalize(build_adjacency(g, add_self_loops=True))
+    ref_logits, ref_cache = reference_gcn_pass(
+        params, norm_adj, g.features, mode, dropout_seed
+    )
+    ref_grads = reference_gcn_backward(params, norm_adj, dlogits, ref_cache)
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-12, atol=1e-14)
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 class TestGatForward:
@@ -109,7 +181,7 @@ class TestGatForward:
         params = init_params(cfg)
         w0, _, _, w1, _, _ = params.arrays
         expected = np.maximum(g.features @ w0, 0.0) @ w1
-        logits = gat_forward(params, g, g.features)
+        logits = forward(params, g)
         np.testing.assert_allclose(logits, expected, atol=1e-12)
 
     def test_identical_neighbors_equal_attention(self):
@@ -143,7 +215,7 @@ class TestGatForward:
         g = random_graph(rng, n=6)
         cfg = ModelConfig("gat", input_dim=3, hidden_dim=4, num_classes=3,
                           dropout=0.0, num_heads=3, seed=0)
-        logits = gat_forward(init_params(cfg), g, g.features)
+        logits = forward(init_params(cfg), g)
         assert logits.shape == (6, 3)
 
 
