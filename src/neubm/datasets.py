@@ -31,6 +31,9 @@ from .graph import Graph
 from .metrics import imbalance_ratio
 
 META_KEYS = ("num_nodes", "num_features", "num_classes", "directed")
+# uniforms per strip of an SBM block (2 MB of float64); bounds the memory
+# generate_sbm needs beyond its edges
+SBM_STRIP_UNIFORMS = 2**18
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,9 @@ def generate_sbm(config: SbmConfig) -> Graph:
     Nodes are laid out class-contiguously; each unordered pair gets an edge
     with p_intra (same block) or p_inter (different blocks). Deterministic
     given config.seed.
+
+    Each class-pair block takes one uniform per cell, row-major, drawn a
+    strip of rows at a time: time is O(n^2), memory O(strip + |E|).
     """
     sizes = sbm_class_sizes(config)
     n = config.total_nodes
@@ -339,18 +345,18 @@ def generate_sbm(config: SbmConfig) -> Graph:
     for ci in range(config.num_classes):
         for cj in range(ci, config.num_classes):
             p = config.p_intra if ci == cj else config.p_inter
-            si = np.arange(offsets[ci], offsets[ci + 1])
-            sj = np.arange(offsets[cj], offsets[cj + 1])
-            draws = rng.random((len(si), len(sj)))
-            if ci == cj:
-                iu, ju = np.triu_indices(len(si), k=1)
-                hit = draws[iu, ju] < p
-                us, vs = si[iu[hit]], sj[ju[hit]]
-            else:
-                iu, ju = np.nonzero(draws < p)
-                us, vs = si[iu], sj[ju]
-            if us.size:
-                edge_chunks.append(np.stack([us, vs], axis=1))
+            rows, cols = sizes[ci], sizes[cj]
+            step = max(1, SBM_STRIP_UNIFORMS // cols)
+            for r0 in range(0, rows, step):
+                iu, ju = np.nonzero(rng.random((min(step, rows - r0), cols)) < p)
+                iu += r0
+                if ci == cj:
+                    upper = iu < ju
+                    iu, ju = iu[upper], ju[upper]
+                if iu.size:
+                    edge_chunks.append(
+                        np.stack([offsets[ci] + iu, offsets[cj] + ju], axis=1)
+                    )
     edges = (
         np.concatenate(edge_chunks) if edge_chunks else np.zeros((0, 2), dtype=np.int64)
     )

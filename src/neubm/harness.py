@@ -36,6 +36,7 @@ from .models import ModelConfig, predict_logits
 from .neutral import (
     NeutralConfig,
     construct_neutral,
+    neutral_fidelity,
     neutral_logit_vector,
     train_rows,
 )
@@ -210,6 +211,7 @@ class ResultRecord:
     error: str | None
     timestamp: str
     derived_seeds: dict | None = None
+    neutral_fidelity: dict | None = None
 
     def key(self) -> tuple:
         return (
@@ -374,12 +376,14 @@ def _run_single(
     majority = int(np.bincount(labels[labels >= 0]).argmax())
 
     neutral_vectors: dict[str | None, np.ndarray] = {None: np.zeros(logits.shape[1])}
+    fidelity: dict[str | None, dict | None] = {None: None}
 
     def vector_for(variant):
         if variant not in neutral_vectors:
             cfg = replace(config.neutral, construction_variant=variant,
                           seed=neutral_seed)
             neutral = construct_neutral(stats, cfg, labeled_source=source)
+            fidelity[variant] = neutral_fidelity(neutral)
             neutral_vectors[variant] = neutral_logit_vector(params, neutral)
         return neutral_vectors[variant]
 
@@ -406,6 +410,7 @@ def _run_single(
                 metrics=metrics.to_dict(), train_summary=train_summary,
                 bias=bias, error=None, timestamp=timestamp,
                 derived_seeds=derived_seeds,
+                neutral_fidelity=fidelity[row.neutral_variant],
             ))
         except NeubmError as exc:
             records.append(ResultRecord(

@@ -146,6 +146,26 @@ def train_rows(graph: Graph, train_mask: np.ndarray) -> Graph:
     )
 
 
+def _bernoulli_pairs(n: int, p: float, seed) -> np.ndarray:
+    """Wire each unordered pair of ``n`` nodes independently with
+    probability ``p``, in memory proportional to the edges drawn.
+
+    Sampling goes by edge count, not by pair, in the style of Batagelj &
+    Brandes (Phys. Rev. E 2005): a Binomial(n^2, p) number of distinct
+    cells of the n x n grid, of which the cells above the diagonal are
+    the edges. Each pair i < j is one
+    such cell, so it is wired with probability p, independently of the
+    rest. Edges come back canonical: i < j, sorted, no duplicates.
+    """
+    rng = np.random.default_rng(seed)
+    cells = n * n
+    picked = rng.choice(cells, size=rng.binomial(cells, p), replace=False,
+                        shuffle=False)
+    i, j = np.divmod(np.sort(picked), n)
+    upper = i < j
+    return np.stack([i[upper], j[upper]], axis=1)
+
+
 def construct_neutral(
     stats: DatasetStats,
     config: NeutralConfig,
@@ -161,11 +181,14 @@ def construct_neutral(
     n = config.node_count_override or int(np.floor(stats.n_bar))
     if n < 1:
         raise InfeasibleError("neutral graph needs at least one node")
+    edges = _bernoulli_pairs(
+        n, stats.d_bar, np.random.SeedSequence(config.seed).spawn(1)[0]
+    )
     rng = np.random.default_rng(config.seed)
-
-    iu, ju = np.triu_indices(n, k=1)
-    hit = rng.random(iu.shape[0]) < stats.d_bar
-    edges = np.stack([iu[hit], ju[hit]], axis=1)
+    # the feature and row draws start where a dense sampler spending one
+    # uniform per pair would have left the stream, so they depend on the
+    # seed and n only, never on the wiring
+    rng.bit_generator.advance(n * (n - 1) // 2)
 
     variant = config.construction_variant
     if variant == "mean_cov":
@@ -203,6 +226,21 @@ def construct_neutral(
         )
     graph = Graph(num_nodes=n, features=features, edges=edges)
     return NeutralGraph(graph=graph, stats_used=stats, config=config, seed=config.seed)
+
+
+def neutral_fidelity(neutral: NeutralGraph) -> dict:
+    """How closely the neutral graph matches the statistics it was built
+    from: target and realized edge density, and the largest per-dimension
+    gap between its feature mean and mu_node."""
+    g = neutral.graph
+    pairs = g.num_nodes * (g.num_nodes - 1) // 2
+    mean_error = np.abs(g.features.mean(axis=0) - neutral.stats_used.mu_node)
+    return {
+        "variant": neutral.config.construction_variant,
+        "target_density": float(neutral.stats_used.d_bar),
+        "realized_density": g.num_edges / pairs if pairs else None,
+        "max_abs_mean_error": float(mean_error.max()),
+    }
 
 
 def neutral_logit_vector(params: ModelParams, neutral: NeutralGraph) -> np.ndarray:

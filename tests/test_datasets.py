@@ -1,12 +1,19 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import neubm.datasets as datasets
 from neubm.datasets import (
     NoiseSpec,
     SbmConfig,
     SplitAssignment,
     apply_split,
     describe,
+    _class_means,
     generate_sbm,
     inject_noise,
     kfold_splits,
@@ -185,6 +192,107 @@ class TestSbm:
         with pytest.raises(InfeasibleError):
             SbmConfig(num_classes=2, total_nodes=10, rho=2, p_intra=0.1,
                       p_inter=0.5, feature_dim=2)
+
+
+def reference_generate_sbm(config: SbmConfig) -> Graph:
+    """The full-block generator: one dense uniform matrix per class pair."""
+    sizes = sbm_class_sizes(config)
+    labels = np.repeat(np.arange(config.num_classes), sizes)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rng = np.random.default_rng(config.seed)
+    edge_chunks = []
+    for ci in range(config.num_classes):
+        for cj in range(ci, config.num_classes):
+            p = config.p_intra if ci == cj else config.p_inter
+            si = np.arange(offsets[ci], offsets[ci + 1])
+            sj = np.arange(offsets[cj], offsets[cj + 1])
+            draws = rng.random((len(si), len(sj)))
+            if ci == cj:
+                iu, ju = np.triu_indices(len(si), k=1)
+                hit = draws[iu, ju] < p
+                us, vs = si[iu[hit]], sj[ju[hit]]
+            else:
+                iu, ju = np.nonzero(draws < p)
+                us, vs = si[iu], sj[ju]
+            if us.size:
+                edge_chunks.append(np.stack([us, vs], axis=1))
+    edges = (
+        np.concatenate(edge_chunks) if edge_chunks else np.zeros((0, 2), dtype=np.int64)
+    )
+    features = _class_means(config)[labels] + rng.normal(
+        0.0, config.feature_std, size=(config.total_nodes, config.feature_dim)
+    )
+    return Graph(num_nodes=config.total_nodes, features=features, edges=edges,
+                 labels=labels, num_classes=config.num_classes)
+
+
+PROBABILITIES = (0.0, 0.05, 0.5, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    num_classes=st.integers(1, 4),
+    extra_nodes=st.integers(0, 50),
+    rho=st.sampled_from([1.0, 2.0, 6.0]),
+    p_pair=st.tuples(st.sampled_from(PROBABILITIES), st.sampled_from(PROBABILITIES)),
+    strip=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every class a single node
+@example(num_classes=4, extra_nodes=0, rho=1.0, p_pair=(1.0, 1.0), strip=3, seed=0)
+# every block wider than a strip: one row per strip
+@example(num_classes=2, extra_nodes=40, rho=2.0, p_pair=(0.5, 0.05), strip=1, seed=1)
+# class sizes 28/14 against a 45-uniform strip: strips of 1 and 3 rows,
+# the last strip of each block partial
+@example(num_classes=2, extra_nodes=40, rho=2.0, p_pair=(0.05, 0.0), strip=45, seed=2)
+def test_strip_sbm_matches_full_block_reference(num_classes, extra_nodes, rho,
+                                                p_pair, strip, seed):
+    p_inter, p_intra = sorted(p_pair)
+    try:
+        cfg = SbmConfig(
+            num_classes=num_classes, total_nodes=num_classes + extra_nodes,
+            rho=rho, p_intra=p_intra, p_inter=p_inter,
+            feature_dim=num_classes + 1, seed=seed,
+        )
+        sbm_class_sizes(cfg)
+    except InfeasibleError:
+        return
+    expected = reference_generate_sbm(cfg)
+    with mock.patch.object(datasets, "SBM_STRIP_UNIFORMS", strip):
+        got = generate_sbm(cfg)
+    np.testing.assert_array_equal(got.edges, expected.edges)
+    np.testing.assert_array_equal(got.features, expected.features)
+    np.testing.assert_array_equal(got.labels, expected.labels)
+
+
+def test_sbm_at_criterion_seeds_matches_full_block_reference():
+    for seed in (2024, 7):
+        cfg = SbmConfig(
+            num_classes=5, total_nodes=2000, rho=10, p_intra=0.02, p_inter=0.006,
+            feature_dim=16, class_mean_separation=0.8, seed=seed,
+        )
+        got, expected = generate_sbm(cfg), reference_generate_sbm(cfg)
+        np.testing.assert_array_equal(got.edges, expected.edges)
+        np.testing.assert_array_equal(got.features, expected.features)
+
+
+def test_sbm_memory_stays_linear_in_edges_at_10k_nodes():
+    # the benchmark's block model with p scaled by 2000/n (mean degree ~20);
+    # the full-block generator peaked at about 432 MB here
+    scale = 2000 / 10_000
+    cfg = SbmConfig(
+        num_classes=5, total_nodes=10_000, rho=10, p_intra=0.02 * scale,
+        p_inter=0.006 * scale, feature_dim=16, class_mean_separation=0.8,
+        seed=2024,
+    )
+    tracemalloc.start()
+    try:
+        graph = generate_sbm(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.num_edges > 90_000
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestLargestRemainder:

@@ -469,3 +469,44 @@ class TestRunRecords:
             assert summary["best_val_metric"] == max(report.val_metric_curve)
             assert summary["best_val_metric"] == (
                 report.val_metric_curve[summary["best_epoch"]])
+
+    def test_neutral_fidelity_per_constructed_variant(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+        from neubm.neutral import neutral_fidelity
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        built = []
+        _spy(monkeypatch, harness, "construct_neutral", built)
+        rows = harness.ablation_rows()
+        records = harness._run_single(graph, cfg, rows, 0, fold, None, None, "h")
+        expected = {
+            neutral.config.construction_variant: neutral_fidelity(neutral)
+            for _, neutral in built
+        }
+        assert sorted(expected) == ["class_balanced", "mean_cov", "random"]
+        for row, record in zip(rows, records):
+            if row.neutral_variant is None:
+                assert record.neutral_fidelity is None
+                continue
+            fid = record.neutral_fidelity
+            assert fid == expected[row.neutral_variant]
+            assert fid["variant"] == row.neutral_variant
+            assert fid["target_density"] == pytest.approx(
+                graph.num_edges / (graph.num_nodes * (graph.num_nodes - 1) / 2))
+            assert abs(fid["realized_density"] / fid["target_density"] - 1) < 0.5
+            assert fid["max_abs_mean_error"] >= 0.0
+
+    def test_neutral_fidelity_stays_out_of_reports(self, tmp_path):
+        cfg = small_config(
+            tmp_path,
+            protocol=ProtocolConfig(num_seeds=1, k_folds=1, train_frac=0.15,
+                                    val_frac=0.15, min_per_class=3),
+        )
+        run_experiment(cfg)
+        out = tmp_path / "exp"
+        records = read_records(out / "records.jsonl")
+        by_row = {r["row_id"]: r["neutral_fidelity"] for r in records}
+        assert by_row["none@logits"] is None
+        assert by_row["subtract@logits"]["variant"] == "mean_cov"
+        for name in ("aggregate.json", "results.csv"):
+            assert "fidelity" not in (out / name).read_text()

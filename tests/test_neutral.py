@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from neubm.errors import GraphValidationError, InfeasibleError
 from neubm.graph import DatasetStats, Graph, compute_dataset_stats
 from neubm.models import ModelConfig, init_params
 from neubm.neutral import (
     NeutralConfig,
+    _bernoulli_pairs,
     construct_neutral,
     load_neutral,
+    neutral_fidelity,
     neutral_logit_vector,
     regularized_covariance_factor,
     sample_mvn,
@@ -181,6 +186,128 @@ class TestConstructNeutral:
     def test_infeasible_zero_nodes(self):
         with pytest.raises(InfeasibleError):
             construct_neutral(stats_for(n_bar=0.4), NeutralConfig(seed=0))
+
+
+def reference_neutral_features(stats, config, labeled_source=None):
+    """Features of the dense pair sampler, which spent one uniform per
+    unordered pair from the main stream before drawing them."""
+    n = config.node_count_override or int(np.floor(stats.n_bar))
+    rng = np.random.default_rng(config.seed)
+    rng.random(n * (n - 1) // 2)
+    variant = config.construction_variant
+    if variant == "mean_cov":
+        return sample_mvn(stats.mu_node, stats.sigma_node, n,
+                          mode=config.covariance_mode,
+                          eps_scale=config.regularization_eps_scale,
+                          seed=int(rng.integers(2**32)))
+    if variant == "random":
+        rows = rng.integers(0, labeled_source.num_nodes, size=n)
+        return labeled_source.features[rows]
+    labels = labeled_source.labels
+    class_rows = [np.flatnonzero(labels == c)
+                  for c in range(labeled_source.num_classes)]
+    class_rows = [rows for rows in class_rows if rows.size > 0]
+    picks = rng.integers(0, len(class_rows), size=n)
+    return np.stack([
+        labeled_source.features[class_rows[c][rng.integers(0, len(class_rows[c]))]]
+        for c in picks
+    ])
+
+
+class TestEdgeSampler:
+    @pytest.mark.parametrize("variant", ["mean_cov", "random", "class_balanced"])
+    @pytest.mark.parametrize("n_bar", [1.0, 2.0, 37.5, 300.0])
+    def test_features_match_dense_sampler(self, variant, n_bar):
+        rng = np.random.default_rng(12)
+        source = Graph(num_nodes=30, features=rng.normal(size=(30, 3)),
+                       edges=[(0, 1), (1, 2)], labels=rng.integers(0, 3, 30),
+                       num_classes=3)
+        stats = compute_dataset_stats(source)
+        stats = DatasetStats(n_bar=n_bar, d_bar=0.1, mu_node=stats.mu_node,
+                             sigma_node=stats.sigma_node, source_node_count=30)
+        for seed in (0, 5, 2024):
+            cfg = NeutralConfig(construction_variant=variant, seed=seed)
+            got = construct_neutral(stats, cfg, labeled_source=source)
+            np.testing.assert_array_equal(
+                got.graph.features, reference_neutral_features(stats, cfg, source)
+            )
+
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (2, 0.5), (9, 0.3), (200, 0.05)])
+    def test_edges_canonical(self, n, p):
+        for seed in range(5):
+            edges = _bernoulli_pairs(n, p, seed)
+            assert edges.dtype == np.int64 and edges.shape[1] == 2
+            assert np.all(edges[:, 0] < edges[:, 1])
+            assert np.all(edges >= 0) and np.all(edges < n)
+            keys = edges[:, 0] * n + edges[:, 1]
+            assert np.all(np.diff(keys) > 0)  # sorted, no duplicates
+
+    def test_density_extremes(self):
+        assert construct_neutral(stats_for(n_bar=30.0, d_bar=0.0),
+                                 NeutralConfig(seed=3)).graph.num_edges == 0
+        complete = construct_neutral(stats_for(n_bar=30.0, d_bar=1.0),
+                                     NeutralConfig(seed=3)).graph
+        iu, ju = np.triu_indices(30, k=1)
+        np.testing.assert_array_equal(complete.edges, np.stack([iu, ju], axis=1))
+
+    def test_single_node(self):
+        g = construct_neutral(stats_for(n_bar=1.0, d_bar=1.0),
+                              NeutralConfig(seed=4)).graph
+        assert g.num_nodes == 1 and g.num_edges == 0
+
+    def test_pair_inclusion_uniform_chi_square(self):
+        # each of the 45 pairs at n = 10 is wired in Binomial(2000, p) of
+        # 2000 seeded constructions; the standardized squares sum to chi2(45)
+        p, runs = 0.3, 2000
+        stats = stats_for(n_bar=10.0, d_bar=p)
+        counts = np.zeros((10, 10))
+        for seed in range(runs):
+            e = construct_neutral(stats, NeutralConfig(seed=seed)).graph.edges
+            counts[e[:, 0], e[:, 1]] += 1
+        observed = counts[np.triu_indices(10, k=1)]
+        expected = runs * p
+        chi2 = float(((observed - expected) ** 2 / (expected * (1 - p))).sum())
+        assert sps.chi2.sf(chi2, df=observed.size) > 1e-3, chi2
+
+    def test_memory_linear_in_edges_at_50k_nodes(self):
+        # about 500k edges; the dense sampler needed about 20 GB here
+        stats = stats_for(n_bar=50_000.0, d_bar=4e-4, d=16)
+        tracemalloc.start()
+        try:
+            g = construct_neutral(stats, NeutralConfig(seed=0)).graph
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_nodes == 50_000
+        pairs = 50_000 * 49_999 / 2
+        assert abs(g.num_edges / pairs - 4e-4) < 5 * np.sqrt(4e-4 / pairs)
+        assert peak < 96 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestNeutralFidelity:
+    def test_reports_density_and_mean_error(self):
+        stats = stats_for(n_bar=4.0, d_bar=0.5, d=2, mu=[1.0, 2.0],
+                          sigma=np.zeros((2, 2)))
+        neutral = construct_neutral(stats, NeutralConfig(seed=0))
+        fid = neutral_fidelity(neutral)
+        assert fid["variant"] == "mean_cov"
+        assert fid["target_density"] == 0.5
+        assert fid["realized_density"] == neutral.graph.num_edges / 6
+        # zero covariance: every row is mu up to the eps regularization
+        assert fid["max_abs_mean_error"] < 1e-6
+
+    def test_random_rows_mean_error(self):
+        source = Graph(num_nodes=2, features=[[3.0, 0.0], [3.0, 0.0]], edges=[])
+        stats = stats_for(n_bar=5.0, d=2, mu=[1.0, -1.0])
+        neutral = construct_neutral(
+            stats, NeutralConfig(construction_variant="random", seed=1),
+            labeled_source=source,
+        )
+        assert neutral_fidelity(neutral)["max_abs_mean_error"] == 2.0
+
+    def test_single_node_has_no_density(self):
+        neutral = construct_neutral(stats_for(n_bar=1.0), NeutralConfig(seed=0))
+        assert neutral_fidelity(neutral)["realized_density"] is None
 
 
 class TestNeutralLogits:
