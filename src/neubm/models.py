@@ -6,7 +6,9 @@ Both architectures propagate over one sparse structure: the self-looped CSR
 adjacency of the graph. GCN stores the symmetrically normalized weights as
 its values and precomputes the parameter-free A_hat . X once per graph;
 GAT computes attention per stored edge and aggregates with the attention
-coefficients as values, so no N x N array is ever built.
+coefficients as values, so no N x N array is ever built. A row view of an
+operator (:func:`row_view`) returns the logits of chosen nodes only, which
+is all the training loss and validation read.
 
 Everything runs in float64; forward and backward are deterministic given
 the explicit dropout seed, so training trajectories are bit-reproducible.
@@ -120,7 +122,7 @@ def init_params(config: ModelConfig) -> ModelParams:
 def _dropout_mask(rng, shape, rate):
     # inverted dropout: kept entries scaled by 1/keep so eval needs no rescaling
     keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(np.float64) / keep
+    return (rng.random(shape) < keep) * (1.0 / keep)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +131,10 @@ def _dropout_mask(rng, shape, rate):
 
 @dataclass(frozen=True)
 class GcnOperator:
-    """The GCN propagation operator of one graph: the symmetrically
-    normalized self-looped CSR adjacency A_hat, plus the parameter-free first
-    propagation A_hat . X of that graph's features."""
+    """The GCN propagation operator of one graph: rows of the symmetrically
+    normalized self-looped CSR adjacency A_hat (all n of them, or the rows
+    of a :func:`row_view`), plus the parameter-free first propagation
+    A_hat . X of that graph's features (all n rows, which layer 2 reads)."""
 
     norm_adj: sp.csr_matrix
     ax: np.ndarray
@@ -142,7 +145,8 @@ def _gcn_pass(params, operator, features, mode, dropout_seed):
 
     A_hat . X comes from the operator, so ``features`` must be the features
     of the graph the operator was built from; only its width is checked.
-    Layer 2 projects to the class width before it propagates.
+    Layer 2 projects to the class width before it propagates, and only to
+    the operator's rows.
     """
     w0, w1 = params.arrays
     if features.shape[1] != w0.shape[0]:
@@ -165,7 +169,8 @@ def _gcn_pass(params, operator, features, mode, dropout_seed):
 def _gcn_backward(params, operator, dlogits, cache):
     w0, w1 = params.arrays
     z1, mask, h1 = cache
-    adl = operator.norm_adj @ dlogits  # A_hat is symmetric
+    # (A_hat[rows])^T . dlogits; on the full operator this is A_hat . dlogits
+    adl = operator.norm_adj.T @ dlogits
     dw1 = h1.T @ adl
     dh1 = adl @ w1.T
     da1 = dh1 * mask if mask is not None else dh1
@@ -285,16 +290,51 @@ def prepare_operator(graph: Graph, config: ModelConfig):
     return GcnOperator(norm_adj=norm_adj, ax=norm_adj @ graph.features)
 
 
+@dataclass(frozen=True)
+class GatRowView:
+    """A GAT operator restricted to output rows. Attention needs the hidden
+    state of every node, so the full pass runs and its logits are sliced."""
+
+    adj: sp.csr_matrix
+    rows: np.ndarray
+
+
+def row_view(operator, rows: np.ndarray):
+    """The operator restricted to the output nodes ``rows`` (sorted indices).
+
+    A forward through the view returns the (len(rows), C) logits that the
+    full operator gives at those rows, bit for bit; its backward takes
+    dlogits of that shape.
+    """
+    if isinstance(operator, GcnOperator):
+        return GcnOperator(norm_adj=operator.norm_adj[rows], ax=operator.ax)
+    return GatRowView(adj=operator, rows=rows)
+
+
+def _gat_rows(operator):
+    if isinstance(operator, GatRowView):
+        return operator.adj, operator.rows
+    return operator, slice(None)
+
+
 def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0):
+    """Logits for the operator's rows (every node for a full operator) and
+    the cache its backward needs."""
     if params.config.architecture == "gcn":
         return _gcn_pass(params, operator, features, mode, dropout_seed)
-    return _gat_pass(params, operator, features, mode, dropout_seed)
+    adj, rows = _gat_rows(operator)
+    logits, cache = _gat_pass(params, adj, features, mode, dropout_seed)
+    return logits[rows], cache
 
 
 def backward_with_operator(params, operator, features, dlogits, cache):
+    """Parameter gradients from dlogits at the operator's rows."""
     if params.config.architecture == "gcn":
         return _gcn_backward(params, operator, dlogits, cache)
-    return _gat_backward(params, operator, features, dlogits, cache)
+    adj, rows = _gat_rows(operator)
+    full = np.zeros((adj.shape[0], dlogits.shape[1]))
+    full[rows] = dlogits
+    return _gat_backward(params, adj, features, full, cache)
 
 
 def predict_logits(params: ModelParams, graph: Graph) -> np.ndarray:

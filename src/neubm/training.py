@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyScopeError, NumericError, TrainingFailureError
+from .errors import (
+    ConfigError,
+    EmptyScopeError,
+    NumericError,
+    ShapeError,
+    TrainingFailureError,
+)
 from .graph import Graph
 from .metrics import evaluate
 from .models import (
@@ -23,6 +29,7 @@ from .models import (
     forward_with_operator,
     init_params,
     prepare_operator,
+    row_view,
 )
 
 
@@ -109,24 +116,33 @@ def loss_and_gradients(
     dropout_seed: int = 0,
     operator=None,
 ) -> tuple[float, np.ndarray]:
-    """One forward/backward pass; returns (loss, flat gradient)."""
-    if operator is None:
-        operator = prepare_operator(graph, params.config)
+    """One forward/backward pass; returns (loss, flat gradient).
+
+    ``operator`` is the row view (:func:`neubm.models.row_view`) of the
+    mask's nodes, built from ``graph`` when omitted: only the logits the
+    loss reads are computed.
+    """
     mask = np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise EmptyScopeError("loss needs a nonempty mask")
+    if operator is None:
+        operator = row_view(prepare_operator(graph, params.config), idx)
 
     logits, cache = forward_with_operator(
         params, operator, graph.features, mode=mode, dropout_seed=dropout_seed
     )
-    loss = cross_entropy_loss(logits, labels, mask, weight_decay, params)
+    if logits.shape[0] != idx.size:
+        raise ShapeError(
+            f"operator gives {logits.shape[0]} rows, the mask selects {idx.size}"
+        )
+    y = np.asarray(labels)[idx]
+    loss = cross_entropy_loss(logits, y, np.ones(idx.size, dtype=bool),
+                              weight_decay, params)
 
-    probs = softmax(logits[idx])
-    dlogits = np.zeros_like(logits)
-    dlogits[idx] = probs
-    dlogits[idx, np.asarray(labels)[idx]] -= 1.0
-    dlogits[idx] /= idx.size
+    dlogits = softmax(logits)
+    dlogits[np.arange(idx.size), y] -= 1.0
+    dlogits /= idx.size
 
     grads = backward_with_operator(params, operator, graph.features, dlogits, cache)
     flat = np.concatenate([g.ravel() for g in grads])
@@ -202,7 +218,9 @@ def train(
     ``epoch - best_epoch >= patience`` or at max_epochs. The optional
     val_logits_transform(epoch, params, logits) hook lets the caller adjust
     logits before the selection metric is computed (used for calibrated
-    selection with a periodically refreshed reference).
+    selection with a periodically refreshed reference). Training computes
+    logits only for the rows it reads: the hook receives the (n_val, C)
+    logits of the validation nodes in node order, not all n rows.
     """
     from .datasets import apply_split  # local import to avoid a cycle
 
@@ -210,26 +228,29 @@ def train(
         raise ConfigError("training requires labels")
     g = apply_split(graph, split) if split is not None else graph
     train_mask = g.mask("train")
-    val_mask = g.mask("val")
     labels = g.labels
+    val_idx = np.flatnonzero(g.mask("val"))
+    val_labels = labels[val_idx]
 
     operator = prepare_operator(g, model_config)
+    train_view = row_view(operator, np.flatnonzero(train_mask))
+    val_view = row_view(operator, val_idx)
     params = init_params(model_config)
     flat = params.flat()
     state = AdamState.zeros(flat.size)
 
     def val_f1(p: ModelParams, epoch: int) -> float:
-        logits, _ = forward_with_operator(p, operator, g.features, mode="eval")
+        logits, _ = forward_with_operator(p, val_view, g.features, mode="eval")
         if val_logits_transform is not None:
             logits = val_logits_transform(epoch, p, logits)
         pred = logits.argmax(axis=1)  # argmax ties resolve to the lowest index
-        return evaluate(pred, labels, mask=val_mask,
+        return evaluate(pred, val_labels,
                         num_classes=model_config.num_classes).f1_macro
 
     start = time.perf_counter()
     best_metric = val_f1(params, 0)
     best_epoch = 0
-    best_flat = flat.copy()
+    best = current = params
     loss_curve: list[float] = []
     val_curve: list[float] = [best_metric]
 
@@ -237,16 +258,18 @@ def train(
     for epoch in range(1, train_config.max_epochs + 1):
         try:
             loss, grad = loss_and_gradients(
-                params.from_flat(flat), g, labels, train_mask,
+                current, g, labels, train_mask,
                 weight_decay=train_config.weight_decay,
                 mode="train",
                 dropout_seed=train_config.seed * 1_000_003 + epoch,
-                operator=operator,
+                operator=train_view,
             )
             if not np.isfinite(loss):
                 raise NumericError("non-finite loss")
             flat, state = adam_step(state, flat, grad, train_config.learning_rate)
-            metric = val_f1(params.from_flat(flat), epoch)
+            # validated once: validation now and the next epoch's loss read it
+            current = params.from_flat(flat)
+            metric = val_f1(current, epoch)
         except NumericError as exc:
             raise TrainingFailureError(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch
@@ -256,7 +279,7 @@ def train(
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
-            best_flat = flat.copy()
+            best = current
         if epoch - best_epoch >= train_config.patience:
             break
 
@@ -267,4 +290,4 @@ def train(
         val_metric_curve=tuple(val_curve),
         wall_time_seconds=time.perf_counter() - start,
     )
-    return params.from_flat(best_flat), report
+    return best, report

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neubm.errors import GraphValidationError, NumericError, ShapeError
@@ -50,6 +50,26 @@ def reference_mmd2(x, y, bandwidth="median"):
     kyy = np.exp(-gamma * sq_dists(y, y)).mean()
     kxy = np.exp(-gamma * sq_dists(x, y)).mean()
     return kxx + kyy - 2.0 * kxy
+
+
+def reference_gram_mmd(x, y):
+    """mmd_rbf with the median bandwidth as np.median took it: the same
+    Gram-form distances, so the result must match bit for bit."""
+    pooled = np.concatenate([x, y], axis=0)
+    pooled -= pooled.mean(axis=0)
+    sq = pooled @ pooled.T
+    norms = np.diag(sq).copy()
+    sq *= -2.0
+    sq += norms[:, None]
+    sq += norms[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    h = float(np.sqrt(np.median(sq[~np.tri(sq.shape[0], dtype=bool)])))
+    if h == 0.0:
+        h = 1.0
+    k = np.exp(sq * (-1.0 / (2.0 * h * h)))
+    n = x.shape[0]
+    mmd2 = k[:n, :n].mean() + k[n:, n:].mean() - 2.0 * k[:n, n:].mean()
+    return float(np.sqrt(max(0.0, mmd2)))
 
 
 class TestConfusion:
@@ -244,19 +264,38 @@ class TestMmd:
     bandwidth=st.one_of(st.just("median"), st.floats(0.2, 5.0)),
     shift_scale=st.sampled_from([0.0, 1.0, 1e2, 1e4]),
     spread=st.sampled_from([1.0, 1e2]),
+    points=st.sampled_from(["normal", "grid", "equal"]),
 )
+# strict-upper pair counts 1 (1+1 samples), 3, 6 and 10: odd and even
+@example(seed=0, n=1, m=1, d=1, bandwidth="median", shift_scale=0.0,
+         spread=1.0, points="normal")
+@example(seed=1, n=1, m=2, d=2, bandwidth="median", shift_scale=1.0,
+         spread=1.0, points="normal")
+@example(seed=2, n=2, m=2, d=1, bandwidth="median", shift_scale=0.0,
+         spread=1.0, points="grid")
+@example(seed=3, n=3, m=2, d=1, bandwidth="median", shift_scale=0.0,
+         spread=1.0, points="grid")
+@example(seed=4, n=3, m=4, d=2, bandwidth="median", shift_scale=1e2,
+         spread=1.0, points="equal")
 def test_mmd_matches_pairwise_reference(seed, n, m, d, bandwidth, shift_scale,
-                                        spread):
-    # MMD^2 is compared, not MMD: the square root amplifies rounding near 0
+                                        spread, points):
+    # MMD^2 is compared, not MMD: the square root amplifies rounding near 0.
+    # "grid" rounds the points so that many distances tie; "equal" makes
+    # every point the same, so the median distance is 0 and h falls back to 1.
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     y = rng.normal(size=(m, d)) + rng.uniform(0.0, 2.0)
+    if points == "grid":
+        x, y = np.round(x), np.round(y)
+    elif points == "equal":
+        x, y = np.zeros_like(x) + x[0], np.zeros_like(y) + x[0]
     shift = rng.uniform(-1.0, 1.0, size=d) * shift_scale
     x, y = spread * x + shift, spread * y + shift
     expected = reference_mmd2(x, y, bandwidth)
-    assert mmd_rbf(x, y, bandwidth) ** 2 == pytest.approx(
-        max(expected, 0.0), abs=1e-12
-    )
+    got = mmd_rbf(x, y, bandwidth)
+    assert got ** 2 == pytest.approx(max(expected, 0.0), abs=1e-12)
+    if bandwidth == "median":
+        assert got == reference_gram_mmd(x, y)
 
 
 @settings(max_examples=50, deadline=None)

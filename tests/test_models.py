@@ -17,6 +17,7 @@ from neubm.models import (
     load_checkpoint,
     predict_logits,
     prepare_operator,
+    row_view,
     save_checkpoint,
 )
 
@@ -271,6 +272,39 @@ def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
     ref_grads = dense_attention_backward(dout, g.features, w, a_s, a_d, ref_cache)
     for got, want in zip(grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    architecture=st.sampled_from(["gcn", "gat"]),
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    rows=st.sampled_from(["one", "all", "some"]),
+    mode=st.sampled_from(["eval", "train"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_row_view_logits_are_full_rows(architecture, n, p, rows, mode, seed):
+    # p = 0 gives all-isolated nodes; n = 1 a lone self-loop
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pr for pr in pairs if rng.random() < p]
+    g = Graph(num_nodes=n, features=rng.normal(size=(n, 3)), edges=edges)
+    cfg = ModelConfig(architecture, input_dim=3, hidden_dim=4, num_classes=3,
+                      dropout=0.5, num_heads=2, seed=int(rng.integers(100)))
+    params = init_params(cfg)
+    if rows == "one":
+        idx = np.array([rng.integers(n)])
+    elif rows == "all":
+        idx = np.arange(n)
+    else:
+        idx = np.flatnonzero(rng.random(n) < 0.5)
+    operator = prepare_operator(g, cfg)
+    full, _ = forward_with_operator(params, operator, g.features, mode=mode,
+                                    dropout_seed=seed)
+    view, _ = forward_with_operator(params, row_view(operator, idx), g.features,
+                                    mode=mode, dropout_seed=seed)
+    assert view.shape == (idx.size, 3)
+    assert np.array_equal(view, full[idx])
 
 
 class TestCheckpoint:

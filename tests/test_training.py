@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neubm.datasets import SbmConfig, generate_sbm, stratified_split
 from neubm.errors import EmptyScopeError, TrainingFailureError
-from neubm.graph import Graph
-from neubm.models import ModelConfig, init_params
+from neubm.graph import Graph, compute_dataset_stats
+from neubm.harness import _make_refresh_hook
+from neubm.metrics import evaluate
+from neubm.models import (
+    ModelConfig,
+    _gat_backward,
+    forward_with_operator,
+    init_params,
+    prepare_operator,
+)
+from neubm.neutral import NeutralConfig, train_rows
 from neubm.training import (
     AdamState,
     TrainConfig,
     adam_step,
     cross_entropy_loss,
     loss_and_gradients,
+    softmax,
     train,
 )
 
@@ -166,6 +178,73 @@ class TestGradients:
         np.testing.assert_allclose(grad, np.mean(singles, axis=0), atol=1e-12)
 
 
+def reference_loss_and_gradients(params, graph, labels, mask, weight_decay,
+                                 mode, dropout_seed):
+    """The former full-width loss_and_gradients: logits for every node,
+    dlogits scattered into an n x C zero array, and the GCN backward's
+    A_hat . dlogits as the CSR product of the full adjacency."""
+    operator = prepare_operator(graph, params.config)
+    idx = np.flatnonzero(mask)
+    logits, cache = forward_with_operator(
+        params, operator, graph.features, mode=mode, dropout_seed=dropout_seed
+    )
+    loss = cross_entropy_loss(logits, labels, mask, weight_decay, params)
+    probs = softmax(logits[idx])
+    dlogits = np.zeros_like(logits)
+    dlogits[idx] = probs
+    dlogits[idx, labels[idx]] -= 1.0
+    dlogits[idx] /= idx.size
+    if params.config.architecture == "gcn":
+        w0, w1 = params.arrays
+        z1, drop, h1 = cache
+        adl = operator.norm_adj @ dlogits
+        dh1 = adl @ w1.T
+        da1 = dh1 * drop if drop is not None else dh1
+        grads = (operator.ax.T @ (da1 * (z1 > 0.0)), h1.T @ adl)
+    else:
+        grads = _gat_backward(params, operator, graph.features, dlogits, cache)
+    flat = np.concatenate([g.ravel() for g in grads])
+    if weight_decay != 0.0:
+        flat = flat + weight_decay * params.flat()
+    return loss, flat
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    architecture=st.sampled_from(["gcn", "gat"]),
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    rows=st.sampled_from(["one", "all", "some"]),
+    mode=st.sampled_from(["eval", "train"]),
+    weight_decay=st.sampled_from([0.0, 5e-4]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_loss_and_gradients_match_full_width_reference(
+    architecture, n, p, rows, mode, weight_decay, seed
+):
+    # p = 0 gives all-isolated nodes; n = 1 a lone self-loop
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=n, p=p)
+    if rows == "one":
+        mask = np.zeros(n, bool)
+        mask[rng.integers(n)] = True
+    elif rows == "all":
+        mask = np.ones(n, bool)
+    else:
+        mask = rng.random(n) < 0.5
+        mask[rng.integers(n)] = True
+    cfg = ModelConfig(architecture, input_dim=4, hidden_dim=5, num_classes=3,
+                      dropout=0.5, num_heads=2, seed=int(rng.integers(100)))
+    params = init_params(cfg)
+    loss, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay,
+                                    mode=mode, dropout_seed=seed)
+    ref_loss, ref_grad = reference_loss_and_gradients(
+        params, g, g.labels, mask, weight_decay, mode, seed
+    )
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         state = AdamState.zeros(1)
@@ -275,3 +354,36 @@ class TestTrainLoop:
                                 seed=0),
                 )
         assert exc.value.epoch == 1
+
+    def test_refresh_selection_matches_full_width(self):
+        # the refresh hook sees validation rows only; scoring every epoch's
+        # parameters on full-width logits must give the same curve
+        g = easy_sbm(seed=8)
+        split = stratified_split(g, 0.3, 0.3, 2, seed=5)
+        masks = split.to_masks(g.num_nodes)
+        stats = compute_dataset_stats(g, scope="all_nodes")
+        source = train_rows(g, masks["train"])
+        neutral = NeutralConfig(node_count_override=40, refresh_every=3)
+        hook = _make_refresh_hook(source, stats, neutral, neutral_seed=11)
+        seen = []
+
+        def recording_hook(epoch, params, logits):
+            seen.append((epoch, params))
+            return hook(epoch, params, logits)
+
+        _, report = train(
+            g, split,
+            ModelConfig("gcn", 4, 8, 2, dropout=0.5, seed=2),
+            TrainConfig(max_epochs=20, patience=8, seed=3),
+            val_logits_transform=recording_hook,
+        )
+        full_hook = _make_refresh_hook(source, stats, neutral, neutral_seed=11)
+        operator = prepare_operator(g, seen[0][1].config)
+        curve = []
+        for epoch, params in seen:
+            logits, _ = forward_with_operator(params, operator, g.features)
+            pred = full_hook(epoch, params, logits).argmax(axis=1)
+            curve.append(evaluate(pred, g.labels, mask=masks["val"],
+                                  num_classes=2).f1_macro)
+        assert tuple(curve) == report.val_metric_curve
+        assert report.best_epoch == int(np.argmax(curve))
