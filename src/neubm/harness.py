@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -74,24 +74,12 @@ class ProtocolConfig:
         if self.train_frac + self.val_frac >= 1.0:
             raise ConfigError("train_frac + val_frac must be < 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_seeds": self.num_seeds,
-            "k_folds": self.k_folds,
-            "train_frac": self.train_frac,
-            "val_frac": self.val_frac,
-            "min_per_class": self.min_per_class,
-        }
-
 
 @dataclass(frozen=True)
 class NoiseSweep:
     kind: str
     levels: tuple[float, ...]
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "levels": list(self.levels), "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -109,77 +97,69 @@ class ExperimentConfig:
     rho_sweep: tuple[float, ...] | None = None
     output_dir: str = "runs/experiment"
 
-    def to_dict(self, include_output_dir: bool = True) -> dict:
-        d = {
-            "dataset": (
-                self.dataset
-                if isinstance(self.dataset, str)
-                else _sbm_to_dict(self.dataset)
-            ),
-            "model": dict(self.model),
-            "train": self.train.to_dict(),
-            "neutral": self.neutral.to_dict(),
-            "calibration": [s.to_dict() for s in self.calibration],
-            "protocol": self.protocol.to_dict(),
-            "noise": self.noise.to_dict() if self.noise else None,
-            "rho_sweep": list(self.rho_sweep) if self.rho_sweep else None,
-        }
-        if include_output_dir:
-            d["output_dir"] = self.output_dir
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        # a spec writes its own keys: "lambda", omitted when unset
+        d["calibration"] = [s.to_dict() for s in self.calibration]
+        d["rho_sweep"] = list(self.rho_sweep) if self.rho_sweep else None
         return d
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(include_output_dir=False), sort_keys=True)
+        """Hash of everything but output_dir: where a run is written does
+        not change what it computes."""
+        d = self.to_dict()
+        del d["output_dir"]
+        payload = json.dumps(d, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _sbm_to_dict(cfg: SbmConfig) -> dict:
-    return {
-        "num_classes": cfg.num_classes,
-        "total_nodes": cfg.total_nodes,
-        "rho": cfg.rho,
-        "p_intra": cfg.p_intra,
-        "p_inter": cfg.p_inter,
-        "feature_dim": cfg.feature_dim,
-        "class_mean_separation": cfg.class_mean_separation,
-        "feature_std": cfg.feature_std,
-        "seed": cfg.seed,
-    }
-
-
 def load_experiment_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path or a plain dict."""
+    """Build an ExperimentConfig from a JSON file path or a plain dict.
+
+    Malformed JSON, and an unknown or missing key in a section, raise
+    ConfigError naming the file or section.
+    """
     if isinstance(source, (str, Path)):
-        raw = json.loads(Path(source).read_text())
+        try:
+            raw = json.loads(Path(source).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {source}: {exc}") from None
     else:
         raw = dict(source)
     dataset = raw.get("dataset")
     if dataset is None:
         raise ConfigError("config needs a 'dataset' (path or generator settings)")
     if isinstance(dataset, dict):
-        dataset = SbmConfig(**dataset)
-    neutral_raw = dict(raw.get("neutral", {}))
+        dataset = _section("dataset", SbmConfig, dataset)
+    model = dict(raw.get("model", {}))
+    unknown = sorted(set(model) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConfigError(f"config section 'model': unknown keys {unknown}")
     calibration = tuple(
         CalibrationSpec.from_dict(d) for d in raw.get("calibration", [])
     ) or (CalibrationSpec("none"), CalibrationSpec("subtract"))
     noise = raw.get("noise")
     if noise is not None:
-        noise = NoiseSweep(
-            kind=noise["kind"],
-            levels=tuple(noise["levels"]),
-            seed=noise.get("seed", 0),
-        )
+        noise = _section("noise", NoiseSweep, noise)
+        noise = replace(noise, levels=tuple(noise.levels))
     return ExperimentConfig(
         dataset=dataset,
-        model=dict(raw.get("model", {})),
-        train=TrainConfig(**raw.get("train", {})),
-        neutral=NeutralConfig(**neutral_raw),
+        model=model,
+        train=_section("train", TrainConfig, raw.get("train", {})),
+        neutral=_section("neutral", NeutralConfig, raw.get("neutral", {})),
         calibration=calibration,
-        protocol=ProtocolConfig(**raw.get("protocol", {})),
+        protocol=_section("protocol", ProtocolConfig, raw.get("protocol", {})),
         noise=noise,
         rho_sweep=tuple(raw["rho_sweep"]) if raw.get("rho_sweep") else None,
         output_dir=raw.get("output_dir", "runs/experiment"),
     )
+
+
+def _section(name: str, cls, values):
+    try:
+        return cls(**values)
+    except TypeError as exc:  # unknown or missing key, or a non-dict section
+        raise ConfigError(f"config section {name!r}: {exc}") from None
 
 
 def resolve_output_dir(output_dir: str) -> Path:
@@ -205,11 +185,11 @@ class ResultRecord:
     sweep_variable: str | None
     sweep_value: float | None
     status: str  # "ok" | "failed"
-    metrics: dict | None
     train_summary: dict
-    bias: dict | None
-    error: str | None
     timestamp: str
+    metrics: dict | None = None
+    bias: dict | None = None
+    error: str | None = None
     derived_seeds: dict | None = None
     neutral_fidelity: dict | None = None
 
@@ -220,6 +200,8 @@ class ResultRecord:
         )
 
     def to_dict(self) -> dict:
+        # shallow on purpose: asdict would deep-copy every nested dict and
+        # list, about 300x slower, and a run converts each record 3 times
         return dict(self.__dict__)
 
 
@@ -333,6 +315,15 @@ def _run_single(
         "dropout": train_config.seed, "neutral": neutral_seed,
     }
 
+    def record(row, status, summary, timestamp, **extra):
+        return ResultRecord(
+            config_hash=config_hash, seed=run_index,
+            fold_id=fold.fold_id or 0, group=row.group, row_id=row.row_id,
+            spec=row.spec.to_dict(), sweep_variable=sweep_variable,
+            sweep_value=sweep_value, status=status, train_summary=summary,
+            timestamp=timestamp, derived_seeds=derived_seeds, **extra,
+        )
+
     hook = None
     masks = fold.to_masks(graph.num_nodes)
     stats = compute_dataset_stats(graph, scope="all_nodes")
@@ -349,15 +340,8 @@ def _run_single(
         # record so the sweep continues and aggregates mark the gap
         summary = {"wall_time_seconds": time.perf_counter() - start}
         return [
-            ResultRecord(
-                config_hash=config_hash, seed=run_index,
-                fold_id=fold.fold_id or 0, group=row.group, row_id=row.row_id,
-                spec=row.spec.to_dict(), sweep_variable=sweep_variable,
-                sweep_value=sweep_value, status="failed", metrics=None,
-                train_summary=summary, bias=None,
-                error=f"{type(exc).__name__}: {exc}", timestamp=_now(),
-                derived_seeds=derived_seeds,
-            )
+            record(row, "failed", summary, _now(),
+                   error=f"{type(exc).__name__}: {exc}")
             for row in rows
         ]
     train_summary = {
@@ -402,26 +386,14 @@ def _run_single(
                 logits, uncal_probs, out, vec, labels, test_mask, majority,
                 row.spec, mmd_before,
             )
-            records.append(ResultRecord(
-                config_hash=config_hash, seed=run_index,
-                fold_id=fold.fold_id or 0, group=row.group, row_id=row.row_id,
-                spec=row.spec.to_dict(), sweep_variable=sweep_variable,
-                sweep_value=sweep_value, status="ok",
-                metrics=metrics.to_dict(), train_summary=train_summary,
-                bias=bias, error=None, timestamp=timestamp,
-                derived_seeds=derived_seeds,
+            records.append(record(
+                row, "ok", train_summary, timestamp,
+                metrics=metrics.to_dict(), bias=bias,
                 neutral_fidelity=fidelity[row.neutral_variant],
             ))
         except NeubmError as exc:
-            records.append(ResultRecord(
-                config_hash=config_hash, seed=run_index,
-                fold_id=fold.fold_id or 0, group=row.group, row_id=row.row_id,
-                spec=row.spec.to_dict(), sweep_variable=sweep_variable,
-                sweep_value=sweep_value, status="failed", metrics=None,
-                train_summary=train_summary, bias=None,
-                error=f"{type(exc).__name__}: {exc}", timestamp=timestamp,
-                derived_seeds=derived_seeds,
-            ))
+            records.append(record(row, "failed", train_summary, timestamp,
+                                  error=f"{type(exc).__name__}: {exc}"))
     return records
 
 
@@ -486,31 +458,6 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, before):
         "mmd_prob_before": before["mmd_prob_before"],
         "mmd_prob_after": mmd_rbf(rows(probs_after, c1), rows(probs_after, c2)),
     }
-
-
-def _execute(
-    config: ExperimentConfig,
-    rows: list[AblationRow],
-    sweep_points: list[tuple[str | None, float | None, Graph]],
-) -> list[ResultRecord]:
-    config_hash = config.config_hash()
-    records = []
-    for sweep_variable, sweep_value, graph in sweep_points:
-        # one fold family per sweep point: the splits are a property of the
-        # data; repeated runs vary the training randomness on top of them
-        folds = kfold_splits(
-            graph, config.protocol.k_folds,
-            config.protocol.train_frac, config.protocol.val_frac,
-            config.protocol.min_per_class,
-            seed=config.train.seed,
-        )
-        for run_index in range(config.protocol.num_seeds):
-            for fold in folds:
-                records.extend(_run_single(
-                    graph, config, rows, run_index, fold,
-                    sweep_variable, sweep_value, config_hash,
-                ))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +621,9 @@ def read_records(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
-def _write_config(config: ExperimentConfig, out: Path) -> None:
+def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:
     payload = {
+        "command": command,
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "decisions": RUN_METADATA,
@@ -683,7 +631,7 @@ def _write_config(config: ExperimentConfig, out: Path) -> None:
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _completed(out: Path, config: ExperimentConfig) -> bool:
+def _completed(out: Path, config: ExperimentConfig, command: str) -> bool:
     marker = out / "config.json"
     if not marker.exists() or not (out / "aggregate.json").exists():
         return False
@@ -691,74 +639,83 @@ def _completed(out: Path, config: ExperimentConfig) -> bool:
         saved = json.loads(marker.read_text())
     except json.JSONDecodeError:
         return False
-    return saved.get("config_hash") == config.config_hash()
+    return (saved.get("config_hash") == config.config_hash()
+            and saved.get("command") == command)
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def run_experiment(config: ExperimentConfig, force: bool = False) -> list[dict]:
-    """seeds x folds x calibration specs on the configured dataset.
+def _run(
+    command: str,
+    config: ExperimentConfig,
+    rows: list[AblationRow],
+    sweep_points,
+    force: bool,
+) -> list[dict]:
+    """Train and evaluate every (sweep point, seed, fold), then write
+    records.jsonl, the reports and config.json. Returns the aggregate rows.
 
-    Idempotent: a completed run (matching config hash in output_dir) is not
-    recomputed unless force=True. Returns the aggregate rows.
+    Idempotent: an output dir completed by the same command on a config with
+    the same hash is not recomputed unless force=True. `sweep_points()`
+    yields (sweep_variable, sweep_value, graph) and is called only when the
+    run goes ahead, so a completed run loads no data.
     """
     out = resolve_output_dir(config.output_dir)
-    if not force and _completed(out, config):
+    if not force and _completed(out, config, command):
         return json.loads((out / "aggregate.json").read_text())["aggregates"]
-    graph = _load_base_dataset(config)
-    rows = default_rows(config.calibration)
-    records = _execute(config, rows, [(None, None, graph)])
-    out.mkdir(parents=True, exist_ok=True)
+    config_hash = config.config_hash()
+    protocol = config.protocol
+    records = []
+    for sweep_variable, sweep_value, graph in sweep_points():
+        # one fold family per sweep point: the splits are a property of the
+        # data; repeated runs vary the training randomness on top of them
+        folds = kfold_splits(
+            graph, protocol.k_folds, protocol.train_frac, protocol.val_frac,
+            protocol.min_per_class, seed=config.train.seed,
+        )
+        for run_index in range(protocol.num_seeds):
+            for fold in folds:
+                records.extend(_run_single(
+                    graph, config, rows, run_index, fold,
+                    sweep_variable, sweep_value, config_hash,
+                ))
     write_records(records, out)
     emit_report(records, out, config=config)
-    _write_config(config, out)
+    _write_config(config, command, out)
     return aggregate_records(records)
+
+
+def run_experiment(config: ExperimentConfig, force: bool = False) -> list[dict]:
+    """seeds x folds x calibration specs on the configured dataset."""
+    return _run("experiment", config, default_rows(config.calibration),
+                lambda: [(None, None, _load_base_dataset(config))], force)
 
 
 def run_ablations(config: ExperimentConfig, force: bool = False) -> list[dict]:
     """Neutral-construction, calibration-variant, and position ablations,
     all evaluated post hoc on the same trained models."""
-    out = resolve_output_dir(config.output_dir)
-    if not force and _completed(out, config):
-        return json.loads((out / "aggregate.json").read_text())["aggregates"]
-    graph = _load_base_dataset(config)
-    records = _execute(config, ablation_rows(), [(None, None, graph)])
-    out.mkdir(parents=True, exist_ok=True)
-    write_records(records, out)
-    emit_report(records, out, config=config)
-    _write_config(config, out)
-    return aggregate_records(records)
+    return _run("ablate", config, ablation_rows(),
+                lambda: [(None, None, _load_base_dataset(config))], force)
 
 
 def run_sensitivity(config: ExperimentConfig, force: bool = False) -> list[dict]:
     """Noise and/or imbalance-ratio sweeps; one aggregate per sweep point."""
     if config.noise is None and config.rho_sweep is None:
         raise ConfigError("sensitivity run needs a noise sweep or rho_sweep")
-    out = resolve_output_dir(config.output_dir)
-    if not force and _completed(out, config):
-        return json.loads((out / "aggregate.json").read_text())["aggregates"]
+    if config.rho_sweep is not None and not isinstance(config.dataset, SbmConfig):
+        raise ConfigError("rho_sweep requires a generated dataset")
 
-    sweep_points: list[tuple[str | None, float | None, Graph]] = []
-    if config.noise is not None:
-        base = _load_base_dataset(config)
-        for level in config.noise.levels:
-            noisy = inject_noise(
-                base, NoiseSpec(config.noise.kind, level, seed=config.noise.seed)
-            )
-            sweep_points.append((f"noise_{config.noise.kind}", float(level), noisy))
-    if config.rho_sweep is not None:
-        if not isinstance(config.dataset, SbmConfig):
-            raise ConfigError("rho_sweep requires a generated dataset")
-        for rho in config.rho_sweep:
+    def sweep_points():
+        noise = config.noise
+        if noise is not None:
+            base = _load_base_dataset(config)
+            for level in noise.levels:
+                noisy = inject_noise(base, NoiseSpec(noise.kind, level, seed=noise.seed))
+                yield f"noise_{noise.kind}", float(level), noisy
+        for rho in config.rho_sweep or ():
             regenerated = generate_sbm(replace(config.dataset, rho=float(rho)))
-            sweep_points.append(("rho", float(rho), regenerated))
+            yield "rho", float(rho), regenerated
 
-    rows = default_rows(config.calibration)
-    records = _execute(config, rows, sweep_points)
-    out.mkdir(parents=True, exist_ok=True)
-    write_records(records, out)
-    emit_report(records, out, config=config)
-    _write_config(config, out)
-    return aggregate_records(records)
+    return _run("sweep", config, default_rows(config.calibration), sweep_points, force)

@@ -17,7 +17,7 @@ the explicit dropout seed, so training trajectories are bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +48,6 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.num_heads < 1:
             raise ConfigError("num_heads must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_classes": self.num_classes,
-            "dropout": self.dropout,
-            "num_heads": self.num_heads,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -355,7 +344,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "model_config": params.config.to_dict(),
+        "model_config": asdict(params.config),
         "params_flat": params.flat().tolist(),
     }
     Path(path).write_text(json.dumps(payload) + "\n")

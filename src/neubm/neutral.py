@@ -9,7 +9,7 @@ that estimates the model's class-agnostic output bias.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +52,6 @@ class NeutralConfig:
             isinstance(self.refresh_every, int) and 1 <= self.refresh_every <= 10
         ):
             raise InfeasibleError("refresh_every must be 'never' or an int in [1, 10]")
-
-    def to_dict(self) -> dict:
-        return {
-            "node_count_override": self.node_count_override,
-            "covariance_mode": self.covariance_mode,
-            "regularization_eps_scale": self.regularization_eps_scale,
-            "construction_variant": self.construction_variant,
-            "refresh_every": self.refresh_every,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -192,13 +182,9 @@ def construct_neutral(
 
     variant = config.construction_variant
     if variant == "mean_cov":
-        mode = config.covariance_mode
-        sigma = stats.sigma_node
-        if mode == "diagonal" and sigma.ndim == 2:
-            sigma = np.diag(sigma)
         features = sample_mvn(
-            stats.mu_node, sigma, n,
-            mode=mode,
+            stats.mu_node, stats.sigma_node, n,
+            mode=config.covariance_mode,
             eps_scale=config.regularization_eps_scale,
             seed=int(rng.integers(2**32)),
         )
@@ -274,7 +260,7 @@ def save_neutral(neutral: NeutralGraph, path) -> None:
             "source_node_count": stats.source_node_count,
             "covariance_mode": stats.covariance_mode,
         },
-        "config": neutral.config.to_dict(),
+        "config": asdict(neutral.config),
         "seed": neutral.seed,
         "neutral_logit_pooling": "mean",
     }

@@ -48,16 +48,6 @@ class TrainConfig:
         if self.selection_metric != "f1_macro":
             raise ConfigError("only f1_macro selection is supported")
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "selection_metric": self.selection_metric,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class TrainReport:

@@ -179,3 +179,26 @@ class TestExperimentCommands:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {}}))
         assert run_cli("experiment", "--config", path) == 2
+
+    @pytest.mark.parametrize("content, named", [
+        ({"train": {"max_epoch": 5}}, "'train'"),
+        ({"dataset": {"num_classes": 3, "total_nodes": 200, "rho": 4,
+                      "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6,
+                      "seeed": 1}}, "'dataset'"),
+        ({"noise": {"levels": [0.0, 0.5]}}, "'noise'"),
+        ({"model": {"architecture": "gcn", "hiden_dim": 12}}, "'model'"),
+        ('{"dataset": {"num_classes": 3,', "bad.json"),
+        (None, "bad.json"),
+    ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
+            "malformed_json", "missing_file"])
+    def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
+        """A bad config file is a config error (exit 2) naming the section
+        or file, not a traceback."""
+        if isinstance(content, dict):
+            path = self.exp_config(tmp_path, **content)
+        else:
+            path = tmp_path / "bad.json"
+            if content is not None:
+                path.write_text(content)
+        assert run_cli("experiment", "--config", path) == 2
+        assert named in capsys.readouterr().err

@@ -19,6 +19,7 @@ from neubm.harness import (
     run_sensitivity,
 )
 from neubm.models import ModelConfig
+from neubm.neutral import NeutralConfig
 from neubm.training import TrainConfig, train
 
 
@@ -127,6 +128,23 @@ class TestRunExperiment:
         b = small_config(tmp_path, name="y")
         assert a.config_hash() == b.config_hash()
 
+    def test_config_hash_pinned(self, tmp_path):
+        """Every section feeds the hash; its value must not drift, or
+        completed output dirs and saved reports stop matching."""
+        cfg = small_config(
+            tmp_path,
+            neutral=NeutralConfig(covariance_mode="diagonal", refresh_every=3,
+                                  seed=4),
+            calibration=(
+                CalibrationSpec("none"),
+                CalibrationSpec("scale", lam=1.25),
+                CalibrationSpec("subtract", "post_softmax"),
+            ),
+            noise=NoiseSweep("feature", (0.0, 0.2), seed=3),
+            rho_sweep=(2.0, 4.0),
+        )
+        assert cfg.config_hash() == "e4ccb435879bd956"
+
 
 class TestAblations:
     def test_rows_and_identities(self, tmp_path):
@@ -149,6 +167,21 @@ class TestAblations:
             assert row["metrics"]["f1_macro"]["formatted"]
         assert ("position", "pos=logits") in by_id
         assert ("position", "pos=post_softmax") in by_id
+
+    def test_completed_dir_of_another_command_runs_afresh(self, tmp_path):
+        cfg = small_config(tmp_path)
+        run_experiment(cfg)
+        agg = run_ablations(cfg)  # same config and dir, another command
+        assert len(agg) == 14
+        assert {r["group"] for r in agg} == {
+            "calibration_variant", "neutral_construction", "position",
+        }
+        saved = json.loads((tmp_path / "exp" / "config.json").read_text())
+        assert saved["command"] == "ablate"
+        records = tmp_path / "exp" / "records.jsonl"
+        before = records.read_bytes()
+        assert run_ablations(cfg) == agg  # completed by ablate: a no-op
+        assert records.read_bytes() == before
 
 
 class TestSensitivity:
