@@ -58,6 +58,9 @@ class CalibrationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationSpec":
+        unknown = sorted(set(d) - {"variant", "position", "lambda"})
+        if unknown:
+            raise ConfigError(f"calibration spec: unknown keys {unknown}")
         return cls(
             variant=d.get("variant", "subtract"),
             position=d.get("position", "logits"),

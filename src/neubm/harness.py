@@ -116,8 +116,9 @@ class ExperimentConfig:
 def load_experiment_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or a plain dict.
 
-    Malformed JSON, and an unknown or missing key in a section, raise
-    ConfigError naming the file or section.
+    Malformed JSON, an unknown top-level key, and an unknown or missing key
+    in a section or calibration spec raise ConfigError naming the file,
+    section or key.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -126,6 +127,9 @@ def load_experiment_config(source) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {source}: {exc}") from None
     else:
         raw = dict(source)
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigError(f"config: unknown keys {unknown}")
     dataset = raw.get("dataset")
     if dataset is None:
         raise ConfigError("config needs a 'dataset' (path or generator settings)")

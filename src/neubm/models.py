@@ -172,44 +172,71 @@ def _gcn_backward(params, operator, dlogits, cache):
 # GAT
 
 
-def _attention_layer(h, w, a_src, a_dst, adj):
+def _attention_layer(h, w, a_src, a_dst, adj, rows=slice(None)):
     """Single attention head: softmax-normalized neighbor aggregation.
 
-    Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one per stored entry
-    (i, j) of the self-looped CSR ``adj``; the softmax runs over each row's
-    segment of entries. Self-loops keep every segment nonempty. Returns the
-    output and a cache (g, per-edge scores, per-edge alpha) for the backward
+    ``adj`` holds the self-looped CSR rows of the output nodes ``rows``
+    (every node by default) over all n columns. Scores are
+    LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one per stored entry (i, j);
+    the softmax runs over each row's segment of entries. Self-loops keep
+    every segment nonempty. Returns the output rows and a cache (g,
+    per-edge scores, the attention CSR A_alpha, output) for the backward
     pass.
     """
     g = h @ w
-    rows, starts = csr_rows(adj), adj.indptr[:-1]
-    e = (g @ a_src)[rows] + (g @ a_dst)[adj.indices]
+    seg, starts = csr_rows(adj), adj.indptr[:-1]
+    e = (g @ a_src)[rows][seg] + (g @ a_dst)[adj.indices]
     e_act = np.where(e > 0.0, e, LEAKY_SLOPE * e)
-    exps = np.exp(e_act - np.maximum.reduceat(e_act, starts)[rows])
-    alpha = exps / np.add.reduceat(exps, starts)[rows]
-    out = with_values(adj, alpha) @ g
-    return out, (g, e, alpha)
+    exps = np.exp(e_act - np.maximum.reduceat(e_act, starts)[seg])
+    att = with_values(adj, exps / np.add.reduceat(exps, starts)[seg])
+    out = att @ g
+    return out, (g, e, att, out)
 
 
-def _attention_backward(dout, h, w, a_src, a_dst, adj, cache):
-    g, e, alpha = cache
-    rows, cols, starts = csr_rows(adj), adj.indices, adj.indptr[:-1]
-    dalpha = np.einsum("ij,ij->i", dout[rows], g[cols])
-    dg = with_values(adj, alpha).T @ dout
-    # softmax rows: one segment of stored entries per row
-    row_dot = np.add.reduceat(alpha * dalpha, starts)
-    de = alpha * (dalpha - row_dot[rows]) * np.where(e > 0.0, 1.0, LEAKY_SLOPE)
-    ds_src = np.add.reduceat(de, starts)
-    ds_dst = np.bincount(cols, weights=de, minlength=g.shape[0])
-    dg += np.outer(ds_src, a_src) + np.outer(ds_dst, a_dst)
-    da_src = g.T @ ds_src
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=slice(None)):
+    """Gradients of one head from ``dout`` at its output rows.
+
+    The score gradient is B_ij (dalpha_ij - r_i), with dalpha_ij = dout_i .
+    g_j, r_i = dout_i . out_i and B = A_alpha times each score's LeakyReLU
+    slope, so its row and column sums are CSR products and no (edges x
+    width) array is built. Each row's largest entry j* is summed apart as
+    B_ij* u_i, u_i = dalpha_ij* - r_i = dout_i . sum_{k != j*} alpha_ik
+    (g_j* - g_k): on a peaked row the two terms nearly cancel.
+    """
+    g, e, att, out = cache
+    alpha, starts = att.data, att.indptr[:-1]
+    is_max = alpha == np.maximum.reduceat(alpha, starts)[csr_rows(att)]
+    top = np.minimum.reduceat(np.where(is_max, np.arange(alpha.size), alpha.size),
+                              starts)  # first largest alpha of each row
+    top_col = att.indices[top]
+    rest = with_values(att, alpha.copy())  # A_alpha without the top entries
+    rest.data[top] = 0.0
+    slope = np.where(e > 0.0, 1.0, LEAKY_SLOPE)
+    b = with_values(att, rest.data * slope)
+    u = _rowdot(dout, np.add.reduceat(rest.data, starts)[:, None] * g[top_col]
+                - rest @ g)
+    top_de = alpha[top] * slope[top] * u
+    r = _rowdot(dout, out)
+    ds_src = _rowdot(dout, b @ g) - r * np.add.reduceat(b.data, starts) + top_de
+    ds_dst = (_rowdot(g, b.T @ dout) - b.T @ r
+              + np.bincount(top_col, weights=top_de, minlength=g.shape[0]))
+    dg = att.T @ dout
+    dg[rows] += np.outer(ds_src, a_src)
+    dg += np.outer(ds_dst, a_dst)
+    da_src = g[rows].T @ ds_src
     da_dst = g.T @ ds_dst
     dw = h.T @ dg
     dh = dg @ w.T
     return dh, dw, da_src, da_dst
 
 
-def _gat_pass(params, adj, features, mode, dropout_seed):
+def _gat_pass(params, view, features, mode, dropout_seed):
+    """Layer 1 on every node, since attention reads all hidden states; the
+    output layer on the view's rows."""
     cfg = params.config
     if features.shape[1] != cfg.input_dim:
         raise ShapeError(
@@ -219,7 +246,7 @@ def _gat_pass(params, adj, features, mode, dropout_seed):
     head_outs, head_caches = [], []
     for i in range(k):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
-        out, cache = _attention_layer(features, w, a_s, a_d, adj)
+        out, cache = _attention_layer(features, w, a_s, a_d, view.adj)
         head_outs.append(out)
         head_caches.append(cache)
     z1 = np.concatenate(head_outs, axis=1)
@@ -232,17 +259,18 @@ def _gat_pass(params, adj, features, mode, dropout_seed):
         mask = None
     h1 = a1 * mask if mask is not None else a1
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
-    logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, adj)
-    return logits, (head_caches, z1, mask, h1, out_cache)
+    logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, view.row_adj,
+                                         view.rows)
+    return logits, (head_caches, z1, mask, h1, out_cache, view.rows)
 
 
-def _gat_backward(params, adj, features, dlogits, cache):
+def _gat_backward(params, features, dlogits, cache):
     cfg = params.config
     k = cfg.num_heads
-    head_caches, z1, mask, h1, out_cache = cache
+    head_caches, z1, mask, h1, out_cache, rows = cache
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     dh1, dw1, da1_s, da1_d = _attention_backward(
-        dlogits, h1, w1, a1_s, a1_d, adj, out_cache
+        dlogits, h1, w1, a1_s, a1_d, out_cache, rows
     )
     da1 = dh1 * mask if mask is not None else dh1
     dz1 = da1 * (z1 > 0.0)
@@ -251,8 +279,7 @@ def _gat_backward(params, adj, features, dlogits, cache):
     for i in range(k):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
         _, dw, da_s, da_d = _attention_backward(
-            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, adj,
-            head_caches[i],
+            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, head_caches[i]
         )
         grads.extend([dw, da_s, da_d])
     grads.extend([dw1, da1_s, da1_d])
@@ -281,11 +308,13 @@ def prepare_operator(graph: Graph, config: ModelConfig):
 
 @dataclass(frozen=True)
 class GatRowView:
-    """A GAT operator restricted to output rows. Attention needs the hidden
-    state of every node, so the full pass runs and its logits are sliced."""
+    """A GAT operator restricted to output rows: the full self-looped CSR
+    ``adj`` (layer 1 needs the hidden state of every node) and ``row_adj``,
+    its CSR rows ``rows``, on which the output layer runs."""
 
     adj: sp.csr_matrix
-    rows: np.ndarray
+    row_adj: sp.csr_matrix
+    rows: np.ndarray | slice
 
 
 def row_view(operator, rows: np.ndarray):
@@ -293,17 +322,12 @@ def row_view(operator, rows: np.ndarray):
 
     A forward through the view returns the (len(rows), C) logits that the
     full operator gives at those rows, bit for bit; its backward takes
-    dlogits of that shape.
+    dlogits of that shape. The output layer (GCN's second propagation,
+    GAT's output attention) runs on those rows only.
     """
     if isinstance(operator, GcnOperator):
         return GcnOperator(norm_adj=operator.norm_adj[rows], ax=operator.ax)
-    return GatRowView(adj=operator, rows=rows)
-
-
-def _gat_rows(operator):
-    if isinstance(operator, GatRowView):
-        return operator.adj, operator.rows
-    return operator, slice(None)
+    return GatRowView(adj=operator, row_adj=operator[rows], rows=rows)
 
 
 def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0):
@@ -311,19 +335,16 @@ def forward_with_operator(params, operator, features, mode="eval", dropout_seed=
     the cache its backward needs."""
     if params.config.architecture == "gcn":
         return _gcn_pass(params, operator, features, mode, dropout_seed)
-    adj, rows = _gat_rows(operator)
-    logits, cache = _gat_pass(params, adj, features, mode, dropout_seed)
-    return logits[rows], cache
+    if not isinstance(operator, GatRowView):  # the all-rows view
+        operator = GatRowView(adj=operator, row_adj=operator, rows=slice(None))
+    return _gat_pass(params, operator, features, mode, dropout_seed)
 
 
 def backward_with_operator(params, operator, features, dlogits, cache):
     """Parameter gradients from dlogits at the operator's rows."""
     if params.config.architecture == "gcn":
         return _gcn_backward(params, operator, dlogits, cache)
-    adj, rows = _gat_rows(operator)
-    full = np.zeros((adj.shape[0], dlogits.shape[1]))
-    full[rows] = dlogits
-    return _gat_backward(params, adj, features, full, cache)
+    return _gat_backward(params, features, dlogits, cache)
 
 
 def predict_logits(params: ModelParams, graph: Graph) -> np.ndarray:

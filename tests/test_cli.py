@@ -187,10 +187,13 @@ class TestExperimentCommands:
                       "seeed": 1}}, "'dataset'"),
         ({"noise": {"levels": [0.0, 0.5]}}, "'noise'"),
         ({"model": {"architecture": "gcn", "hiden_dim": 12}}, "'model'"),
+        ({"trian": {"max_epochs": 5}}, "'trian'"),
+        ({"calibration": [{"variant": "subtract", "positon": "logits"}]},
+         "'positon'"),
         ('{"dataset": {"num_classes": 3,', "bad.json"),
         (None, "bad.json"),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
-            "malformed_json", "missing_file"])
+            "top_level_key", "calibration_key", "malformed_json", "missing_file"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback."""

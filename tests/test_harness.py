@@ -329,6 +329,28 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_experiment_config({"model": {}})
 
+    def test_to_dict_round_trips(self, tmp_path):
+        cfg = small_config(
+            tmp_path,
+            calibration=(CalibrationSpec("none"),
+                         CalibrationSpec("scale", "post_softmax", lam=0.5)),
+            neutral=NeutralConfig(construction_variant="random", refresh_every=3),
+            noise=NoiseSweep(kind="feature", levels=(0.0, 0.5), seed=2),
+            rho_sweep=(2.0, 4.0),
+        )
+        assert load_experiment_config(cfg.to_dict()) == cfg
+        assert load_experiment_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"dataset": "data", "trian": {"max_epochs": 5}}, "'trian'"),
+        ({"dataset": "data",
+          "calibration": [{"variant": "subtract", "positon": "post_softmax"}]},
+         "'positon'"),
+    ], ids=["top_level", "calibration_spec"])
+    def test_unknown_key_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=key):
+            load_experiment_config(raw)
+
 
 class TestTimingScaling:
     def test_wall_time_grows_at_most_linearly(self):
