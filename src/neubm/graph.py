@@ -43,8 +43,11 @@ def canonical_edges(edges) -> np.ndarray:
     span = int(hi.max()) + 1
     if span > _MAX_ENDPOINT:
         raise GraphValidationError(f"edge endpoint {span - 1} is too large")
-    # sorting the packed keys sorts the pairs lexicographically
-    keys = np.unique(lo * span + hi)
+    # sorting the packed keys sorts the pairs lexicographically; keys that
+    # already increase strictly are sorted and duplicate-free
+    keys = lo * span + hi
+    if np.any(keys[1:] <= keys[:-1]):
+        keys = np.unique(keys)
     return np.stack([keys // span, keys % span], axis=1)
 
 

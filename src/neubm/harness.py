@@ -375,7 +375,7 @@ def _run_single(
             neutral_vectors[variant] = neutral_logit_vector(params, neutral)
         return neutral_vectors[variant]
 
-    mmd_before: dict = {}  # filled by the first row that is calibrated
+    mmd_memo: dict = {}  # MMD per pair of compared sample sets
     records = []
     for row in rows:
         timestamp = _now()
@@ -388,7 +388,7 @@ def _run_single(
             )
             bias = _bias_diagnostics(
                 logits, uncal_probs, out, vec, labels, test_mask, majority,
-                row.spec, mmd_before,
+                row.spec, mmd_memo,
             )
             records.append(record(
                 row, "ok", train_summary, timestamp,
@@ -402,7 +402,7 @@ def _run_single(
 
 
 def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority,
-                      spec, mmd_before):
+                      spec, mmd_memo):
     report = check_bias_reduction(
         uncal_probs[test_mask], out.probabilities[test_mask],
         labels[test_mask], majority,
@@ -429,18 +429,19 @@ def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority
     }
     if spec.variant != "none":
         bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels,
-                                    test_mask, mmd_before))
+                                    test_mask, mmd_memo))
     return bias
 
 
-def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, before):
+def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, memo):
     """Exploratory: probability-space distance between the two largest test
     classes, before/after calibration. Not an invariant.
 
-    `before` caches the pre-calibration distance: it depends only on the
-    uncalibrated probabilities and the test labels, so the rows of one
-    (seed, fold) share one dict and compute it once. A failed computation
-    stores nothing, so every later row fails the same way.
+    The rows of one (seed, fold) share `memo`, keyed by the bytes of the
+    two compared sample sets: the pre-calibration distance, and every row
+    whose probabilities equal another's bit for bit (scale(1) and
+    subtraction, say), is computed once. A failed computation stores
+    nothing, so every later row with the same samples fails the same way.
     """
     test_labels = labels[test_mask]
     counts = np.bincount(test_labels[test_labels >= 0])
@@ -454,13 +455,17 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, before):
         idx = sel[test_labels == c][:MMD_DIAG_MAX_ROWS]
         return probs[idx]
 
-    if "mmd_prob_before" not in before:
-        before["mmd_prob_before"] = mmd_rbf(rows(probs_before, c1),
-                                            rows(probs_before, c2))
+    def mmd(probs):
+        x, y = rows(probs, c1), rows(probs, c2)
+        key = (x.tobytes(), y.tobytes())
+        if key not in memo:
+            memo[key] = mmd_rbf(x, y)
+        return memo[key]
+
     return {
         "mmd_classes": [c1, c2],
-        "mmd_prob_before": before["mmd_prob_before"],
-        "mmd_prob_after": mmd_rbf(rows(probs_after, c1), rows(probs_after, c2)),
+        "mmd_prob_before": mmd(probs_before),
+        "mmd_prob_after": mmd(probs_after),
     }
 
 

@@ -95,9 +95,10 @@ def confusion(
             raise GraphValidationError(
                 f"{name} holds a class outside [0, {num_classes})"
             )
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (truth, pred), 1)
-    return ConfusionMatrix(counts=counts)
+    counts = np.bincount(truth * num_classes + pred,
+                         minlength=num_classes * num_classes)
+    return ConfusionMatrix(counts=counts.astype(np.int64, copy=False)
+                           .reshape(num_classes, num_classes))
 
 
 def f1_scores(cm: ConfusionMatrix, rho: float = float("nan")) -> MetricsReport:
@@ -197,9 +198,15 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     np.maximum(sq, 0.0, out=sq)
 
     if bandwidth == "median":
-        # both sides are nonempty, so the strict upper triangle is too. One
-        # in-place partition yields the order statistics np.median averages.
-        upper = sq[~np.tri(sq.shape[0], dtype=bool)]
+        # both sides are nonempty, so the strict upper triangle is too. It is
+        # gathered row by row into one buffer; one in-place partition yields
+        # the order statistics np.median averages, whatever their order.
+        m = sq.shape[0]
+        upper = np.empty(m * (m - 1) // 2)
+        pos = 0
+        for i in range(m - 1):
+            upper[pos : pos + m - 1 - i] = sq[i, i + 1 :]
+            pos += m - 1 - i
         mid = upper.size // 2
         upper.partition(mid)
         med = upper[mid] if upper.size % 2 else (upper[:mid].max() + upper[mid]) / 2

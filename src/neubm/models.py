@@ -108,10 +108,32 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config=config, arrays=arrays)
 
 
-def _dropout_mask(rng, shape, rate):
-    # inverted dropout: kept entries scaled by 1/keep so eval needs no rescaling
+def _dropout_mask(rng, shape, rate, active=True):
+    """Inverted dropout: kept entries scaled by 1/keep so eval needs no
+    rescaling. Entries where ``active`` is False are dropped as well,
+    after the draw, so the random stream does not depend on it."""
     keep = 1.0 - rate
-    return (rng.random(shape) < keep) * (1.0 / keep)
+    kept = rng.random(shape) < keep
+    kept &= active
+    return kept * (1.0 / keep)
+
+
+def _relu_dropout(z1, config, mode, dropout_seed):
+    """h1 = dropout(relu(z1)) and its gate, the factor the backward applies.
+
+    In train mode the gate is the dropout mask times (z1 > 0), built once,
+    and h1 = z1 * gate. Otherwise the gate is None and stands for z1 > 0.
+    """
+    if mode == "train" and config.dropout > 0.0:
+        gate = _dropout_mask(np.random.default_rng(dropout_seed), z1.shape,
+                             config.dropout, active=z1 > 0.0)
+        return z1 * gate, gate
+    return np.maximum(z1, 0.0), None
+
+
+def _gate_grad(dh1, z1, gate):
+    """dz1 from dh1 through the ReLU and dropout of :func:`_relu_dropout`."""
+    return dh1 * (gate if gate is not None else z1 > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,47 +145,45 @@ class GcnOperator:
     """The GCN propagation operator of one graph: rows of the symmetrically
     normalized self-looped CSR adjacency A_hat (all n of them, or the rows
     of a :func:`row_view`), plus the parameter-free first propagation
-    A_hat . X of that graph's features (all n rows, which layer 2 reads)."""
+    A_hat . X of that graph's features (all n rows, which layer 2 reads).
+
+    ``norm_adj_t`` is the CSR transpose of a row view's rows, which the
+    backward multiplies by; the full A_hat is symmetric and stores none.
+    """
 
     norm_adj: sp.csr_matrix
     ax: np.ndarray
+    norm_adj_t: sp.csr_matrix | None = None
 
 
-def _gcn_pass(params, operator, features, mode, dropout_seed):
+def _gcn_pass(params, operator, features, mode, dropout_seed, hidden):
     """logits = A_hat . (dropout(relu(A_hat . X . W0)) . W1)
 
     A_hat . X comes from the operator, so ``features`` must be the features
     of the graph the operator was built from; only its width is checked.
-    Layer 2 projects to the class width before it propagates, and only to
-    the operator's rows.
+    ``hidden`` is z1 = A_hat . X . W0 of an earlier pass with the same
+    params, or None. Layer 2 projects to the class width before it
+    propagates, and only to the operator's rows.
     """
     w0, w1 = params.arrays
     if features.shape[1] != w0.shape[0]:
         raise ShapeError(
             f"features have width {features.shape[1]}, layer expects {w0.shape[0]}"
         )
-    z1 = operator.ax @ w0
-    a1 = np.maximum(z1, 0.0)
-    if mode == "train" and params.config.dropout > 0.0:
-        mask = _dropout_mask(
-            np.random.default_rng(dropout_seed), a1.shape, params.config.dropout
-        )
-    else:
-        mask = None
-    h1 = a1 * mask if mask is not None else a1
+    z1 = operator.ax @ w0 if hidden is None else hidden
+    h1, gate = _relu_dropout(z1, params.config, mode, dropout_seed)
     logits = operator.norm_adj @ (h1 @ w1)
-    return logits, (z1, mask, h1)
+    return logits, (z1, gate, h1)
 
 
 def _gcn_backward(params, operator, dlogits, cache):
     w0, w1 = params.arrays
-    z1, mask, h1 = cache
+    z1, gate, h1 = cache
     # (A_hat[rows])^T . dlogits; on the full operator this is A_hat . dlogits
-    adl = operator.norm_adj.T @ dlogits
+    adj_t = operator.norm_adj if operator.norm_adj_t is None else operator.norm_adj_t
+    adl = adj_t @ dlogits
     dw1 = h1.T @ adl
-    dh1 = adl @ w1.T
-    da1 = dh1 * mask if mask is not None else dh1
-    dz1 = da1 * (z1 > 0.0)
+    dz1 = _gate_grad(adl @ w1.T, z1, gate)
     dw0 = operator.ax.T @ dz1
     return (dw0, dw1)
 
@@ -234,46 +254,38 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=slice(None)):
     return dh, dw, da_src, da_dst
 
 
-def _gat_pass(params, view, features, mode, dropout_seed):
+def _gat_pass(params, view, features, mode, dropout_seed, hidden):
     """Layer 1 on every node, since attention reads all hidden states; the
-    output layer on the view's rows."""
+    output layer on the view's rows. ``hidden`` is the list of layer-1 head
+    caches of an earlier pass with the same params, or None."""
     cfg = params.config
     if features.shape[1] != cfg.input_dim:
         raise ShapeError(
             f"features have width {features.shape[1]}, model expects {cfg.input_dim}"
         )
     k = cfg.num_heads
-    head_outs, head_caches = [], []
-    for i in range(k):
-        w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
-        out, cache = _attention_layer(features, w, a_s, a_d, view.adj)
-        head_outs.append(out)
-        head_caches.append(cache)
-    z1 = np.concatenate(head_outs, axis=1)
-    a1 = np.maximum(z1, 0.0)
-    if mode == "train" and cfg.dropout > 0.0:
-        mask = _dropout_mask(
-            np.random.default_rng(dropout_seed), a1.shape, cfg.dropout
-        )
-    else:
-        mask = None
-    h1 = a1 * mask if mask is not None else a1
+    if hidden is None:
+        hidden = [
+            _attention_layer(features, *params.arrays[3 * i : 3 * i + 3], view.adj)[1]
+            for i in range(k)
+        ]
+    z1 = np.concatenate([cache[3] for cache in hidden], axis=1)  # head outputs
+    h1, gate = _relu_dropout(z1, cfg, mode, dropout_seed)
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, view.row_adj,
                                          view.rows)
-    return logits, (head_caches, z1, mask, h1, out_cache, view.rows)
+    return logits, (hidden, z1, gate, h1, out_cache, view.rows)
 
 
 def _gat_backward(params, features, dlogits, cache):
     cfg = params.config
     k = cfg.num_heads
-    head_caches, z1, mask, h1, out_cache, rows = cache
+    head_caches, z1, gate, h1, out_cache, rows = cache
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     dh1, dw1, da1_s, da1_d = _attention_backward(
         dlogits, h1, w1, a1_s, a1_d, out_cache, rows
     )
-    da1 = dh1 * mask if mask is not None else dh1
-    dz1 = da1 * (z1 > 0.0)
+    dz1 = _gate_grad(dh1, z1, gate)
     grads = []
     h = cfg.hidden_dim
     for i in range(k):
@@ -326,18 +338,29 @@ def row_view(operator, rows: np.ndarray):
     GAT's output attention) runs on those rows only.
     """
     if isinstance(operator, GcnOperator):
-        return GcnOperator(norm_adj=operator.norm_adj[rows], ax=operator.ax)
+        norm_adj = operator.norm_adj[rows]
+        return GcnOperator(norm_adj=norm_adj, ax=operator.ax,
+                           norm_adj_t=norm_adj.T.tocsr())
     return GatRowView(adj=operator, row_adj=operator[rows], rows=rows)
 
 
-def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0):
+def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0,
+                          hidden=None):
     """Logits for the operator's rows (every node for a full operator) and
-    the cache its backward needs."""
+    the cache its backward needs.
+
+    Layer 1 runs on every node and does not depend on the rows, the mode or
+    the dropout seed. ``cache[0]`` is its state (GCN: z1 = A_hat . X . W0;
+    GAT: the per-head caches, whose outputs concatenate to z1). Passing that
+    state as ``hidden`` to a later call with the same params and an
+    operator of the same graph skips layer 1 and gives bit-identical
+    results; None recomputes it.
+    """
     if params.config.architecture == "gcn":
-        return _gcn_pass(params, operator, features, mode, dropout_seed)
+        return _gcn_pass(params, operator, features, mode, dropout_seed, hidden)
     if not isinstance(operator, GatRowView):  # the all-rows view
         operator = GatRowView(adj=operator, row_adj=operator, rows=slice(None))
-    return _gat_pass(params, operator, features, mode, dropout_seed)
+    return _gat_pass(params, operator, features, mode, dropout_seed, hidden)
 
 
 def backward_with_operator(params, operator, features, dlogits, cache):

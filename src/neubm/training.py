@@ -105,12 +105,17 @@ def loss_and_gradients(
     mode: str = "eval",
     dropout_seed: int = 0,
     operator=None,
+    hidden=None,
 ) -> tuple[float, np.ndarray]:
     """One forward/backward pass; returns (loss, flat gradient).
 
     ``operator`` is the row view (:func:`neubm.models.row_view`) of the
     mask's nodes, built from ``graph`` when omitted: only the logits the
-    loss reads are computed.
+    loss reads are computed. ``hidden`` is the layer-1 state of an earlier
+    forward with the same params on the same graph (see
+    :func:`neubm.models.forward_with_operator`); None recomputes it. The
+    loss equals :func:`cross_entropy_loss` and dlogits ``softmax`` minus the
+    one-hot labels, from one shifted exponential.
     """
     mask = np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
@@ -120,28 +125,36 @@ def loss_and_gradients(
         operator = row_view(prepare_operator(graph, params.config), idx)
 
     logits, cache = forward_with_operator(
-        params, operator, graph.features, mode=mode, dropout_seed=dropout_seed
+        params, operator, graph.features, mode=mode, dropout_seed=dropout_seed,
+        hidden=hidden,
     )
     if logits.shape[0] != idx.size:
         raise ShapeError(
             f"operator gives {logits.shape[0]} rows, the mask selects {idx.size}"
         )
-    y = np.asarray(labels)[idx]
-    loss = cross_entropy_loss(logits, y, np.ones(idx.size, dtype=bool),
-                              weight_decay, params)
+    picked = np.arange(idx.size), np.asarray(labels)[idx]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1, keepdims=True)
+    loss = -(shifted[picked] - np.log(sums[:, 0])).mean()
+    flat = params.flat()
+    if weight_decay != 0.0:
+        loss += weight_decay * float(flat @ flat) / 2.0
 
-    dlogits = softmax(logits)
-    dlogits[np.arange(idx.size), y] -= 1.0
+    dlogits = exps
+    dlogits /= sums
+    dlogits[picked] -= 1.0
     dlogits /= idx.size
 
     grads = backward_with_operator(params, operator, graph.features, dlogits, cache)
-    flat = np.concatenate([g.ravel() for g in grads])
+    grad = np.concatenate([g.ravel() for g in grads])
+    if not np.all(np.isfinite(grad)):
+        name = next(name for name, g in zip(_array_names(params), grads)
+                    if not np.all(np.isfinite(g)))
+        raise NumericError(f"non-finite gradient in {name}")
     if weight_decay != 0.0:
-        flat = flat + weight_decay * params.flat()
-    for name, g in zip(_array_names(params), grads):
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
-    return loss, flat
+        grad += weight_decay * flat
+    return float(loss), grad
 
 
 def _array_names(params: ModelParams):
@@ -211,6 +224,12 @@ def train(
     selection with a periodically refreshed reference). Training computes
     logits only for the rows it reads: the hook receives the (n_val, C)
     logits of the validation nodes in node order, not all n rows.
+
+    The validation forward after epoch e and the training step of epoch
+    e + 1 read the same parameters, so each step takes layer 1 from that
+    forward's cache as ``hidden`` (see
+    :func:`neubm.models.forward_with_operator`) instead of recomputing it;
+    the results are bit-identical to recomputing it every step.
     """
     from .datasets import apply_split  # local import to avoid a cycle
 
@@ -229,16 +248,18 @@ def train(
     flat = params.flat()
     state = AdamState.zeros(flat.size)
 
-    def val_f1(p: ModelParams, epoch: int) -> float:
-        logits, _ = forward_with_operator(p, val_view, g.features, mode="eval")
+    def val_f1(p: ModelParams, epoch: int):
+        """Validation F1 of p and the layer-1 state of its forward."""
+        logits, cache = forward_with_operator(p, val_view, g.features, mode="eval")
         if val_logits_transform is not None:
             logits = val_logits_transform(epoch, p, logits)
         pred = logits.argmax(axis=1)  # argmax ties resolve to the lowest index
-        return evaluate(pred, val_labels,
-                        num_classes=model_config.num_classes).f1_macro
+        f1 = evaluate(pred, val_labels,
+                      num_classes=model_config.num_classes).f1_macro
+        return f1, cache[0]
 
     start = time.perf_counter()
-    best_metric = val_f1(params, 0)
+    best_metric, hidden = val_f1(params, 0)
     best_epoch = 0
     best = current = params
     loss_curve: list[float] = []
@@ -253,13 +274,14 @@ def train(
                 mode="train",
                 dropout_seed=train_config.seed * 1_000_003 + epoch,
                 operator=train_view,
+                hidden=hidden,
             )
             if not np.isfinite(loss):
                 raise NumericError("non-finite loss")
             flat, state = adam_step(state, flat, grad, train_config.learning_rate)
             # validated once: validation now and the next epoch's loss read it
             current = params.from_flat(flat)
-            metric = val_f1(current, epoch)
+            metric, hidden = val_f1(current, epoch)
         except NumericError as exc:
             raise TrainingFailureError(
                 f"training diverged at epoch {epoch}: {exc}", epoch=epoch

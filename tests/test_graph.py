@@ -253,10 +253,13 @@ def reference_canonical_edges(edges):
     n=st.integers(min_value=2, max_value=3000),
     m=st.integers(min_value=0, max_value=60),
     dup_frac=st.floats(min_value=0.0, max_value=1.0),
+    order=st.sampled_from(["shuffled", "canonical", "sorted_with_duplicates"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_canonical_edges_matches_reference(n, m, dup_frac, seed):
-    # shuffled, partly flipped, partly duplicated pairs; m = 0 is the empty list
+def test_canonical_edges_matches_reference(n, m, dup_frac, order, seed):
+    # shuffled, partly flipped, partly duplicated pairs; m = 0 is the empty
+    # list. Already canonical input takes the path that skips the sort; a
+    # sorted list that repeats pairs must still be deduplicated.
     rng = np.random.default_rng(seed)
     u = rng.integers(0, n, size=m)
     v = (u + rng.integers(1, n, size=m)) % n  # never a self-pair
@@ -264,6 +267,10 @@ def test_canonical_edges_matches_reference(n, m, dup_frac, seed):
     dups = pairs[rng.random(m) < dup_frac]
     edges = np.concatenate([pairs, dups[:, ::-1], dups])
     edges = edges[rng.permutation(len(edges))]
+    if order != "shuffled":
+        edges = reference_canonical_edges(edges)
+        if order == "sorted_with_duplicates":
+            edges = np.repeat(edges, rng.integers(1, 3, size=len(edges)), axis=0)
     got = canonical_edges(edges)
     want = reference_canonical_edges(edges)
     assert got.dtype == np.int64 and got.shape == want.shape

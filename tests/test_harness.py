@@ -438,7 +438,10 @@ class TestRunRecords:
         graph = generate_sbm(cfg.dataset)
         return cfg, graph, stratified_split(graph, 0.15, 0.15, 3, seed=0)
 
-    def test_mmd_before_computed_once_per_seed_fold(self, tmp_path, monkeypatch):
+    def test_mmd_computed_once_per_distinct_samples(self, tmp_path, monkeypatch):
+        # the rows of one (seed, fold) share a memo keyed by the compared
+        # samples: one mmd_rbf call per distinct pair of sample sets, and
+        # every reported value equals a direct call on that row's samples
         import neubm.harness as harness
         from neubm.metrics import mmd_rbf
         from neubm.training import softmax
@@ -446,34 +449,43 @@ class TestRunRecords:
         cfg, graph, fold = self._graph_and_fold(tmp_path)
         test_mask = fold.to_masks(graph.num_nodes)["test"]
         counts = np.bincount(graph.labels[test_mask])
-        mmd_calls, logits_seen = [], []
+        mmd_calls, logits_seen, outputs = [], [], []
         _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
         _spy(monkeypatch, harness, "predict_logits", logits_seen)
+        _spy(monkeypatch, harness, "calibrate", outputs)
+
+        def key(pair):
+            return tuple(a.tobytes() for a in pair)
 
         for run_index in (0, 1):
             mmd_calls.clear()
+            outputs.clear()
             records = harness._run_single(graph, cfg, harness.ablation_rows(),
                                           run_index, fold, None, None, "h")
             assert all(r.status == "ok" for r in records)
-            calibrated = [r for r in records if r.spec["variant"] != "none"]
-            assert len(calibrated) < len(records)
-            assert len(mmd_calls) == 1 + len(calibrated)
             assert all("mmd_prob_before" not in r.bias
                        for r in records if r.spec["variant"] == "none")
+            calibrated = [(r, out) for r, (_, out) in zip(records, outputs)
+                          if r.spec["variant"] != "none"]
+            assert 0 < len(calibrated) < len(records)
 
-            before = {(tuple(r.bias["mmd_classes"]), r.bias["mmd_prob_before"])
-                      for r in calibrated}
-            assert len(before) == 1
-            (c1, c2), value = before.pop()
+            (c1, c2), = {tuple(r.bias["mmd_classes"]) for r, _ in calibrated}
             assert counts[c1] >= counts[c2] >= np.delete(counts, [c1, c2]).max()
 
-            probs = softmax(logits_seen[-1][1])
+            def samples(probs):
+                return [probs[np.flatnonzero(test_mask & (graph.labels == c))
+                              [:harness.MMD_DIAG_MAX_ROWS]] for c in (c1, c2)]
 
-            def rows(c):
-                idx = np.flatnonzero(test_mask & (graph.labels == c))
-                return probs[idx[:harness.MMD_DIAG_MAX_ROWS]]
-
-            assert value == mmd_rbf(rows(c1), rows(c2))
+            before = samples(softmax(logits_seen[-1][1]))
+            distinct = {key(before)}
+            for r, out in calibrated:
+                after = samples(out.probabilities)
+                distinct.add(key(after))
+                assert r.bias["mmd_prob_before"] == mmd_rbf(*before)
+                assert r.bias["mmd_prob_after"] == mmd_rbf(*after)
+            assert sorted(key(args) for args, _ in mmd_calls) == sorted(distinct)
+            # cal=scale(1) and neutral=none repeat other rows' probabilities
+            assert len(mmd_calls) < 1 + len(calibrated)
 
     def test_no_mmd_when_every_row_is_uncalibrated(self, tmp_path, monkeypatch):
         import neubm.harness as harness

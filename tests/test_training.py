@@ -12,6 +12,7 @@ from neubm.harness import _make_refresh_hook
 from neubm.metrics import evaluate
 from neubm.models import (
     ModelConfig,
+    backward_with_operator,
     forward_with_operator,
     init_params,
     prepare_operator,
@@ -322,6 +323,48 @@ def test_loss_and_gradients_match_full_width_reference(
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-14)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    architecture=st.sampled_from(["gcn", "gat"]),
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    mode=st.sampled_from(["eval", "train"]),
+    weight_decay=st.sampled_from([0.0, 5e-4]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_fused_loss_and_gradients_match_separate_softmax(
+    architecture, n, p, mode, weight_decay, seed
+):
+    # one shifted exponential gives both the loss and dlogits; bit for bit
+    # the loss of cross_entropy_loss and the gradient from softmax(logits)
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=n, p=p)
+    mask = rng.random(n) < 0.5
+    mask[rng.integers(n)] = True
+    idx = np.flatnonzero(mask)
+    cfg = ModelConfig(architecture, input_dim=4, hidden_dim=5, num_classes=3,
+                      dropout=0.5, num_heads=2, seed=int(rng.integers(100)))
+    params = init_params(cfg)
+    params = params.from_flat(rng.normal(scale=2.0, size=params.size))
+    view = row_view(prepare_operator(g, cfg), idx)
+    loss, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay,
+                                    mode=mode, dropout_seed=seed, operator=view)
+
+    logits, cache = forward_with_operator(params, view, g.features, mode=mode,
+                                          dropout_seed=seed)
+    y = g.labels[idx]
+    ref_loss = cross_entropy_loss(logits, y, np.ones(idx.size, bool),
+                                  weight_decay, params)
+    dlogits = softmax(logits)
+    dlogits[np.arange(idx.size), y] -= 1.0
+    dlogits /= idx.size
+    grads = backward_with_operator(params, view, g.features, dlogits, cache)
+    ref_grad = np.concatenate([a.ravel() for a in grads])
+    ref_grad = ref_grad + weight_decay * params.flat()
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         state = AdamState.zeros(1)
@@ -431,6 +474,37 @@ class TestTrainLoop:
                                 seed=0),
                 )
         assert exc.value.epoch == 1
+
+    @pytest.mark.parametrize("architecture", ["gcn", "gat"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_shared_layer_one_matches_recomputing_it(self, architecture,
+                                                     dropout, monkeypatch):
+        # each step takes layer 1 from the previous validation forward; a
+        # loop that recomputes it every step must agree bit for bit
+        import neubm.training as training
+
+        g = easy_sbm(seed=9)
+        split = stratified_split(g, 0.3, 0.3, 2, seed=6)
+        mc = ModelConfig(architecture, 4, 8, 2, dropout=dropout, num_heads=2,
+                         seed=3)
+        tc = TrainConfig(learning_rate=0.02, max_epochs=25, patience=25, seed=4)
+        shared, report = train(g, split, mc, tc)
+
+        original, passed = training.loss_and_gradients, []
+
+        def recompute(*args, hidden=None, **kwargs):
+            passed.append(hidden)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(training, "loss_and_gradients", recompute)
+        recomputed, ref_report = train(g, split, mc, tc)
+        assert len(passed) == ref_report.epochs_run
+        assert all(h is not None for h in passed)
+        np.testing.assert_array_equal(shared.flat(), recomputed.flat())
+        assert report.loss_curve == ref_report.loss_curve
+        assert report.val_metric_curve == ref_report.val_metric_curve
+        assert report.best_epoch == ref_report.best_epoch
+        assert len(set(report.val_metric_curve)) > 1  # training moved
 
     def test_refresh_selection_matches_full_width(self):
         # the refresh hook sees validation rows only; scoring every epoch's
