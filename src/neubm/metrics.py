@@ -91,33 +91,42 @@ def confusion(
         num_classes = int(max(pred.max(initial=-1), truth.max(initial=-1))) + 1
         num_classes = max(num_classes, 1)
     for name, arr in (("truth", truth), ("pred", pred)):
-        if np.any((arr < 0) | (arr >= num_classes)):
-            raise GraphValidationError(
-                f"{name} holds a class outside [0, {num_classes})"
-            )
+        check_classes(name, arr, num_classes)
     counts = np.bincount(truth * num_classes + pred,
                          minlength=num_classes * num_classes)
     return ConfusionMatrix(counts=counts.astype(np.int64, copy=False)
                            .reshape(num_classes, num_classes))
 
 
-def f1_scores(cm: ConfusionMatrix, rho: float = float("nan")) -> MetricsReport:
-    """Per-class P/R/F1 plus macro, support-weighted, and micro aggregates."""
-    counts = cm.counts
+def check_classes(name: str, labels: np.ndarray, num_classes: int) -> None:
+    """Raise GraphValidationError unless every label lies in [0, num_classes)."""
+    if np.any((labels < 0) | (labels >= num_classes)):
+        raise GraphValidationError(
+            f"{name} holds a class outside [0, {num_classes})"
+        )
+
+
+def class_scores(counts: np.ndarray):
+    """Per-class (precision, recall, F1) vectors of a confusion count matrix."""
     if counts.sum() == 0:
         raise GraphValidationError("metrics undefined for an empty confusion matrix")
     tp = np.diag(counts).astype(np.float64)
     support = counts.sum(axis=1).astype(np.float64)
     predicted = counts.sum(axis=0).astype(np.float64)
+    zeros = np.zeros_like(tp)
+    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
+    recall = np.divide(tp, support, out=zeros.copy(), where=support > 0)
+    denom = precision + recall
+    f1 = np.divide(2 * precision * recall, denom, out=zeros, where=denom > 0)
+    return precision, recall, f1
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(predicted > 0, tp / predicted, 0.0)
-        recall = np.where(support > 0, tp / support, 0.0)
-        denom = precision + recall
-        f1 = np.where(denom > 0, 2 * precision * recall / denom, 0.0)
 
-    total = counts.sum()
-    accuracy = float(tp.sum() / total)
+def f1_scores(cm: ConfusionMatrix, rho: float = float("nan")) -> MetricsReport:
+    """Per-class P/R/F1 plus macro, support-weighted, and micro aggregates."""
+    counts = cm.counts
+    precision, recall, f1 = class_scores(counts)
+    support = counts.sum(axis=1)
+    accuracy = float(np.trace(counts) / counts.sum())
     per_class = tuple(
         ClassScores(float(p), float(r), float(f), int(s))
         for p, r, f, s in zip(precision, recall, f1, support)

@@ -192,42 +192,71 @@ def _gcn_backward(params, operator, dlogits, cache):
 # GAT
 
 
-def _attention_layer(h, w, a_src, a_dst, adj, rows=slice(None)):
+def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
     """Single attention head: softmax-normalized neighbor aggregation.
 
-    ``adj`` holds the self-looped CSR rows of the output nodes ``rows``
-    (every node by default) over all n columns. Scores are
-    LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one per stored entry (i, j);
-    the softmax runs over each row's segment of entries. Self-loops keep
-    every segment nonempty. Returns the output rows and a cache (g,
-    per-edge scores, the attention CSR A_alpha, output) for the backward
-    pass.
+    ``adj`` holds the self-looped CSR rows of the output nodes ``rows`` (an
+    index array or slice) over all n columns, or every node's row when
+    ``rows`` is None. Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one
+    per stored entry (i, j); the softmax runs over each row's segment of
+    entries. Self-loops keep every segment nonempty. Returns the output
+    rows and a cache (side, per-edge scores, the attention CSR A_alpha,
+    output) for the backward pass.
+
+    A head over every node (layer 1) runs its sparse products on the
+    narrower side: when h is strictly narrower than its projection it takes
+    the scores from h . (W . a) and returns (A_alpha . h) . W, and side is
+    A_alpha . h. Otherwise, and always on given rows, it returns A_alpha .
+    g and side is g = h . W: a dense product after a row-restricted
+    aggregation would not round a row as the full operator does (BLAS takes
+    a matrix-vector path for a single row), and a row view must match it
+    bit for bit.
     """
-    g = h @ w
+    narrow = rows is None and h.shape[1] < w.shape[1]
+    if narrow:
+        s_src, s_dst = h @ (w @ a_src), h @ (w @ a_dst)
+    else:
+        g = h @ w
+        s_src, s_dst = g @ a_src, g @ a_dst
+    if rows is not None:
+        s_src = s_src[rows]
     seg, starts = csr_rows(adj), adj.indptr[:-1]
-    e = (g @ a_src)[rows][seg] + (g @ a_dst)[adj.indices]
+    e = s_src[seg] + s_dst[adj.indices]
     e_act = np.where(e > 0.0, e, LEAKY_SLOPE * e)
     exps = np.exp(e_act - np.maximum.reduceat(e_act, starts)[seg])
     att = with_values(adj, exps / np.add.reduceat(exps, starts)[seg])
-    out = att @ g
-    return out, (g, e, att, out)
+    if narrow:
+        side = att @ h
+        out = side @ w
+    else:
+        side = g
+        out = att @ g
+    return out, (side, e, att, out)
 
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=slice(None)):
-    """Gradients of one head from ``dout`` at its output rows.
+def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=None,
+                        input_grad=True):
+    """Gradients (dh, dw, da_src, da_dst) of one head from ``dout`` at its
+    output rows (see :func:`_attention_layer`); dh is None unless
+    ``input_grad``.
 
-    The score gradient is B_ij (dalpha_ij - r_i), with dalpha_ij = dout_i .
-    g_j, r_i = dout_i . out_i and B = A_alpha times each score's LeakyReLU
-    slope, so its row and column sums are CSR products and no (edges x
-    width) array is built. Each row's largest entry j* is summed apart as
-    B_ij* u_i, u_i = dalpha_ij* - r_i = dout_i . sum_{k != j*} alpha_ik
-    (g_j* - g_k): on a peaked row the two terms nearly cancel.
+    The products run on the side the forward aggregated: P = g with dP =
+    dout, or P = h with dP = dout . W^T, so that dout_i . g_j = dP_i . P_j.
+    The score gradient is B_ij (dalpha_ij - r_i), with dalpha_ij = dP_i .
+    P_j, r_i = dP_i . (A_alpha . P)_i and B = A_alpha times each score's
+    LeakyReLU slope, so its row and column sums are CSR products and no
+    (edges x width) array is built. Each row's largest entry j* is summed
+    apart as B_ij* u_i, u_i = dalpha_ij* - r_i = dP_i . sum_{k != j*}
+    alpha_ik (P_j* - P_k): on a peaked row the two terms nearly cancel.
     """
-    g, e, att, out = cache
+    side, e, att, out = cache
+    narrow = side.shape[1] < w.shape[1]  # side is A_alpha . h, not g
+    rows = slice(None) if rows is None else rows
+    p, agg, dp = (h, side, dout @ w.T) if narrow else (side, out, dout)
     alpha, starts = att.data, att.indptr[:-1]
     is_max = alpha == np.maximum.reduceat(alpha, starts)[csr_rows(att)]
     top = np.minimum.reduceat(np.where(is_max, np.arange(alpha.size), alpha.size),
@@ -237,27 +266,35 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=slice(None)):
     rest.data[top] = 0.0
     slope = np.where(e > 0.0, 1.0, LEAKY_SLOPE)
     b = with_values(att, rest.data * slope)
-    u = _rowdot(dout, np.add.reduceat(rest.data, starts)[:, None] * g[top_col]
-                - rest @ g)
+    u = _rowdot(dp, np.add.reduceat(rest.data, starts)[:, None] * p[top_col]
+                - rest @ p)
     top_de = alpha[top] * slope[top] * u
-    r = _rowdot(dout, out)
-    ds_src = _rowdot(dout, b @ g) - r * np.add.reduceat(b.data, starts) + top_de
-    ds_dst = (_rowdot(g, b.T @ dout) - b.T @ r
-              + np.bincount(top_col, weights=top_de, minlength=g.shape[0]))
+    r = _rowdot(dp, agg)
+    ds_src = _rowdot(dp, b @ p) - r * np.add.reduceat(b.data, starts) + top_de
+    ds_dst = (_rowdot(p, b.T @ dp) - b.T @ r
+              + np.bincount(top_col, weights=top_de, minlength=p.shape[0]))
+    p_src, p_dst = p[rows].T @ ds_src, p.T @ ds_dst
+    dh = None
+    if narrow:
+        dw = agg.T @ dout + np.outer(p_src, a_src) + np.outer(p_dst, a_dst)
+        if input_grad:  # a narrow head runs over every node
+            dh = (att.T @ dp + np.outer(ds_src, w @ a_src)
+                  + np.outer(ds_dst, w @ a_dst))
+        return dh, dw, w.T @ p_src, w.T @ p_dst
     dg = att.T @ dout
     dg[rows] += np.outer(ds_src, a_src)
     dg += np.outer(ds_dst, a_dst)
-    da_src = g[rows].T @ ds_src
-    da_dst = g.T @ ds_dst
-    dw = h.T @ dg
-    dh = dg @ w.T
-    return dh, dw, da_src, da_dst
+    if input_grad:
+        dh = dg @ w.T
+    return dh, h.T @ dg, p_src, p_dst
 
 
 def _gat_pass(params, view, features, mode, dropout_seed, hidden):
     """Layer 1 on every node, since attention reads all hidden states; the
-    output layer on the view's rows. ``hidden`` is the list of layer-1 head
-    caches of an earlier pass with the same params, or None."""
+    output layer on the view's rows, which it is always given (a slice of
+    all of them for the full operator), so it aggregates its projection.
+    ``hidden`` is the list of layer-1 head caches of an earlier pass with
+    the same params, or None."""
     cfg = params.config
     if features.shape[1] != cfg.input_dim:
         raise ShapeError(
@@ -291,7 +328,8 @@ def _gat_backward(params, features, dlogits, cache):
     for i in range(k):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
         _, dw, da_s, da_d = _attention_backward(
-            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, head_caches[i]
+            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, head_caches[i],
+            input_grad=False,
         )
         grads.extend([dw, da_s, da_d])
     grads.extend([dw1, da1_s, da1_d])

@@ -21,7 +21,7 @@ from .errors import (
     TrainingFailureError,
 )
 from .graph import Graph
-from .metrics import evaluate
+from .metrics import check_classes, class_scores
 from .models import (
     ModelConfig,
     ModelParams,
@@ -239,7 +239,10 @@ def train(
     train_mask = g.mask("train")
     labels = g.labels
     val_idx = np.flatnonzero(g.mask("val"))
-    val_labels = labels[val_idx]
+    num_classes = model_config.num_classes
+    val_labels = np.asarray(labels[val_idx], dtype=np.int64)
+    check_classes("truth", val_labels, num_classes)
+    val_codes = val_labels * num_classes  # confusion cell of (truth, pred 0)
 
     operator = prepare_operator(g, model_config)
     train_view = row_view(operator, np.flatnonzero(train_mask))
@@ -254,9 +257,9 @@ def train(
         if val_logits_transform is not None:
             logits = val_logits_transform(epoch, p, logits)
         pred = logits.argmax(axis=1)  # argmax ties resolve to the lowest index
-        f1 = evaluate(pred, val_labels,
-                      num_classes=model_config.num_classes).f1_macro
-        return f1, cache[0]
+        counts = np.bincount(val_codes + pred, minlength=num_classes**2)
+        f1 = class_scores(counts.reshape(num_classes, num_classes))[2]
+        return float(f1.mean()), cache[0]
 
     start = time.perf_counter()
     best_metric, hidden = val_f1(params, 0)

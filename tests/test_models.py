@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neubm.errors import ShapeError
@@ -217,6 +217,27 @@ class TestGatForward:
             dense = att.toarray()
             np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d_in,hidden", [(2, 4), (3, 3), (4, 2)])
+    def test_layer_one_cache_holds_the_narrower_side(self, d_in, hidden):
+        # d_in < hidden: the head cache holds A_alpha . X (n x d_in) and
+        # the head returns (A_alpha . X) . W; otherwise g = X . W
+        rng = np.random.default_rng(d_in)
+        g = random_graph(rng, n=6, d=d_in)
+        cfg = ModelConfig("gat", input_dim=d_in, hidden_dim=hidden,
+                          num_classes=3, dropout=0.0, num_heads=2, seed=1)
+        params = init_params(cfg)
+        _, (heads, *_) = forward_with_operator(
+            params, prepare_operator(g, cfg), g.features
+        )
+        for i, (side, _, att, out) in enumerate(heads):
+            w = params.arrays[3 * i]
+            if d_in < hidden:
+                np.testing.assert_array_equal(side, att @ g.features)
+                np.testing.assert_array_equal(out, side @ w)
+            else:
+                np.testing.assert_array_equal(side, g.features @ w)
+                np.testing.assert_array_equal(out, att @ side)
+
     def test_multi_head_shapes(self):
         rng = np.random.default_rng(6)
         g = random_graph(rng, n=6)
@@ -272,6 +293,11 @@ def dense_attention_magnitudes(dout, h, w, a_src, a_dst, cache):
     p=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a head over every node aggregates its input when d_in < d_out and its
+# projection otherwise, ties included
+@example(n=7, d_in=2, d_out=4, p=0.5, seed=1)
+@example(n=7, d_in=3, d_out=3, p=0.5, seed=2)
+@example(n=7, d_in=4, d_out=2, p=0.5, seed=3)
 def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
     # p = 0 gives all-isolated nodes; n = 1 a lone self-loop. The atol of
     # each output scales with its largest summed-term magnitude: with
@@ -302,8 +328,10 @@ def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
 
 def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     """The former per-edge head backward: gathers dout[rows] and g[cols],
-    two (edges x width) arrays, on the full adjacency."""
-    g, e, att, _ = cache
+    two (edges x width) arrays, on the full adjacency. g = h . W is
+    recomputed, whichever side the head cache holds."""
+    _, e, att, _ = cache
+    g = h @ w
     alpha, rows, cols = att.data, csr_rows(adj), adj.indices
     dalpha = np.einsum("ij,ij->i", dout[rows], g[cols])
     dg = att.T @ dout
@@ -324,9 +352,16 @@ def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     rows=st.sampled_from(["one", "all", "some"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(n=9, d_in=2, d_out=5, p=0.5, rows="some", seed=4)
+@example(n=9, d_in=3, d_out=3, p=0.5, rows="some", seed=5)
+@example(n=9, d_in=4, d_out=2, p=0.5, rows="some", seed=6)
+@example(n=9, d_in=2, d_out=5, p=0.5, rows="one", seed=7)
 def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
                                                        seed):
     # the row view's CSR is rectangular (len(rows) x n); node 0 is isolated.
+    # A head on given rows aggregates its projection whatever the widths, so
+    # its rows match the full operator's bit for bit; a head over every node
+    # (rows None, layer 1) aggregates its input when d_in < d_out.
     # Weights at about the scale init_params draws: with unit-normal weights
     # the summed terms reach ~10, both kernels land within about 1e-14 of
     # an extended-precision reference, and the absolute atol splits them
@@ -348,7 +383,8 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
 
     out, cache = _attention_layer(g.features, w, a_s, a_d, adj[idx], idx)
     grads = _attention_backward(dout, g.features, w, a_s, a_d, cache, idx)
-    full, full_cache = _attention_layer(g.features, w, a_s, a_d, adj)
+    full, full_cache = _attention_layer(g.features, w, a_s, a_d, adj,
+                                        slice(None))
     assert np.array_equal(out, full[idx])
     full_dout = np.zeros((n, d_out))
     full_dout[idx] = dout
@@ -356,6 +392,13 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
         full_dout, g.features, w, a_s, a_d, adj, full_cache
     )
     for got, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    every, every_cache = _attention_layer(g.features, w, a_s, a_d, adj)
+    np.testing.assert_allclose(every, full, rtol=1e-12, atol=1e-14)
+    every_grads = _attention_backward(full_dout, g.features, w, a_s, a_d,
+                                      every_cache)
+    for got, want in zip(every_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 

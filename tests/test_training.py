@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neubm.datasets import SbmConfig, generate_sbm, stratified_split
-from neubm.errors import EmptyScopeError, TrainingFailureError
+from neubm.errors import (
+    EmptyScopeError,
+    GraphValidationError,
+    TrainingFailureError,
+)
 from neubm.graph import Graph, compute_dataset_stats
 from neubm.harness import _make_refresh_hook
 from neubm.metrics import evaluate
@@ -178,6 +182,22 @@ class TestGradients:
                                    step=1e-5)
             assert max_rel_err(grad, fd) <= 1e-4
 
+    def test_narrow_input_gat_row_view_matches_finite_differences(self):
+        # input_dim < hidden_dim: layer-1 heads aggregate the features and
+        # project after; criterion 2's step and tolerance on a row view
+        rng = np.random.default_rng(50)
+        mask = np.zeros(12, bool)
+        mask[[1, 2, 4, 7, 9, 11]] = True
+        for trial in range(3):
+            g = random_graph(rng, d=3)
+            cfg = ModelConfig("gat", input_dim=3, hidden_dim=5, num_classes=3,
+                              dropout=0.0, num_heads=2, seed=trial)
+            params = init_params(cfg)
+            _, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay=0.01)
+            fd = finite_difference(params, g, g.labels, mask, weight_decay=0.01,
+                                   step=1e-5)
+            assert max_rel_err(grad, fd) <= 1e-4
+
     def test_gat_memory_at_criterion_5_scale(self):
         # 2,000 nodes, 42.8k stored entries, width 32; gathering the
         # (edges x width) per-edge products peaked at 26 MiB here
@@ -231,7 +251,8 @@ class TestGradients:
 
 
 def reference_gat_backward(params, adj, features, dlogits, cache):
-    """The former GAT backward: full-width dlogits, per-edge heads."""
+    """The former GAT backward: full-width dlogits, per-edge heads, each
+    recomputing g = h . W from the weights."""
     k, h = params.config.num_heads, params.config.hidden_dim
     head_caches, z1, drop, h1, out_cache, _ = cache
     w1, a1_s, a1_d = params.arrays[3 * k :]
@@ -410,6 +431,13 @@ class TestTrainLoop:
             TrainConfig(max_epochs=50, patience=0, seed=0),
         )
         assert report.epochs_run == 1
+
+    def test_validation_label_outside_model_classes_rejected(self):
+        g = easy_sbm()  # labels 0 and 1; the model knows class 0 only
+        split = stratified_split(g, 0.3, 0.3, 2, seed=0)
+        with pytest.raises(GraphValidationError, match="outside"):
+            train(g, split, ModelConfig("gcn", 4, 8, 1, dropout=0.0, seed=0),
+                  TrainConfig(max_epochs=2, patience=2, seed=0))
 
     def test_separable_data_fits_train_set(self):
         g = easy_sbm()
