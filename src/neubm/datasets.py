@@ -333,7 +333,9 @@ def generate_sbm(config: SbmConfig) -> Graph:
     given config.seed.
 
     Each class-pair block takes one uniform per cell, row-major, drawn a
-    strip of rows at a time: time is O(n^2), memory O(strip + |E|).
+    strip of rows at a time: time is O(n^2), memory O(strip + |E|). Each
+    edge (lo, hi), lo < hi, is packed as the key lo * n + hi, and one sort
+    of all keys leaves the edges canonical.
     """
     sizes = sbm_class_sizes(config)
     n = config.total_nodes
@@ -341,25 +343,22 @@ def generate_sbm(config: SbmConfig) -> Graph:
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
     rng = np.random.default_rng(config.seed)
-    edge_chunks = []
+    key_chunks = [np.zeros(0, dtype=np.int64)]
     for ci in range(config.num_classes):
         for cj in range(ci, config.num_classes):
             p = config.p_intra if ci == cj else config.p_inter
             rows, cols = sizes[ci], sizes[cj]
             step = max(1, SBM_STRIP_UNIFORMS // cols)
             for r0 in range(0, rows, step):
-                iu, ju = np.nonzero(rng.random((min(step, rows - r0), cols)) < p)
+                hits = np.flatnonzero(rng.random((min(step, rows - r0), cols)) < p)
+                iu, ju = np.divmod(hits, cols)
                 iu += r0
                 if ci == cj:
                     upper = iu < ju
                     iu, ju = iu[upper], ju[upper]
-                if iu.size:
-                    edge_chunks.append(
-                        np.stack([offsets[ci] + iu, offsets[cj] + ju], axis=1)
-                    )
-    edges = (
-        np.concatenate(edge_chunks) if edge_chunks else np.zeros((0, 2), dtype=np.int64)
-    )
+                key_chunks.append((offsets[ci] + iu) * n + (offsets[cj] + ju))
+    keys = np.sort(np.concatenate(key_chunks))
+    edges = np.stack(np.divmod(keys, n), axis=1)
 
     means = _class_means(config)
     features = means[labels] + rng.normal(

@@ -47,7 +47,8 @@ def canonical_edges(edges) -> np.ndarray:
     # already increase strictly are sorted and duplicate-free
     keys = lo * span + hi
     if np.any(keys[1:] <= keys[:-1]):
-        keys = np.unique(keys)
+        keys = np.sort(keys)
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     return np.stack([keys // span, keys % span], axis=1)
 
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError, ShapeError
-from .graph import Graph, build_adjacency, csr_rows, symmetric_normalize, with_values
+from .graph import Graph, build_adjacency, symmetric_normalize, with_values
 
 LEAKY_SLOPE = 0.2  # attention score nonlinearity
 
@@ -192,16 +193,33 @@ def _gcn_backward(params, operator, dlogits, cache):
 # GAT
 
 
-def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
+class Segments(NamedTuple):
+    """CSR rows an attention head runs over, with the first stored entry
+    (``starts``) and the number of stored entries (``sizes``) of each row.
+    A per-row value spreads to the row's entries as np.repeat(v, sizes),
+    which is cheaper than gathering it through per-entry row ids."""
+
+    csr: sp.csr_matrix
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def segments(adj: sp.csr_matrix) -> Segments:
+    """The segments of every row of ``adj``."""
+    return Segments(adj, adj.indptr[:-1], np.diff(adj.indptr))
+
+
+def _attention_layer(h, w, a_src, a_dst, segs, rows=None):
     """Single attention head: softmax-normalized neighbor aggregation.
 
-    ``adj`` holds the self-looped CSR rows of the output nodes ``rows`` (an
+    ``segs`` holds the self-looped CSR rows of the output nodes ``rows`` (an
     index array or slice) over all n columns, or every node's row when
-    ``rows`` is None. Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one
-    per stored entry (i, j); the softmax runs over each row's segment of
-    entries. Self-loops keep every segment nonempty. Returns the output
-    rows and a cache (side, per-edge scores, the attention CSR A_alpha,
-    output) for the backward pass.
+    ``rows`` is None, with their starts and sizes (:func:`segments`).
+    Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one per stored entry
+    (i, j); the softmax runs over each row's segment of entries. Self-loops
+    keep every segment nonempty. Returns the output rows and a cache (side,
+    per-entry LeakyReLU slopes, the attention CSR A_alpha, output) for the
+    backward pass.
 
     A head over every node (layer 1) runs its sparse products on the
     narrower side: when h is strictly narrower than its projection it takes
@@ -212,6 +230,7 @@ def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
     a matrix-vector path for a single row), and a row view must match it
     bit for bit.
     """
+    adj, starts, sizes = segs
     narrow = rows is None and h.shape[1] < w.shape[1]
     if narrow:
         s_src, s_dst = h @ (w @ a_src), h @ (w @ a_dst)
@@ -220,29 +239,39 @@ def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
         s_src, s_dst = g @ a_src, g @ a_dst
     if rows is not None:
         s_src = s_src[rows]
-    seg, starts = csr_rows(adj), adj.indptr[:-1]
-    e = s_src[seg] + s_dst[adj.indices]
-    e_act = np.where(e > 0.0, e, LEAKY_SLOPE * e)
-    exps = np.exp(e_act - np.maximum.reduceat(e_act, starts)[seg])
-    att = with_values(adj, exps / np.add.reduceat(exps, starts)[seg])
+    e = np.repeat(s_src, sizes) + s_dst.take(adj.indices)
+    # exactly 1.0 where e > 0 and LEAKY_SLOPE elsewhere, so e * slope is
+    # LeakyReLU(e) bit for bit; several times cheaper than np.where here
+    slope = (e > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+    e_act = e * slope
+    exps = np.exp(e_act - np.repeat(np.maximum.reduceat(e_act, starts), sizes))
+    att = with_values(adj, exps / np.repeat(np.add.reduceat(exps, starts), sizes))
     if narrow:
         side = att @ h
         out = side @ w
     else:
         side = g
         out = att @ g
-    return out, (side, e, att, out)
+    return out, (side, slope, att, out)
 
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=None,
+def _first_row_max(alpha, starts, sizes):
+    """Storage index of the first largest entry of each nonempty CSR row:
+    the first hit of the row-max mask at or after the row's start."""
+    hits = np.flatnonzero(alpha == np.repeat(np.maximum.reduceat(alpha, starts),
+                                             sizes))
+    return hits[np.searchsorted(hits, starts)]
+
+
+def _attention_backward(dout, h, w, a_src, a_dst, cache, segs, rows=None,
                         input_grad=True):
     """Gradients (dh, dw, da_src, da_dst) of one head from ``dout`` at its
-    output rows (see :func:`_attention_layer`); dh is None unless
-    ``input_grad``.
+    output rows, given the ``segs`` and ``rows`` of its forward (see
+    :func:`_attention_layer`); dh is None unless ``input_grad``.
 
     The products run on the side the forward aggregated: P = g with dP =
     dout, or P = h with dP = dout . W^T, so that dout_i . g_j = dP_i . P_j.
@@ -253,18 +282,16 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, rows=None,
     apart as B_ij* u_i, u_i = dalpha_ij* - r_i = dP_i . sum_{k != j*}
     alpha_ik (P_j* - P_k): on a peaked row the two terms nearly cancel.
     """
-    side, e, att, out = cache
+    side, slope, att, out = cache
+    _, starts, sizes = segs
     narrow = side.shape[1] < w.shape[1]  # side is A_alpha . h, not g
     rows = slice(None) if rows is None else rows
     p, agg, dp = (h, side, dout @ w.T) if narrow else (side, out, dout)
-    alpha, starts = att.data, att.indptr[:-1]
-    is_max = alpha == np.maximum.reduceat(alpha, starts)[csr_rows(att)]
-    top = np.minimum.reduceat(np.where(is_max, np.arange(alpha.size), alpha.size),
-                              starts)  # first largest alpha of each row
+    alpha = att.data
+    top = _first_row_max(alpha, starts, sizes)
     top_col = att.indices[top]
     rest = with_values(att, alpha.copy())  # A_alpha without the top entries
     rest.data[top] = 0.0
-    slope = np.where(e > 0.0, 1.0, LEAKY_SLOPE)
     b = with_values(att, rest.data * slope)
     u = _rowdot(dp, np.add.reduceat(rest.data, starts)[:, None] * p[top_col]
                 - rest @ p)
@@ -311,16 +338,16 @@ def _gat_pass(params, view, features, mode, dropout_seed, hidden):
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, view.row_adj,
                                          view.rows)
-    return logits, (hidden, z1, gate, h1, out_cache, view.rows)
+    return logits, (hidden, z1, gate, h1, out_cache, view)
 
 
 def _gat_backward(params, features, dlogits, cache):
     cfg = params.config
     k = cfg.num_heads
-    head_caches, z1, gate, h1, out_cache, rows = cache
+    head_caches, z1, gate, h1, out_cache, view = cache
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     dh1, dw1, da1_s, da1_d = _attention_backward(
-        dlogits, h1, w1, a1_s, a1_d, out_cache, rows
+        dlogits, h1, w1, a1_s, a1_d, out_cache, view.row_adj, view.rows
     )
     dz1 = _gate_grad(dh1, z1, gate)
     grads = []
@@ -329,7 +356,7 @@ def _gat_backward(params, features, dlogits, cache):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
         _, dw, da_s, da_d = _attention_backward(
             dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, head_caches[i],
-            input_grad=False,
+            view.adj, input_grad=False,
         )
         grads.extend([dw, da_s, da_d])
     grads.extend([dw1, da1_s, da1_d])
@@ -358,12 +385,13 @@ def prepare_operator(graph: Graph, config: ModelConfig):
 
 @dataclass(frozen=True)
 class GatRowView:
-    """A GAT operator restricted to output rows: the full self-looped CSR
-    ``adj`` (layer 1 needs the hidden state of every node) and ``row_adj``,
-    its CSR rows ``rows``, on which the output layer runs."""
+    """A GAT operator restricted to output rows: the segments of the full
+    self-looped CSR ``adj`` (layer 1 needs the hidden state of every node)
+    and of ``row_adj``, its CSR rows ``rows``, on which the output layer
+    runs. The segments are computed once per view, not per pass."""
 
-    adj: sp.csr_matrix
-    row_adj: sp.csr_matrix
+    adj: Segments
+    row_adj: Segments
     rows: np.ndarray | slice
 
 
@@ -379,7 +407,8 @@ def row_view(operator, rows: np.ndarray):
         norm_adj = operator.norm_adj[rows]
         return GcnOperator(norm_adj=norm_adj, ax=operator.ax,
                            norm_adj_t=norm_adj.T.tocsr())
-    return GatRowView(adj=operator, row_adj=operator[rows], rows=rows)
+    return GatRowView(adj=segments(operator), row_adj=segments(operator[rows]),
+                      rows=rows)
 
 
 def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0,
@@ -397,7 +426,8 @@ def forward_with_operator(params, operator, features, mode="eval", dropout_seed=
     if params.config.architecture == "gcn":
         return _gcn_pass(params, operator, features, mode, dropout_seed, hidden)
     if not isinstance(operator, GatRowView):  # the all-rows view
-        operator = GatRowView(adj=operator, row_adj=operator, rows=slice(None))
+        every = segments(operator)
+        operator = GatRowView(adj=every, row_adj=every, rows=slice(None))
     return _gat_pass(params, operator, features, mode, dropout_seed, hidden)
 
 

@@ -204,12 +204,12 @@ def construct_neutral(
         ]
         class_rows = [rows for rows in class_rows if rows.size > 0]
         picks = rng.integers(0, len(class_rows), size=n)
-        features = np.stack(
-            [
-                labeled_source.features[class_rows[c][rng.integers(0, len(class_rows[c]))]]
-                for c in picks
-            ]
-        )
+        # one bounded draw per node, in node order, as a loop of scalar
+        # draws would take them
+        sizes = np.array([rows.size for rows in class_rows])
+        firsts = np.cumsum(sizes) - sizes
+        rows = np.concatenate(class_rows)[firsts[picks] + rng.integers(0, sizes[picks])]
+        features = labeled_source.features[rows]
     graph = Graph(num_nodes=n, features=features, edges=edges)
     return NeutralGraph(graph=graph, stats_used=stats, config=config, seed=config.seed)
 

@@ -276,6 +276,23 @@ def test_sbm_at_criterion_seeds_matches_full_block_reference():
         np.testing.assert_array_equal(got.features, expected.features)
 
 
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_sbm_emits_strictly_increasing_packed_keys(seed):
+    # generate_sbm sorts its packed keys itself, so the Graph it builds
+    # takes canonical_edges' fast path (no sort, no deduplication)
+    cfg = SbmConfig(
+        num_classes=5, total_nodes=2000, rho=10, p_intra=0.02, p_inter=0.006,
+        feature_dim=16, class_mean_separation=0.8, seed=seed,
+    )
+    with mock.patch.object(datasets, "Graph", wraps=Graph) as graph_cls:
+        graph = generate_sbm(cfg)
+    edges = np.asarray(graph_cls.call_args.kwargs["edges"])
+    assert edges.dtype == np.int64 and edges.shape == (graph.num_edges, 2)
+    assert np.all(edges[:, 0] < edges[:, 1])
+    keys = edges[:, 0] * cfg.total_nodes + edges[:, 1]
+    assert np.all(keys[1:] > keys[:-1])
+
+
 def test_sbm_memory_stays_linear_in_edges_at_10k_nodes():
     # the benchmark's block model with p scaled by 2000/n (mean degree ~20);
     # the full-block generator peaked at about 432 MB here

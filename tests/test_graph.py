@@ -275,3 +275,39 @@ def test_canonical_edges_matches_reference(n, m, dup_frac, order, seed):
     want = reference_canonical_edges(edges)
     assert got.dtype == np.int64 and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+def unique_key_canonical_edges(edges):
+    """The former duplicate removal: np.unique over the packed keys."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
+    span = int(hi.max()) + 1
+    keys = np.unique(lo * span + hi)
+    return np.stack([keys // span, keys % span], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5000),
+    m=st.integers(min_value=1, max_value=4000),
+    dup_frac=st.floats(min_value=0.0, max_value=1.0),
+    flip_frac=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_canonical_edges_matches_packed_key_unique(n, m, dup_frac, flip_frac,
+                                                    seed):
+    # shuffled lists in which a fraction of pairs repeats and a fraction is
+    # flipped (v, u); sorting the keys and dropping adjacent repeats must
+    # give exactly what np.unique gave
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n
+    pairs = np.stack([u, v], axis=1)
+    edges = np.concatenate([pairs, pairs[rng.random(m) < dup_frac]])
+    flip = rng.random(len(edges)) < flip_frac
+    edges[flip] = edges[flip, ::-1]
+    edges = edges[rng.permutation(len(edges))]
+    got = canonical_edges(edges)
+    want = unique_key_canonical_edges(edges)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from neubm.models import (
     _attention_backward,
     _attention_layer,
     _dropout_mask,
+    _first_row_max,
     backward_with_operator,
     forward_with_operator,
     init_params,
@@ -25,6 +27,7 @@ from neubm.models import (
     prepare_operator,
     row_view,
     save_checkpoint,
+    segments,
 )
 
 
@@ -200,7 +203,7 @@ class TestGatForward:
         params = init_params(cfg)
         adj = build_adjacency(g, add_self_loops=True)
         w, a_s, a_d = params.arrays[0:3]
-        _, (_, _, att, _) = _attention_layer(feats, w, a_s, a_d, adj)
+        _, (_, _, att, _) = _attention_layer(feats, w, a_s, a_d, segments(adj))
         dense = att.toarray()
         assert dense[0, 1] == pytest.approx(dense[0, 2], abs=1e-15)
 
@@ -213,7 +216,8 @@ class TestGatForward:
             params = init_params(cfg)
             adj = build_adjacency(g, add_self_loops=True)
             w, a_s, a_d = params.arrays[0:3]
-            _, (_, _, att, _) = _attention_layer(g.features, w, a_s, a_d, adj)
+            _, (_, _, att, _) = _attention_layer(g.features, w, a_s, a_d,
+                                                 segments(adj))
             dense = att.toarray()
             np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
@@ -314,10 +318,11 @@ def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
     adj = build_adjacency(g, add_self_loops=True)
     mask = adj.toarray() > 0
 
-    out, cache = _attention_layer(g.features, w, a_s, a_d, adj)
+    segs = segments(adj)
+    out, cache = _attention_layer(g.features, w, a_s, a_d, segs)
     ref_out, ref_cache = dense_attention_head(g.features, w, a_s, a_d, mask)
     got = (out, cache[2].toarray(),
-           *_attention_backward(dout, g.features, w, a_s, a_d, cache))
+           *_attention_backward(dout, g.features, w, a_s, a_d, cache, segs))
     want = (ref_out, ref_cache[2],
             *dense_attention_backward(dout, g.features, w, a_s, a_d, ref_cache))
     magnitudes = dense_attention_magnitudes(dout, g.features, w, a_s, a_d,
@@ -328,11 +333,13 @@ def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
 
 def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     """The former per-edge head backward: gathers dout[rows] and g[cols],
-    two (edges x width) arrays, on the full adjacency. g = h . W is
-    recomputed, whichever side the head cache holds."""
-    _, e, att, _ = cache
+    two (edges x width) arrays, on the full adjacency. g = h . W and the
+    scores e are recomputed, whichever side the head cache holds; only the
+    attention coefficients come from the cache."""
+    att = cache[2]
     g = h @ w
     alpha, rows, cols = att.data, csr_rows(adj), adj.indices
+    e = (g @ a_src)[rows] + (g @ a_dst)[cols]
     dalpha = np.einsum("ij,ij->i", dout[rows], g[cols])
     dg = att.T @ dout
     row_dot = np.add.reduceat(alpha * dalpha, adj.indptr[:-1])
@@ -381,9 +388,11 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     dout = rng.normal(size=(idx.size, d_out))
     adj = build_adjacency(g, add_self_loops=True)
 
-    out, cache = _attention_layer(g.features, w, a_s, a_d, adj[idx], idx)
-    grads = _attention_backward(dout, g.features, w, a_s, a_d, cache, idx)
-    full, full_cache = _attention_layer(g.features, w, a_s, a_d, adj,
+    row_segs, segs = segments(adj[idx]), segments(adj)
+    out, cache = _attention_layer(g.features, w, a_s, a_d, row_segs, idx)
+    grads = _attention_backward(dout, g.features, w, a_s, a_d, cache, row_segs,
+                                idx)
+    full, full_cache = _attention_layer(g.features, w, a_s, a_d, segs,
                                         slice(None))
     assert np.array_equal(out, full[idx])
     full_dout = np.zeros((n, d_out))
@@ -394,12 +403,60 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     for got, want in zip(grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    every, every_cache = _attention_layer(g.features, w, a_s, a_d, adj)
+    every, every_cache = _attention_layer(g.features, w, a_s, a_d, segs)
     np.testing.assert_allclose(every, full, rtol=1e-12, atol=1e-14)
     every_grads = _attention_backward(full_dout, g.features, w, a_s, a_d,
-                                      every_cache)
+                                      every_cache, segs)
     for got, want in zip(every_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_head_cache_slopes_are_the_leaky_relu_branches(seed):
+    # the cache holds exactly 1.0 where the score is positive and
+    # LEAKY_SLOPE elsewhere, as np.where gives them; scores recomputed here
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=30, d=4, p=0.3)
+    adj = build_adjacency(g, add_self_loops=True)
+    w = rng.normal(size=(4, 3))
+    a_s, a_d = rng.normal(size=(2, 3))
+    _, (_, slope, att, _) = _attention_layer(g.features, w, a_s, a_d,
+                                             segments(adj), slice(None))
+    proj = g.features @ w
+    e = (proj @ a_s)[csr_rows(adj)] + (proj @ a_d)[adj.indices]
+    assert (e > 0.0).any() and (e < 0.0).any()
+    np.testing.assert_array_equal(slope, np.where(e > 0.0, 1.0, LEAKY_SLOPE))
+
+
+def reference_first_row_max(att):
+    """The former top-entry search: a row-max mask, np.where over
+    np.arange(E), and np.minimum.reduceat per row."""
+    alpha, starts = att.data, att.indptr[:-1]
+    is_max = alpha == np.maximum.reduceat(alpha, starts)[csr_rows(att)]
+    return np.minimum.reduceat(np.where(is_max, np.arange(alpha.size), alpha.size),
+                               starts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                     max_size=30),
+    levels=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(lengths=[1, 1, 1], levels=1, seed=0)  # single-entry rows only
+@example(lengths=[4, 1, 5, 2], levels=1, seed=1)  # all entries of a row tie
+def test_first_row_max_matches_reference(lengths, levels, seed):
+    # values from a few levels force ties within a row; the first of the
+    # tied largest entries must win, as before
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.integers(1, levels + 1, size=indptr[-1]) / levels
+    indices = np.concatenate([np.sort(rng.choice(6, size=k, replace=False))
+                              for k in lengths])
+    att = sp.csr_matrix((values, indices, indptr), shape=(len(lengths), 6))
+    got = _first_row_max(att.data, att.indptr[:-1], np.diff(att.indptr))
+    np.testing.assert_array_equal(got, reference_first_row_max(att))
 
 
 @settings(max_examples=120, deadline=None)

@@ -214,6 +214,24 @@ def reference_neutral_features(stats, config, labeled_source=None):
     ])
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("sizes", [[1], [1, 1, 1], [3, 1, 40], [17, 250, 2, 9, 1]])
+def test_bounded_draw_per_node_matches_scalar_loop(seed, sizes):
+    # class_balanced draws each node's row with one array-bounded
+    # rng.integers(0, sizes[picks]) call; it must take the same values as a
+    # loop of scalar draws, and leave the stream where the loop leaves it
+    sizes = np.array(sizes)
+    loop_rng, vec_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = loop_rng.integers(0, sizes.size, size=300)
+    np.testing.assert_array_equal(vec_rng.integers(0, sizes.size, size=300), picks)
+    want = np.array([loop_rng.integers(0, sizes[c]) for c in picks])
+    got = vec_rng.integers(0, sizes[picks])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(vec_rng.integers(0, 7, size=5),
+                                  loop_rng.integers(0, 7, size=5))
+    np.testing.assert_array_equal(vec_rng.random(3), loop_rng.random(3))
+
+
 class TestEdgeSampler:
     @pytest.mark.parametrize("variant", ["mean_cov", "random", "class_balanced"])
     @pytest.mark.parametrize("n_bar", [1.0, 2.0, 37.5, 300.0])

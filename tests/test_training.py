@@ -11,7 +11,7 @@ from neubm.errors import (
     GraphValidationError,
     TrainingFailureError,
 )
-from neubm.graph import Graph, compute_dataset_stats
+from neubm.graph import Graph, compute_dataset_stats, csr_rows
 from neubm.harness import _make_refresh_hook
 from neubm.metrics import evaluate
 from neubm.models import (
@@ -174,8 +174,13 @@ class TestGradients:
             _, cache = forward_with_operator(
                 params, prepare_operator(g, cfg), g.features
             )
-            head_caches, *_, out_cache, _ = cache
-            for _, e, _, _ in (*head_caches, out_cache):
+            head_caches, _, _, h1, out_cache, _ = cache
+            heads = [(g.features, *params.arrays[3 * i : 3 * i + 3], c[2])
+                     for i, c in enumerate(head_caches)]
+            heads.append((h1, *params.arrays[-3:], out_cache[2]))
+            for h, w, a_s, a_d, att in heads:
+                proj = h @ w
+                e = (proj @ a_s)[csr_rows(att)] + (proj @ a_d)[att.indices]
                 assert (e > 0.0).any() and (e < 0.0).any()  # both LeakyReLU branches
             _, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay=0.01)
             fd = finite_difference(params, g, g.labels, mask, weight_decay=0.01,
