@@ -29,6 +29,7 @@ from .errors import EXIT_CODES, ConfigError, NeubmError
 from .graph import compute_dataset_stats
 from .harness import (
     emit_report,
+    load_dataset_config,
     load_experiment_config,
     read_records,
     resolve_output_dir,
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_gen(args) -> int:
     if args.config:
-        cfg = SbmConfig(**json.loads(Path(args.config).read_text()))
+        cfg = load_dataset_config(args.config)
     else:
         cfg = SbmConfig(
             num_classes=args.classes, total_nodes=args.nodes, rho=args.rho,

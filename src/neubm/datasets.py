@@ -282,21 +282,30 @@ class SbmConfig:
             raise InfeasibleError("feature_std > 0 and separation >= 0 required")
 
 
-def largest_remainder(targets: np.ndarray, total: int) -> np.ndarray:
-    """Round nonnegative reals to integers summing to ``total``.
+def largest_remainder(targets: np.ndarray, total: int, caps=None) -> np.ndarray:
+    """Round nonnegative reals to integers summing to ``total``, none above
+    its entry of ``caps`` when given.
 
-    Floors first, then hands out the remainder by descending fractional
-    part (ties broken toward the lower index).
+    Floors first (clipped to the caps), then hands out the remainder one
+    unit per entry and round by descending fractional part (ties broken
+    toward the lower index), skipping entries at their cap.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    base = np.floor(targets).astype(np.int64)
-    short = total - int(base.sum())
+    floor = np.floor(targets)
+    no_cap = np.iinfo(np.int64).max
+    caps = np.broadcast_to(no_cap if caps is None else caps, targets.shape)
+    out = np.minimum(floor.astype(np.int64), caps)
+    short = total - int(out.sum())
     if short < 0:
         raise InfeasibleError("targets exceed total")
-    frac = targets - base
-    order = np.lexsort((np.arange(len(targets)), -frac))
-    base[order[:short]] += 1
-    return base
+    order = np.lexsort((np.arange(len(targets)), -(targets - floor)))
+    while short > 0:
+        free = order[out[order] < caps[order]]
+        if free.size == 0:
+            raise InfeasibleError(f"caps too tight to place all of {total}")
+        out[free[:short]] += 1
+        short -= min(short, free.size)
+    return out
 
 
 def sbm_class_sizes(config: SbmConfig) -> np.ndarray:
@@ -400,29 +409,6 @@ def apply_split(graph: Graph, split: SplitAssignment) -> Graph:
     return graph.with_masks(masks)
 
 
-def _capped_largest_remainder(
-    targets: np.ndarray, total: int, caps: np.ndarray
-) -> np.ndarray:
-    """Largest-remainder rounding with per-entry upper bounds."""
-    base = np.minimum(np.floor(targets).astype(np.int64), caps)
-    short = total - int(base.sum())
-    frac = targets - np.floor(targets)
-    order = np.lexsort((np.arange(len(targets)), -frac))
-    out = base.copy()
-    while short > 0:
-        progressed = False
-        for i in order:
-            if short == 0:
-                break
-            if out[i] < caps[i]:
-                out[i] += 1
-                short -= 1
-                progressed = True
-        if not progressed:
-            raise InfeasibleError("caps too tight to place all nodes")
-    return out
-
-
 def stratified_split(
     graph: Graph,
     train_frac: float,
@@ -467,8 +453,8 @@ def stratified_split(
     avail = sizes - train_counts
     val_total = min(int(round(val_frac * n_labeled)), int(avail.sum()))
     test_total = int(avail.sum()) - val_total
-    test_counts = _capped_largest_remainder(
-        sizes * (test_total / n_labeled), test_total, avail
+    test_counts = largest_remainder(
+        sizes * (test_total / n_labeled), test_total, caps=avail
     )
     val_counts = avail - test_counts
 

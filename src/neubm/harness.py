@@ -120,13 +120,7 @@ def load_experiment_config(source) -> ExperimentConfig:
     in a section or calibration spec raise ConfigError naming the file,
     section or key.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {source}: {exc}") from None
-    else:
-        raw = dict(source)
+    raw = _read_config(source)
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ConfigError(f"config: unknown keys {unknown}")
@@ -157,6 +151,23 @@ def load_experiment_config(source) -> ExperimentConfig:
         rho_sweep=tuple(raw["rho_sweep"]) if raw.get("rho_sweep") else None,
         output_dir=raw.get("output_dir", "runs/experiment"),
     )
+
+
+def load_dataset_config(source) -> SbmConfig:
+    """Generator settings (JSON file or dict), checked as a config's 'dataset'."""
+    return _section("dataset", SbmConfig, _read_config(source))
+
+
+def _read_config(source) -> dict:
+    if not isinstance(source, (str, Path)):
+        return dict(source)
+    try:
+        raw = json.loads(Path(source).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {source}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {source} is not a JSON object")
+    return raw
 
 
 def _section(name: str, cls, values):
@@ -196,12 +207,6 @@ class ResultRecord:
     error: str | None = None
     derived_seeds: dict | None = None
     neutral_fidelity: dict | None = None
-
-    def key(self) -> tuple:
-        return (
-            self.config_hash, self.seed, self.fold_id, self.group,
-            self.row_id, self.sweep_variable, self.sweep_value,
-        )
 
     def to_dict(self) -> dict:
         # shallow on purpose: asdict would deep-copy every nested dict and
@@ -627,7 +632,11 @@ def write_records(records: list[ResultRecord], output_dir) -> Path:
 
 
 def read_records(path) -> list[dict]:
-    return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+    try:
+        return [json.loads(line) for line in Path(path).read_text().splitlines()
+                if line]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read records {path}: {exc}") from None
 
 
 def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:

@@ -2,13 +2,13 @@
 hand-written reverse-mode gradients, plus parameter containers and a JSON
 checkpoint format.
 
-Both architectures propagate over one sparse structure: the self-looped CSR
-adjacency of the graph. GCN stores the symmetrically normalized weights as
-its values and precomputes the parameter-free A_hat . X once per graph;
-GAT computes attention per stored edge and aggregates with the attention
-coefficients as values, so no N x N array is ever built. A row view of an
-operator (:func:`row_view`) returns the logits of chosen nodes only, which
-is all the training loss and validation read.
+Both architectures propagate over one :class:`Operator`: a graph's
+self-looped CSR adjacency plus the input of layer 1. GCN stores normalized
+weights as the values and A_hat . X as the input, once per graph; GAT keeps
+X and aggregates with per-edge attention coefficients as values, so no N x
+N array is ever built. A row view of an operator (:func:`row_view`) returns
+the logits of chosen nodes only, which is all the training loss and
+validation read.
 
 Everything runs in float64; forward and backward are deterministic given
 the explicit dropout seed, so training trajectories are bit-reproducible.
@@ -138,63 +138,11 @@ def _gate_grad(dh1, z1, gate):
 
 
 # ---------------------------------------------------------------------------
-# GCN
-
-
-@dataclass(frozen=True)
-class GcnOperator:
-    """The GCN propagation operator of one graph: rows of the symmetrically
-    normalized self-looped CSR adjacency A_hat (all n of them, or the rows
-    of a :func:`row_view`), plus the parameter-free first propagation
-    A_hat . X of that graph's features (all n rows, which layer 2 reads).
-
-    ``norm_adj_t`` is the CSR transpose of a row view's rows, which the
-    backward multiplies by; the full A_hat is symmetric and stores none.
-    """
-
-    norm_adj: sp.csr_matrix
-    ax: np.ndarray
-    norm_adj_t: sp.csr_matrix | None = None
-
-
-def _gcn_pass(params, operator, features, mode, dropout_seed, hidden):
-    """logits = A_hat . (dropout(relu(A_hat . X . W0)) . W1)
-
-    A_hat . X comes from the operator, so ``features`` must be the features
-    of the graph the operator was built from; only its width is checked.
-    ``hidden`` is z1 = A_hat . X . W0 of an earlier pass with the same
-    params, or None. Layer 2 projects to the class width before it
-    propagates, and only to the operator's rows.
-    """
-    w0, w1 = params.arrays
-    if features.shape[1] != w0.shape[0]:
-        raise ShapeError(
-            f"features have width {features.shape[1]}, layer expects {w0.shape[0]}"
-        )
-    z1 = operator.ax @ w0 if hidden is None else hidden
-    h1, gate = _relu_dropout(z1, params.config, mode, dropout_seed)
-    logits = operator.norm_adj @ (h1 @ w1)
-    return logits, (z1, gate, h1)
-
-
-def _gcn_backward(params, operator, dlogits, cache):
-    w0, w1 = params.arrays
-    z1, gate, h1 = cache
-    # (A_hat[rows])^T . dlogits; on the full operator this is A_hat . dlogits
-    adj_t = operator.norm_adj if operator.norm_adj_t is None else operator.norm_adj_t
-    adl = adj_t @ dlogits
-    dw1 = h1.T @ adl
-    dz1 = _gate_grad(adl @ w1.T, z1, gate)
-    dw0 = operator.ax.T @ dz1
-    return (dw0, dw1)
-
-
-# ---------------------------------------------------------------------------
-# GAT
+# the propagation operator
 
 
 class Segments(NamedTuple):
-    """CSR rows an attention head runs over, with the first stored entry
+    """CSR rows an operator propagates over, with the first stored entry
     (``starts``) and the number of stored entries (``sizes``) of each row.
     A per-row value spreads to the row's entries as np.repeat(v, sizes),
     which is cheaper than gathering it through per-entry row ids."""
@@ -207,6 +155,83 @@ class Segments(NamedTuple):
 def segments(adj: sp.csr_matrix) -> Segments:
     """The segments of every row of ``adj``."""
     return Segments(adj, adj.indptr[:-1], np.diff(adj.indptr))
+
+
+@dataclass(frozen=True)
+class Operator:
+    """The propagation operator of one graph, for either architecture.
+
+    ``adj``: segments of the full self-looped CSR adjacency (GCN: normalized
+    values; GAT: structure only). ``x``: what layer 1 multiplies by its
+    weights (GCN: A_hat . X; GAT: X), so the operator carries its graph's
+    features. The output layer runs on the CSR rows ``rows`` of ``adj``,
+    with segments ``row_adj`` and CSR transpose ``row_adj_t`` (the GCN
+    backward's). The full operator has every row: ``row_adj`` is ``adj`` and
+    ``row_adj_t`` is ``adj.csr``, A_hat being symmetric.
+    """
+
+    adj: Segments
+    x: np.ndarray
+    rows: np.ndarray | slice
+    row_adj: Segments
+    row_adj_t: sp.csr_matrix
+
+
+def prepare_operator(graph: Graph, config: ModelConfig) -> Operator:
+    """The full :class:`Operator` of ``graph`` for ``config``'s architecture."""
+    adj = build_adjacency(graph, add_self_loops=True)
+    x = graph.features
+    if config.architecture == "gcn":
+        adj = symmetric_normalize(adj)
+        x = adj @ x
+    every = segments(adj)
+    return Operator(adj=every, x=x, rows=slice(None), row_adj=every, row_adj_t=adj)
+
+
+def row_view(operator: Operator, rows: np.ndarray) -> Operator:
+    """The operator restricted to the output nodes ``rows`` (sorted indices).
+
+    A forward through the view returns the (len(rows), C) logits that the
+    full operator gives at those rows, bit for bit; its backward takes
+    dlogits of that shape. The output layer (GCN's second propagation,
+    GAT's output attention) runs on those rows only; their segments and
+    transpose are computed once per view, not per pass.
+    """
+    row_adj = operator.adj.csr[rows]
+    return replace(operator, rows=rows, row_adj=segments(row_adj),
+                   row_adj_t=row_adj.T.tocsr())
+
+
+# ---------------------------------------------------------------------------
+# GCN
+
+
+def _gcn_pass(params, operator, mode, dropout_seed, hidden):
+    """logits = A_hat . (dropout(relu(A_hat . X . W0)) . W1)
+
+    ``hidden`` is z1 = A_hat . X . W0 of an earlier pass with the same
+    params, or None. Layer 2 projects to the class width before it
+    propagates, and only to the operator's rows.
+    """
+    w0, w1 = params.arrays
+    z1 = operator.x @ w0 if hidden is None else hidden
+    h1, gate = _relu_dropout(z1, params.config, mode, dropout_seed)
+    logits = operator.row_adj.csr @ (h1 @ w1)
+    return logits, (z1, gate, h1)
+
+
+def _gcn_backward(params, operator, dlogits, cache):
+    w0, w1 = params.arrays
+    z1, gate, h1 = cache
+    adl = operator.row_adj_t @ dlogits
+    dw1 = h1.T @ adl
+    dz1 = _gate_grad(adl @ w1.T, z1, gate)
+    dw0 = operator.x.T @ dz1
+    return (dw0, dw1)
+
+
+# ---------------------------------------------------------------------------
+# GAT
 
 
 def _attention_layer(h, w, a_src, a_dst, segs, rows=None):
@@ -321,38 +346,35 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, segs, rows=None,
     return dh, h.T @ dg, p_src, p_dst
 
 
-def _gat_pass(params, view, features, mode, dropout_seed, hidden):
+def _gat_pass(params, operator, mode, dropout_seed, hidden):
     """Layer 1 on every node, since attention reads all hidden states; the
-    output layer on the view's rows, which it is always given (a slice of
-    all of them for the full operator), so it aggregates its projection.
+    output layer on the operator's rows, which it is always given (a slice
+    of all of them for the full operator), so it aggregates its projection.
     ``hidden`` is the list of layer-1 head caches of an earlier pass with
     the same params, or None."""
     cfg = params.config
-    if features.shape[1] != cfg.input_dim:
-        raise ShapeError(
-            f"features have width {features.shape[1]}, model expects {cfg.input_dim}"
-        )
     k = cfg.num_heads
     if hidden is None:
         hidden = [
-            _attention_layer(features, *params.arrays[3 * i : 3 * i + 3], view.adj)[1]
+            _attention_layer(operator.x, *params.arrays[3 * i : 3 * i + 3],
+                             operator.adj)[1]
             for i in range(k)
         ]
     z1 = np.concatenate([cache[3] for cache in hidden], axis=1)  # head outputs
     h1, gate = _relu_dropout(z1, cfg, mode, dropout_seed)
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
-    logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, view.row_adj,
-                                         view.rows)
-    return logits, (hidden, z1, gate, h1, out_cache, view)
+    logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, operator.row_adj,
+                                         operator.rows)
+    return logits, (hidden, z1, gate, h1, out_cache)
 
 
-def _gat_backward(params, features, dlogits, cache):
+def _gat_backward(params, operator, dlogits, cache):
     cfg = params.config
     k = cfg.num_heads
-    head_caches, z1, gate, h1, out_cache, view = cache
+    head_caches, z1, gate, h1, out_cache = cache
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     dh1, dw1, da1_s, da1_d = _attention_backward(
-        dlogits, h1, w1, a1_s, a1_d, out_cache, view.row_adj, view.rows
+        dlogits, h1, w1, a1_s, a1_d, out_cache, operator.row_adj, operator.rows
     )
     dz1 = _gate_grad(dh1, z1, gate)
     grads = []
@@ -360,8 +382,8 @@ def _gat_backward(params, features, dlogits, cache):
     for i in range(k):
         w, a_s, a_d = params.arrays[3 * i : 3 * i + 3]
         _, dw, da_s, da_d = _attention_backward(
-            dz1[:, i * h : (i + 1) * h], features, w, a_s, a_d, head_caches[i],
-            view.adj, input_grad=False,
+            dz1[:, i * h : (i + 1) * h], operator.x, w, a_s, a_d, head_caches[i],
+            operator.adj, input_grad=False,
         )
         grads.extend([dw, da_s, da_d])
     grads.extend([dw1, da1_s, da1_d])
@@ -372,51 +394,7 @@ def _gat_backward(params, features, dlogits, cache):
 # shared entry points
 
 
-def prepare_operator(graph: Graph, config: ModelConfig):
-    """Precompute the fixed propagation operator for a graph.
-
-    gat gets the self-looped CSR adjacency; it uses only its structure and
-    supplies attention coefficients as values. gcn gets a
-    :class:`GcnOperator`: the same adjacency with symmetrically normalized
-    values, plus A_hat . X of ``graph.features``. Pass the operator only
-    with the features of the graph it was built from.
-    """
-    adj = build_adjacency(graph, add_self_loops=True)
-    if config.architecture == "gat":
-        return adj
-    norm_adj = symmetric_normalize(adj)
-    return GcnOperator(norm_adj=norm_adj, ax=norm_adj @ graph.features)
-
-
-@dataclass(frozen=True)
-class GatRowView:
-    """A GAT operator restricted to output rows: the segments of the full
-    self-looped CSR ``adj`` (layer 1 needs the hidden state of every node)
-    and of ``row_adj``, its CSR rows ``rows``, on which the output layer
-    runs. The segments are computed once per view, not per pass."""
-
-    adj: Segments
-    row_adj: Segments
-    rows: np.ndarray | slice
-
-
-def row_view(operator, rows: np.ndarray):
-    """The operator restricted to the output nodes ``rows`` (sorted indices).
-
-    A forward through the view returns the (len(rows), C) logits that the
-    full operator gives at those rows, bit for bit; its backward takes
-    dlogits of that shape. The output layer (GCN's second propagation,
-    GAT's output attention) runs on those rows only.
-    """
-    if isinstance(operator, GcnOperator):
-        norm_adj = operator.norm_adj[rows]
-        return GcnOperator(norm_adj=norm_adj, ax=operator.ax,
-                           norm_adj_t=norm_adj.T.tocsr())
-    return GatRowView(adj=segments(operator), row_adj=segments(operator[rows]),
-                      rows=rows)
-
-
-def forward_with_operator(params, operator, features, mode="eval", dropout_seed=0,
+def forward_with_operator(params, operator: Operator, mode="eval", dropout_seed=0,
                           hidden=None):
     """Logits for the operator's rows (every node for a full operator) and
     the cache its backward needs.
@@ -428,25 +406,22 @@ def forward_with_operator(params, operator, features, mode="eval", dropout_seed=
     operator of the same graph skips layer 1 and gives bit-identical
     results; None recomputes it.
     """
-    if params.config.architecture == "gcn":
-        return _gcn_pass(params, operator, features, mode, dropout_seed, hidden)
-    if not isinstance(operator, GatRowView):  # the all-rows view
-        every = segments(operator)
-        operator = GatRowView(adj=every, row_adj=every, rows=slice(None))
-    return _gat_pass(params, operator, features, mode, dropout_seed, hidden)
+    width, expected = operator.x.shape[1], params.config.input_dim
+    if width != expected:
+        raise ShapeError(f"operator input has width {width}, model expects {expected}")
+    model_pass = _gcn_pass if params.config.architecture == "gcn" else _gat_pass
+    return model_pass(params, operator, mode, dropout_seed, hidden)
 
 
-def backward_with_operator(params, operator, features, dlogits, cache):
+def backward_with_operator(params, operator: Operator, dlogits, cache):
     """Parameter gradients from dlogits at the operator's rows."""
-    if params.config.architecture == "gcn":
-        return _gcn_backward(params, operator, dlogits, cache)
-    return _gat_backward(params, features, dlogits, cache)
+    backward = _gcn_backward if params.config.architecture == "gcn" else _gat_backward
+    return backward(params, operator, dlogits, cache)
 
 
 def predict_logits(params: ModelParams, graph: Graph) -> np.ndarray:
     """Uncalibrated per-node logits, eval mode."""
-    operator = prepare_operator(graph, params.config)
-    logits, _ = forward_with_operator(params, operator, graph.features, mode="eval")
+    logits, _ = forward_with_operator(params, prepare_operator(graph, params.config))
     return logits
 
 
@@ -468,8 +443,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"{path} is not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {payload.get('version')}")

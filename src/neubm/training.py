@@ -111,11 +111,12 @@ def loss_and_gradients(
 
     ``operator`` is the row view (:func:`neubm.models.row_view`) of the
     mask's nodes, built from ``graph`` when omitted: only the logits the
-    loss reads are computed. ``hidden`` is the layer-1 state of an earlier
-    forward with the same params on the same graph (see
-    :func:`neubm.models.forward_with_operator`); None recomputes it. The
-    loss equals :func:`cross_entropy_loss` and dlogits ``softmax`` minus the
-    one-hot labels, from one shifted exponential.
+    loss reads are computed. A given operator carries the features of the
+    graph it was built from, so ``graph`` is then not read. ``hidden`` is
+    the layer-1 state of an earlier forward with the same params on the
+    same graph (see :func:`neubm.models.forward_with_operator`); None
+    recomputes it. The loss equals :func:`cross_entropy_loss` and dlogits
+    ``softmax`` minus the one-hot labels, from one shifted exponential.
     """
     mask = np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
@@ -125,8 +126,7 @@ def loss_and_gradients(
         operator = row_view(prepare_operator(graph, params.config), idx)
 
     logits, cache = forward_with_operator(
-        params, operator, graph.features, mode=mode, dropout_seed=dropout_seed,
-        hidden=hidden,
+        params, operator, mode=mode, dropout_seed=dropout_seed, hidden=hidden
     )
     if logits.shape[0] != idx.size:
         raise ShapeError(
@@ -146,7 +146,7 @@ def loss_and_gradients(
     dlogits[picked] -= 1.0
     dlogits /= idx.size
 
-    grads = backward_with_operator(params, operator, graph.features, dlogits, cache)
+    grads = backward_with_operator(params, operator, dlogits, cache)
     grad = np.concatenate([g.ravel() for g in grads])
     if not np.all(np.isfinite(grad)):
         name = next(name for name, g in zip(_array_names(params), grads)
@@ -253,7 +253,7 @@ def train(
 
     def val_f1(p: ModelParams, epoch: int):
         """Validation F1 of p and the layer-1 state of its forward."""
-        logits, cache = forward_with_operator(p, val_view, g.features, mode="eval")
+        logits, cache = forward_with_operator(p, val_view, mode="eval")
         if val_logits_transform is not None:
             logits = val_logits_transform(epoch, p, logits)
         pred = logits.argmax(axis=1)  # argmax ties resolve to the lowest index

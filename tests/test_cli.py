@@ -213,6 +213,38 @@ class TestExperimentCommands:
         assert run_cli("experiment", "--config", path) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, content, named", [
+        ("gen", {"num_classes": 3, "total_nodes": 200, "rho": 4,
+                 "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6,
+                 "seeed": 1}, "'seeed'"),
+        ("gen", '{"num_classes": 3,', "bad.json"),
+        ("gen", "[3, 200]", "bad.json"),
+        ("calibrate", None, "bad.json"),
+        ("calibrate", "not a checkpoint", "bad.json"),
+        ("plot", None, "records.jsonl"),
+    ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
+            "calibrate_missing_model", "calibrate_non_json_model",
+            "plot_without_records"])
+    def test_input_file_errors_exit_code(self, tmp_path, capsys, command,
+                                         content, named):
+        """A missing or unreadable input file is a config error (exit 2)
+        naming the file or key, not a traceback."""
+        path = tmp_path / "bad.json"
+        if isinstance(content, dict):
+            path.write_text(json.dumps(content))
+        elif content is not None:
+            path.write_text(content)
+        argv = {
+            "gen": ["gen", "--out", tmp_path / "data", "--config", path],
+            "calibrate": ["calibrate", "--model", path, "--data",
+                          tmp_path / "data", "--out", tmp_path / "pred.csv"],
+            "plot": ["plot", "--results", tmp_path],
+        }[command]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
 
 HEAP_PROBE = """
 import resource

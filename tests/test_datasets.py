@@ -266,6 +266,44 @@ class TestLargestRemainder:
             assert out.sum() == total
             assert np.all(out >= np.floor(t))
 
+    def test_ties_go_to_the_lower_index(self):
+        assert largest_remainder([0.5, 0.5, 0.5], 1).tolist() == [1, 0, 0]
+        assert largest_remainder([0.5, 0.5, 0.5], 1, caps=[0, 1, 1]).tolist() == [0, 1, 0]
+
+    def test_capped_entries_are_skipped(self):
+        # floors clip to [2, 1, 0]; by fraction the order is 2, 0, 1 and
+        # entry 0 is at its cap
+        out = largest_remainder([2.6, 1.5, 0.9], 5, caps=np.array([2, 5, 5]))
+        assert out.tolist() == [2, 2, 1]
+
+    def test_capped_remainder_goes_round_again(self):
+        # the clipped floor leaves 3 to place on the two open entries
+        out = largest_remainder([3.0, 0.2, 0.1], 4, caps=np.array([1, 3, 3]))
+        assert out.tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize("targets, total, caps", [
+        ([2.5, 2.5], 3, None),
+        ([2.5, 2.5], 3, [5, 5]),  # the floors alone exceed the total
+        ([1.0, 1.0], 3, [1, 1]),  # caps too tight
+        ([], 1, None),
+    ])
+    def test_infeasible(self, targets, total, caps):
+        with pytest.raises(InfeasibleError):
+            largest_remainder(targets, total, caps=caps)
+
+    def test_capped_exact_total(self):
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            t = rng.random(5) * 20
+            caps = rng.integers(0, 25, size=5)
+            total = int(rng.integers(0, caps.sum() + 1))
+            if np.minimum(np.floor(t), caps).sum() > total:
+                continue
+            out = largest_remainder(t, total, caps=caps)
+            assert out.sum() == total
+            assert np.all(out <= caps)
+            assert np.all(out >= np.minimum(np.floor(t), caps))
+
 
 def labeled_graph(class_sizes, seed=0):
     labels = np.repeat(np.arange(len(class_sizes)), class_sizes)

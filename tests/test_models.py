@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neubm.errors import NumericError, ShapeError
+from neubm.errors import EXIT_CODES, NumericError, ShapeError
 from neubm.graph import (
     Graph,
     build_adjacency,
@@ -35,8 +35,8 @@ from neubm.training import loss_and_gradients
 
 def forward(params, graph, mode="eval", dropout_seed=0):
     logits, _ = forward_with_operator(
-        params, prepare_operator(graph, params.config), graph.features,
-        mode=mode, dropout_seed=dropout_seed,
+        params, prepare_operator(graph, params.config), mode=mode,
+        dropout_seed=dropout_seed,
     )
     return logits
 
@@ -111,11 +111,18 @@ class TestGcnForward:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("architecture", ["gcn", "gat"])
+    def test_dimension_mismatch(self, architecture):
+        # params whose input_dim differs from the width of the operator's x
+        # fail the width check (a data error, exit 3), not a matmul inside
+        # the pass, on the full operator and on a row view
         g = Graph(num_nodes=2, features=[[1.0, 2.0], [0.0, 1.0]], edges=[(0, 1)])
-        cfg = ModelConfig("gcn", input_dim=3, hidden_dim=2, num_classes=2)
-        with pytest.raises(ShapeError):
-            forward(init_params(cfg), g)
+        cfg = ModelConfig(architecture, input_dim=3, hidden_dim=2, num_classes=2)
+        operator = prepare_operator(g, cfg)
+        for op in (operator, row_view(operator, np.array([1]))):
+            with pytest.raises(ShapeError, match="width 2, model expects 3"):
+                forward_with_operator(init_params(cfg), op)
+        assert EXIT_CODES[ShapeError.category] == 3
 
 
 def reference_gcn_pass(params, norm_adj, features, mode, dropout_seed):
@@ -171,9 +178,9 @@ def test_gcn_pass_matches_reference(n, d_in, hidden, classes, p, mode,
 
     operator = prepare_operator(g, cfg)
     logits, cache = forward_with_operator(
-        params, operator, g.features, mode=mode, dropout_seed=dropout_seed
+        params, operator, mode=mode, dropout_seed=dropout_seed
     )
-    grads = backward_with_operator(params, operator, g.features, dlogits, cache)
+    grads = backward_with_operator(params, operator, dlogits, cache)
     norm_adj = symmetric_normalize(build_adjacency(g, add_self_loops=True))
     ref_logits, ref_cache = reference_gcn_pass(
         params, norm_adj, g.features, mode, dropout_seed
@@ -248,9 +255,7 @@ class TestGatForward:
         cfg = ModelConfig("gat", input_dim=d_in, hidden_dim=hidden,
                           num_classes=3, dropout=0.0, num_heads=2, seed=1)
         params = init_params(cfg)
-        _, (heads, *_) = forward_with_operator(
-            params, prepare_operator(g, cfg), g.features
-        )
+        _, (heads, *_) = forward_with_operator(params, prepare_operator(g, cfg))
         for i, (side, _, att, out) in enumerate(heads):
             w = params.arrays[3 * i]
             if d_in < hidden:
@@ -502,10 +507,12 @@ def test_row_view_logits_are_full_rows(architecture, n, p, rows, mode, seed):
     else:
         idx = np.flatnonzero(rng.random(n) < 0.5)
     operator = prepare_operator(g, cfg)
-    full, _ = forward_with_operator(params, operator, g.features, mode=mode,
+    view_operator = row_view(operator, idx)
+    assert type(view_operator) is type(operator)
+    full, _ = forward_with_operator(params, operator, mode=mode,
                                     dropout_seed=seed)
-    view, _ = forward_with_operator(params, row_view(operator, idx), g.features,
-                                    mode=mode, dropout_seed=seed)
+    view, _ = forward_with_operator(params, view_operator, mode=mode,
+                                    dropout_seed=seed)
     assert view.shape == (idx.size, 3)
     assert np.array_equal(view, full[idx])
 

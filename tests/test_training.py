@@ -69,7 +69,7 @@ def _eval_logits(params, graph):
     from neubm.models import forward_with_operator, prepare_operator
 
     operator = prepare_operator(graph, params.config)
-    logits, _ = forward_with_operator(params, operator, graph.features, mode="eval")
+    logits, _ = forward_with_operator(params, operator, mode="eval")
     return logits
 
 
@@ -172,10 +172,8 @@ class TestGradients:
             cfg = ModelConfig("gat", input_dim=4, hidden_dim=3, num_classes=3,
                               dropout=0.0, num_heads=2, seed=trial)
             params = init_params(cfg)
-            _, cache = forward_with_operator(
-                params, prepare_operator(g, cfg), g.features
-            )
-            head_caches, _, _, h1, out_cache, _ = cache
+            _, cache = forward_with_operator(params, prepare_operator(g, cfg))
+            head_caches, _, _, h1, out_cache = cache
             heads = [(g.features, *params.arrays[3 * i : 3 * i + 3], c[2])
                      for i, c in enumerate(head_caches)]
             heads.append((h1, *params.arrays[-3:], out_cache[2]))
@@ -260,7 +258,7 @@ def reference_gat_backward(params, adj, features, dlogits, cache):
     """The former GAT backward: full-width dlogits, per-edge heads, each
     recomputing g = h . W from the weights."""
     k, h = params.config.num_heads, params.config.hidden_dim
-    head_caches, z1, drop, h1, out_cache, _ = cache
+    head_caches, z1, drop, h1, out_cache = cache
     w1, a1_s, a1_d = params.arrays[3 * k :]
     dh1, *out_grads = reference_attention_backward(
         dlogits, h1, w1, a1_s, a1_d, adj, out_cache
@@ -286,7 +284,7 @@ def reference_loss_and_gradients(params, graph, labels, mask, weight_decay,
     operator = prepare_operator(graph, params.config)
     idx = np.flatnonzero(mask)
     logits, cache = forward_with_operator(
-        params, operator, graph.features, mode=mode, dropout_seed=dropout_seed
+        params, operator, mode=mode, dropout_seed=dropout_seed
     )
     loss = cross_entropy_loss(logits, labels, mask, weight_decay, params)
     probs = softmax(logits[idx])
@@ -297,12 +295,12 @@ def reference_loss_and_gradients(params, graph, labels, mask, weight_decay,
     if params.config.architecture == "gcn":
         w0, w1 = params.arrays
         z1, drop, h1 = cache
-        adl = operator.norm_adj @ dlogits
+        adl = operator.adj.csr @ dlogits
         dh1 = adl @ w1.T
         da1 = dh1 * drop if drop is not None else dh1
-        grads = (operator.ax.T @ (da1 * (z1 > 0.0)), h1.T @ adl)
+        grads = (operator.x.T @ (da1 * (z1 > 0.0)), h1.T @ adl)
     else:
-        grads = reference_gat_backward(params, operator, graph.features,
+        grads = reference_gat_backward(params, operator.adj.csr, graph.features,
                                        dlogits, cache)
     flat = np.concatenate([g.ravel() for g in grads])
     if weight_decay != 0.0:
@@ -377,7 +375,7 @@ def test_fused_loss_and_gradients_match_separate_softmax(
     loss, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay,
                                     mode=mode, dropout_seed=seed, operator=view)
 
-    logits, cache = forward_with_operator(params, view, g.features, mode=mode,
+    logits, cache = forward_with_operator(params, view, mode=mode,
                                           dropout_seed=seed)
     y = g.labels[idx]
     ref_loss = cross_entropy_loss(logits, y, np.ones(idx.size, bool),
@@ -385,7 +383,7 @@ def test_fused_loss_and_gradients_match_separate_softmax(
     dlogits = softmax(logits)
     dlogits[np.arange(idx.size), y] -= 1.0
     dlogits /= idx.size
-    grads = backward_with_operator(params, view, g.features, dlogits, cache)
+    grads = backward_with_operator(params, view, dlogits, cache)
     ref_grad = np.concatenate([a.ravel() for a in grads])
     ref_grad = ref_grad + weight_decay * params.flat()
     assert loss == ref_loss
@@ -582,7 +580,7 @@ class TestTrainLoop:
         operator = prepare_operator(g, seen[0][1].config)
         curve = []
         for epoch, params in seen:
-            logits, _ = forward_with_operator(params, operator, g.features)
+            logits, _ = forward_with_operator(params, operator)
             pred = full_hook(epoch, params, logits).argmax(axis=1)
             curve.append(evaluate(pred, g.labels, mask=masks["val"],
                                   num_classes=2).f1_macro)
