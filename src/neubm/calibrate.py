@@ -18,9 +18,11 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DatasetParseError,
     DegenerateReferenceError,
     DegenerateRowError,
     ShapeError,
+    read_lines,
 )
 from .graph import Graph
 from .models import ModelParams, predict_logits
@@ -58,6 +60,8 @@ class CalibrationSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationSpec":
+        if not isinstance(d, dict):
+            raise ConfigError(f"calibration spec {d!r} is not an object")
         unknown = sorted(set(d) - {"variant", "position", "lambda"})
         if unknown:
             raise ConfigError(f"calibration spec: unknown keys {unknown}")
@@ -219,13 +223,20 @@ def write_predictions_csv(output: CalibratedOutput, path) -> None:
 
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (predicted_labels, probabilities)."""
-    with Path(path).open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        c = len(header) - 2
-        labels, probs = [], []
-        for row in reader:
-            labels.append(int(row[1]))
-            probs.append([float(x) for x in row[2 : 2 + c]])
-    return np.asarray(labels, dtype=np.int64), np.asarray(probs, dtype=np.float64)
+    """Returns (predicted_labels, probabilities) from a file written by
+    :func:`write_predictions_csv`. A fault in it raises DatasetParseError
+    naming the file (and the line)."""
+    rows = read_lines(path, "predictions", DatasetParseError, _prediction_row)
+    rows = [row for row in rows if row is not None]
+    if len({len(probs) for _, probs in rows}) > 1:
+        raise DatasetParseError("rows differ in their number of probabilities",
+                                file=path)
+    labels = np.array([label for label, _ in rows], dtype=np.int64)
+    return labels, np.array([probs for _, probs in rows], dtype=np.float64)
+
+
+def _prediction_row(line):
+    node_id, label, *probs = line.split(",")
+    if node_id == "node_id":
+        return None  # the header
+    return int(label), [float(p) for p in probs]

@@ -16,16 +16,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import CalibrationSpec, calibrate, write_predictions_csv
+from .calibrate import (
+    CalibrationSpec,
+    calibrate,
+    read_predictions_csv,
+    write_predictions_csv,
+)
 from .datasets import (
     SbmConfig,
+    SplitAssignment,
     describe,
     generate_sbm,
     load_canonical,
     save_canonical,
     stratified_split,
 )
-from .errors import EXIT_CODES, ConfigError, NeubmError
+from .errors import EXIT_CODES, ConfigError, DatasetParseError, NeubmError
 from .graph import compute_dataset_stats
 from .harness import (
     emit_report,
@@ -203,8 +209,6 @@ def cmd_train(args) -> int:
     if graph.labels is None:
         raise ConfigError("training needs a labeled dataset")
     if all(name in graph.masks for name in ("train", "val", "test")):
-        from .datasets import SplitAssignment
-
         split = SplitAssignment(
             train=np.flatnonzero(graph.mask("train")),
             val=np.flatnonzero(graph.mask("val")),
@@ -281,12 +285,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .calibrate import read_predictions_csv
-
     pred, _ = read_predictions_csv(args.pred)
     graph = load_canonical(args.data)
     if graph.labels is None:
         raise ConfigError("evaluation needs a labeled dataset")
+    if pred.shape != (graph.num_nodes,):
+        raise DatasetParseError(
+            f"{pred.size} predictions for {graph.num_nodes} nodes", file=args.pred
+        )
     if args.mask == "all":
         mask = graph.labels >= 0
     else:

@@ -26,6 +26,8 @@ from .errors import (
     DatasetParseError,
     GraphValidationError,
     InfeasibleError,
+    read_json,
+    read_lines,
 )
 from .graph import Graph, bernoulli_cells
 from .metrics import imbalance_ratio
@@ -67,162 +69,85 @@ def save_canonical(graph: Graph, path) -> None:
 
 
 def load_canonical(path) -> Graph:
-    """Load a canonical dataset directory into a validated Graph."""
+    """Load a canonical dataset directory into a validated Graph.
+
+    A missing or malformed file raises DatasetParseError naming it, and the
+    line for a bad row.
+    """
     root = Path(path)
     meta_file = root / "meta.json"
-    if not meta_file.exists():
-        raise DatasetParseError("missing meta.json", file=str(meta_file))
-    try:
-        meta = json.loads(meta_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(
-            f"malformed header: {exc.msg}", file=str(meta_file), line=exc.lineno
-        ) from exc
-    for key in META_KEYS:
-        if key not in meta:
-            raise DatasetParseError(f"header missing key {key!r}", file=str(meta_file))
+    meta = read_json(meta_file, "dataset header", DatasetParseError)
+    missing = [key for key in META_KEYS if key not in meta]
+    if missing:
+        raise DatasetParseError(f"header missing keys {missing}", file=meta_file)
     if meta["directed"]:
-        raise DatasetParseError("directed graphs unsupported", file=str(meta_file))
-    n, d = int(meta["num_nodes"]), int(meta["num_features"])
-    num_classes = int(meta["num_classes"]) or None
+        raise DatasetParseError("directed graphs unsupported", file=meta_file)
+    n, d, c = (meta[key] for key in META_KEYS[:3])
+    if not all(isinstance(v, int) and v >= 0 for v in (n, d, c)):
+        raise DatasetParseError("header counts must be nonnegative integers",
+                                file=meta_file)
 
-    features = _read_features(root / "features.csv", n, d)
-    edges = _read_edges(root / "edges.csv")
-    labels = _read_labels(root / "labels.csv", n, num_classes)
-    masks = None
+    def feature_row(line):
+        parts = line.split(",")
+        if len(parts) != d:
+            raise ValueError(f"expected {d} features, found {len(parts)}")
+        row = [float(p) for p in parts]
+        if not np.all(np.isfinite(row)):
+            raise ValueError("non-finite feature value (NaN or inf)")
+        return row
+
+    def edge(line):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError("expected 'u,v' pair")
+        u, v = int(parts[0]), int(parts[1])
+        if u >= v:
+            raise ValueError(f"edges must satisfy u < v, got ({u},{v})")
+        return u, v
+
+    def label(line):
+        lab = int(line)
+        if not -1 <= lab < c:  # c = 0: an unlabeled dataset
+            raise ValueError(f"label {lab} out of range [-1, {c})")
+        return lab
+
+    features = _rows(root / "features.csv", feature_row, n)
+    edges = _rows(root / "edges.csv", edge)
+    if len(set(edges)) != len(edges):
+        raise DatasetParseError("duplicate edges", file=root / "edges.csv")
+    labels = np.asarray(_rows(root / "labels.csv", label, n), dtype=np.int64)
+    masks = {}
     masks_file = root / "masks.json"
     if masks_file.exists():
-        try:
-            raw = json.loads(masks_file.read_text())
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(
-                f"malformed masks: {exc.msg}", file=str(masks_file), line=exc.lineno
-            ) from exc
-        masks = {}
-        for name, idx in raw.items():
-            m = np.zeros(n, dtype=bool)
-            idx = np.asarray(idx, dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
+        for name, idx in read_json(masks_file, "masks", DatasetParseError).items():
+            if not (isinstance(idx, list)
+                    and all(isinstance(i, int) and 0 <= i < n for i in idx)):
                 raise DatasetParseError(
-                    f"mask {name!r} index out of range", file=str(masks_file)
+                    f"mask {name!r} must list node indices in [0, {n})",
+                    file=masks_file,
                 )
-            m[idx] = True
-            masks[name] = m
+            masks[name] = np.zeros(n, dtype=bool)
+            masks[name][idx] = True
 
-    if np.all(labels == -1):
-        labels_arr, classes = None, None
-    else:
-        labels_arr, classes = labels, num_classes
+    labeled = bool(np.any(labels != -1))
     return Graph(
         num_nodes=n,
-        features=features,
-        edges=edges,
-        labels=labels_arr,
-        num_classes=classes,
-        masks=masks or {},
+        features=np.asarray(features, dtype=np.float64).reshape(n, d),
+        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        labels=labels if labeled else None,
+        num_classes=c if labeled else None,
+        masks=masks,
     )
 
 
-def _read_features(path: Path, n: int, d: int) -> np.ndarray:
-    if not path.exists():
-        raise DatasetParseError("missing features.csv", file=str(path))
-    rows = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d:
-                raise DatasetParseError(
-                    f"expected {d} features, found {len(parts)}",
-                    file=str(path),
-                    line=lineno,
-                )
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DatasetParseError(
-                    f"non-numeric feature value: {exc}", file=str(path), line=lineno
-                ) from exc
-            if not np.all(np.isfinite(row)):
-                raise DatasetParseError(
-                    "non-finite feature value (NaN or inf)",
-                    file=str(path), line=lineno,
-                )
-            rows.append(row)
-    if len(rows) != n:
-        raise DatasetParseError(
-            f"expected {n} feature rows, found {len(rows)}", file=str(path)
-        )
-    return np.asarray(rows, dtype=np.float64).reshape(n, d)
-
-
-def _read_edges(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise DatasetParseError("missing edges.csv", file=str(path))
-    edges = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DatasetParseError(
-                    "expected 'u,v' pair", file=str(path), line=lineno
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DatasetParseError(
-                    f"non-integer endpoint: {exc}", file=str(path), line=lineno
-                ) from exc
-            if u >= v:
-                raise DatasetParseError(
-                    f"edges must satisfy u < v, got ({u},{v})",
-                    file=str(path),
-                    line=lineno,
-                )
-            edges.append((u, v))
-    if len(set(edges)) != len(edges):
-        raise DatasetParseError("duplicate edges", file=str(path))
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-
-
-def _read_labels(path: Path, n: int, num_classes: int | None) -> np.ndarray:
-    if not path.exists():
-        raise DatasetParseError("missing labels.csv", file=str(path))
-    labels = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                lab = int(line)
-            except ValueError as exc:
-                raise DatasetParseError(
-                    f"non-integer label: {exc}", file=str(path), line=lineno
-                ) from exc
-            if lab < -1 or (num_classes is not None and lab >= num_classes):
-                raise DatasetParseError(
-                    f"label {lab} out of range [-1, {num_classes})",
-                    file=str(path),
-                    line=lineno,
-                )
-            if lab >= 0 and num_classes is None:
-                raise DatasetParseError(
-                    "labeled node but header declares num_classes = 0",
-                    file=str(path),
-                    line=lineno,
-                )
-            labels.append(lab)
-    if len(labels) != n:
-        raise DatasetParseError(
-            f"expected {n} labels, found {len(labels)}", file=str(path)
-        )
-    return np.asarray(labels, dtype=np.int64)
+def _rows(path: Path, parse, count: int | None = None) -> list:
+    """``parse`` of each non-blank line of one dataset file, checking the
+    row count when one is given."""
+    rows = read_lines(path, path.name, DatasetParseError, parse)
+    if count is not None and len(rows) != count:
+        raise DatasetParseError(f"expected {count} rows, found {len(rows)}",
+                                file=path)
+    return rows
 
 
 def describe(graph: Graph) -> str:

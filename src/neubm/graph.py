@@ -12,11 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DensityUndefinedError,
-    EmptyScopeError,
-    GraphValidationError,
-)
+from .errors import DensityUndefinedError, GraphValidationError
 
 MASK_NAMES = ("train", "val", "test")
 
@@ -240,33 +236,15 @@ class DatasetStats:
 
 def compute_dataset_stats(
     graph: Graph,
-    scope: str = "all_nodes",
     covariance_mode: str = "full",
 ) -> DatasetStats:
-    """Extract n_bar, d_bar and the feature mean/covariance from one graph.
-
-    scope "all_nodes" uses every node; "train_mask" restricts to the train
-    mask and the induced subgraph (both edge endpoints in scope). Covariance
-    is population (divide by the node count).
+    """Extract n_bar, d_bar and the feature mean/covariance from all nodes
+    and edges of one graph. Covariance is population (divide by the node
+    count).
     """
-    if scope == "all_nodes":
-        idx = np.arange(graph.num_nodes)
-    elif scope == "train_mask":
-        idx = np.flatnonzero(graph.mask("train"))
-    else:
-        raise GraphValidationError(f"unknown scope {scope!r}")
-    n = idx.shape[0]
-    if n == 0:
-        raise EmptyScopeError(f"scope {scope!r} selects no nodes")
-    if n < 2:
-        raise DensityUndefinedError("need at least 2 in-scope nodes for density")
-
-    in_scope = np.zeros(graph.num_nodes, dtype=bool)
-    in_scope[idx] = True
-    keep = in_scope[graph.edges[:, 0]] & in_scope[graph.edges[:, 1]]
-    m = int(np.count_nonzero(keep))
-
-    x = graph.features[idx]
+    n = graph.num_nodes
+    d_bar = edge_density(n, graph.num_edges)  # first: it rejects n < 2
+    x = graph.features
     mu = x.mean(axis=0)
     centered = x - mu
     if covariance_mode == "diagonal":
@@ -276,7 +254,7 @@ def compute_dataset_stats(
 
     return DatasetStats(
         n_bar=float(n),
-        d_bar=edge_density(n, m),
+        d_bar=d_bar,
         mu_node=mu,
         sigma_node=sigma,
         source_node_count=n,

@@ -29,7 +29,14 @@ from .datasets import (
     kfold_splits,
     load_canonical,
 )
-from .errors import ConfigError, NeubmError, NumericError
+from .errors import (
+    ConfigError,
+    NeubmError,
+    NumericError,
+    build,
+    read_json,
+    read_lines,
+)
 from .graph import Graph, compute_dataset_stats
 from .metrics import evaluate, mmd_rbf
 from .models import ModelConfig, predict_logits
@@ -109,6 +116,10 @@ class ExperimentConfig:
         not change what it computes."""
         d = self.to_dict()
         del d["output_dir"]
+        # selection by validation f1_macro was once a TrainConfig field;
+        # hashing it keeps every config's hash, and so aggregate.json and
+        # the completed-run check, as they were
+        d["train"]["selection_metric"] = "f1_macro"
         payload = json.dumps(d, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -120,61 +131,63 @@ def load_experiment_config(source) -> ExperimentConfig:
     in a section or calibration spec raise ConfigError naming the file,
     section or key.
     """
-    raw = _read_config(source)
+    raw, file = _read_config(source)
+
+    def section(name, cls, default):
+        return build(name, cls, raw.get(name, default), ConfigError, file)
+
+    def listed(name, value):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config {name!r} must be a list", file=file)
+        return tuple(value)
+
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}")
+        raise ConfigError(f"config: unknown keys {unknown}", file=file)
     dataset = raw.get("dataset")
-    if dataset is None:
-        raise ConfigError("config needs a 'dataset' (path or generator settings)")
+    if not isinstance(dataset, (str, dict)):
+        raise ConfigError("config needs a 'dataset' (path or generator settings)",
+                          file=file)
     if isinstance(dataset, dict):
-        dataset = _section("dataset", SbmConfig, dataset)
-    model = dict(raw.get("model", {}))
+        dataset = section("dataset", SbmConfig, None)
+    model = section("model", dict, {})
     unknown = sorted(set(model) - {f.name for f in fields(ModelConfig)})
     if unknown:
-        raise ConfigError(f"config section 'model': unknown keys {unknown}")
+        raise ConfigError(f"config section 'model': unknown keys {unknown}",
+                          file=file)
     calibration = tuple(
-        CalibrationSpec.from_dict(d) for d in raw.get("calibration", [])
+        CalibrationSpec.from_dict(d)
+        for d in listed("calibration", raw.get("calibration", []))
     ) or (CalibrationSpec("none"), CalibrationSpec("subtract"))
     noise = raw.get("noise")
     if noise is not None:
-        noise = _section("noise", NoiseSweep, noise)
-        noise = replace(noise, levels=tuple(noise.levels))
+        noise = section("noise", NoiseSweep, None)
+        noise = replace(noise, levels=listed("noise levels", noise.levels))
     return ExperimentConfig(
         dataset=dataset,
         model=model,
-        train=_section("train", TrainConfig, raw.get("train", {})),
-        neutral=_section("neutral", NeutralConfig, raw.get("neutral", {})),
+        train=section("train", TrainConfig, {}),
+        neutral=section("neutral", NeutralConfig, {}),
         calibration=calibration,
-        protocol=_section("protocol", ProtocolConfig, raw.get("protocol", {})),
+        protocol=section("protocol", ProtocolConfig, {}),
         noise=noise,
-        rho_sweep=tuple(raw["rho_sweep"]) if raw.get("rho_sweep") else None,
+        rho_sweep=(listed("rho_sweep", raw["rho_sweep"])
+                   if raw.get("rho_sweep") else None),
         output_dir=raw.get("output_dir", "runs/experiment"),
     )
 
 
 def load_dataset_config(source) -> SbmConfig:
     """Generator settings (JSON file or dict), checked as a config's 'dataset'."""
-    return _section("dataset", SbmConfig, _read_config(source))
+    raw, file = _read_config(source)
+    return build("dataset", SbmConfig, raw, ConfigError, file)
 
 
-def _read_config(source) -> dict:
-    if not isinstance(source, (str, Path)):
-        return dict(source)
-    try:
-        raw = json.loads(Path(source).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {source}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {source} is not a JSON object")
-    return raw
-
-
-def _section(name: str, cls, values):
-    try:
-        return cls(**values)
-    except TypeError as exc:  # unknown or missing key, or a non-dict section
-        raise ConfigError(f"config section {name!r}: {exc}") from None
+def _read_config(source) -> tuple[dict, str | Path | None]:
+    """The config as a dict, and the file it came from (None for a dict)."""
+    if isinstance(source, (str, Path)):
+        return read_json(source, "config", ConfigError), source
+    return dict(source), None
 
 
 def resolve_output_dir(output_dir: str) -> Path:
@@ -335,7 +348,7 @@ def _run_single(
 
     hook = None
     masks = fold.to_masks(graph.num_nodes)
-    stats = compute_dataset_stats(graph, scope="all_nodes")
+    stats = compute_dataset_stats(graph)
     source = train_rows(graph, masks["train"])
     if config.neutral.refresh_every != "never":
         hook = _make_refresh_hook(source, stats, config.neutral, neutral_seed)
@@ -632,11 +645,7 @@ def write_records(records: list[ResultRecord], output_dir) -> Path:
 
 
 def read_records(path) -> list[dict]:
-    try:
-        return [json.loads(line) for line in Path(path).read_text().splitlines()
-                if line]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read records {path}: {exc}") from None
+    return read_lines(path, "records", ConfigError, json.loads)
 
 
 def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:
@@ -649,16 +658,18 @@ def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _completed(out: Path, config: ExperimentConfig, command: str) -> bool:
-    marker = out / "config.json"
-    if not marker.exists() or not (out / "aggregate.json").exists():
-        return False
+def _saved_aggregates(out: Path, config: ExperimentConfig, command: str):
+    """The aggregate rows of a run of ``command`` on a config with this hash
+    completed in ``out``, or None when there is none to reuse."""
     try:
-        saved = json.loads(marker.read_text())
-    except json.JSONDecodeError:
-        return False
-    return (saved.get("config_hash") == config.config_hash()
-            and saved.get("command") == command)
+        saved = read_json(out / "config.json", "run config", ConfigError)
+        aggregate = read_json(out / "aggregate.json", "aggregate", ConfigError)
+    except ConfigError:  # missing or unreadable: run afresh
+        return None
+    if (saved.get("config_hash"), saved.get("command")) != (
+            config.config_hash(), command):
+        return None
+    return aggregate.get("aggregates")
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +692,9 @@ def _run(
     run goes ahead, so a completed run loads no data.
     """
     out = resolve_output_dir(config.output_dir)
-    if not force and _completed(out, config, command):
-        return json.loads((out / "aggregate.json").read_text())["aggregates"]
+    saved = None if force else _saved_aggregates(out, config, command)
+    if saved is not None:
+        return saved
     config_hash = config.config_hash()
     protocol = config.protocol
     records = []

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, build, read_json
 from .graph import Graph, build_adjacency, symmetric_normalize, with_values
 
 LEAKY_SLOPE = 0.2  # attention score nonlinearity
@@ -43,8 +43,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.architecture not in ("gcn", "gat"):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be >= 1")
+        if min(self.input_dim, self.hidden_dim, self.num_classes) < 1:
+            raise ConfigError("input_dim, hidden_dim and num_classes must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.num_heads < 1:
@@ -72,12 +72,14 @@ class ModelParams:
         return np.concatenate([a.ravel() for a in self.arrays])
 
     def from_flat(self, flat: np.ndarray) -> "ModelParams":
+        if flat.shape != (self.size,):
+            raise ShapeError(
+                f"flat vector has shape {flat.shape}, expected ({self.size},)"
+            )
         out, pos = [], 0
         for a in self.arrays:
             out.append(flat[pos : pos + a.size].reshape(a.shape).copy())
             pos += a.size
-        if pos != flat.size:
-            raise ShapeError(f"flat vector has {flat.size} entries, expected {pos}")
         return replace(self, arrays=tuple(out))
 
     @property
@@ -443,15 +445,21 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"{path} is not a model checkpoint")
+    """Read a file written by :func:`save_checkpoint`; any fault in it
+    raises ConfigError naming the file."""
+    payload = read_json(path, "checkpoint", ConfigError)
+    if payload.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError("not a model checkpoint", file=path)
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {payload.get('version')}")
-    config = ModelConfig(**payload["model_config"])
+        raise ConfigError(
+            f"unsupported checkpoint version {payload.get('version')}", file=path
+        )
+    config = build("model_config", ModelConfig, payload.get("model_config"),
+                   ConfigError, path)
     template = init_params(config)
-    flat = np.asarray(payload["params_flat"], dtype=np.float64)
-    return template.from_flat(flat)
+    try:
+        return template.from_flat(
+            np.asarray(payload.get("params_flat"), dtype=np.float64)
+        )
+    except (TypeError, ValueError, ShapeError) as exc:
+        raise ConfigError(f"params_flat: {exc}", file=path) from None

@@ -9,17 +9,21 @@ that estimates the model's class-agnostic output bias.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DatasetParseError,
     EmptyScopeError,
     GraphValidationError,
     InfeasibleError,
     ShapeError,
+    build,
+    read_json,
 )
+from .datasets import load_canonical, save_canonical
 from .graph import DatasetStats, Graph, bernoulli_cells
 from .models import ModelParams, predict_logits
 
@@ -274,20 +278,12 @@ def neutral_logit_vector(params: ModelParams, neutral: NeutralGraph) -> np.ndarr
 
 
 def save_neutral(neutral: NeutralGraph, path) -> None:
-    from .datasets import save_canonical
-
     out = Path(path)
     save_canonical(neutral.graph, out)
     stats = neutral.stats_used
     meta = {
-        "stats": {
-            "n_bar": stats.n_bar,
-            "d_bar": stats.d_bar,
-            "mu_node": stats.mu_node.tolist(),
-            "sigma_node": stats.sigma_node.tolist(),
-            "source_node_count": stats.source_node_count,
-            "covariance_mode": stats.covariance_mode,
-        },
+        "stats": {**asdict(stats), "mu_node": stats.mu_node.tolist(),
+                  "sigma_node": stats.sigma_node.tolist()},
         "config": asdict(neutral.config),
         "seed": neutral.seed,
         "neutral_logit_pooling": "mean",
@@ -296,20 +292,17 @@ def save_neutral(neutral: NeutralGraph, path) -> None:
 
 
 def load_neutral(path) -> NeutralGraph:
-    from .datasets import load_canonical
-
+    """Read a directory written by :func:`save_neutral`; a fault in its
+    neutral_meta.json raises DatasetParseError naming the file."""
     root = Path(path)
     graph = load_canonical(root)
-    meta = json.loads((root / "neutral_meta.json").read_text())
-    s = meta["stats"]
-    stats = DatasetStats(
-        n_bar=s["n_bar"],
-        d_bar=s["d_bar"],
-        mu_node=np.asarray(s["mu_node"]),
-        sigma_node=np.asarray(s["sigma_node"]),
-        source_node_count=s["source_node_count"],
-        covariance_mode=s.get("covariance_mode", "full"),
-    )
-    config = NeutralConfig(**meta["config"])
+    meta_file = root / "neutral_meta.json"
+    meta = read_json(meta_file, "neutral metadata", DatasetParseError)
+    stats = build("stats", DatasetStats, meta.get("stats"), DatasetParseError,
+                  meta_file)
+    stats = replace(stats, mu_node=np.asarray(stats.mu_node),
+                    sigma_node=np.asarray(stats.sigma_node))
+    config = build("config", NeutralConfig, meta.get("config"),
+                   DatasetParseError, meta_file)
     return NeutralGraph(graph=graph, stats_used=stats, config=config,
-                        seed=meta["seed"])
+                        seed=config.seed)

@@ -39,14 +39,11 @@ class TrainConfig:
     weight_decay: float = 5e-4
     max_epochs: int = 500
     patience: int = 100
-    selection_metric: str = "f1_macro"
     seed: int = 0
 
     def __post_init__(self):
         if self.patience > self.max_epochs:
             raise ConfigError("patience must be <= max_epochs")
-        if self.selection_metric != "f1_macro":
-            raise ConfigError("only f1_macro selection is supported")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,20 @@ import neubm
 from neubm import cli
 from neubm.cli import main
 from neubm.datasets import load_canonical
+from neubm.models import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
+    ModelConfig,
+    init_params,
+    save_checkpoint,
+)
+
+
+CHECKPOINT = {
+    "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+    "model_config": {"architecture": "gcn", "input_dim": 6, "hidden_dim": 4,
+                     "num_classes": 3},
+}  # 6 x 4 + 4 x 3 = 36 weights, for the 6-feature, 3-class dataset_dir
 
 
 def run_cli(*args):
@@ -199,8 +213,16 @@ class TestExperimentCommands:
          "'positon'"),
         ('{"dataset": {"num_classes": 3,', "bad.json"),
         (None, "bad.json"),
+        ({"dataset": 5}, "'dataset'"),
+        ({"calibration": {"variant": "none"}}, "'calibration'"),
+        ({"calibration": [3]}, "spec 3"),
+        ({"rho_sweep": 4}, "'rho_sweep'"),
+        ({"noise": {"kind": "feature", "levels": 0.5}}, "'noise levels'"),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
-            "top_level_key", "calibration_key", "malformed_json", "missing_file"])
+            "top_level_key", "calibration_key", "malformed_json", "missing_file",
+            "dataset_not_path_or_object", "calibration_not_a_list",
+            "calibration_spec_not_an_object", "rho_sweep_not_a_list",
+            "noise_levels_not_a_list"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback."""
@@ -213,34 +235,74 @@ class TestExperimentCommands:
         assert run_cli("experiment", "--config", path) == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, content, named", [
+    @pytest.mark.parametrize("command, content, code, named", [
         ("gen", {"num_classes": 3, "total_nodes": 200, "rho": 4,
                  "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6,
-                 "seeed": 1}, "'seeed'"),
-        ("gen", '{"num_classes": 3,', "bad.json"),
-        ("gen", "[3, 200]", "bad.json"),
-        ("calibrate", None, "bad.json"),
-        ("calibrate", "not a checkpoint", "bad.json"),
-        ("plot", None, "records.jsonl"),
+                 "seeed": 1}, 2, "'seeed'"),
+        ("gen", '{"num_classes": 3,', 2, "bad.json"),
+        ("gen", "[3, 200]", 2, "bad.json"),
+        ("calibrate", None, 2, "bad.json"),
+        ("calibrate", "not a checkpoint", 2, "bad.json"),
+        ("plot", None, 2, "records.jsonl"),
+        ("calibrate", {**CHECKPOINT, "model_config": {
+            "architecture": "gcn", "input_dim": 6, "hidden_dim": 4},
+            "params_flat": [0.0] * 36}, 2, "bad.json"),
+        ("calibrate", {**CHECKPOINT, "params_flat": [0.0] * 35}, 2, "bad.json"),
+        ("calibrate", {**CHECKPOINT, "model_config": {
+            **CHECKPOINT["model_config"], "input_dim": -6}}, 2, "bad.json"),
+        ("neutral", lambda meta: meta["stats"].pop("n_bar"), 3,
+         "neutral_meta.json"),
+        ("neutral", lambda meta: meta["config"].update(seeed=1), 3,
+         "neutral_meta.json"),
+        ("neutral", '{"stats": {"n_bar": 3,', 3, "neutral_meta.json:1"),
+        ("neutral", lambda meta: meta["config"].update(covariance_mode="bogus"),
+         3, "neutral_meta.json"),
+        ("eval", "node_id,predicted_label,prob_0,prob_1,prob_2\n"
+                 "0,1,0.2,0.5,0.3\n1,one,0.2,0.5,0.3\n", 3, "bad.csv:3"),
+        ("eval", None, 3, "bad.csv"),
+        ("eval", "node_id,predicted_label,prob_0\n0,0,1.0\n", 3, "bad.csv"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
-            "plot_without_records"])
-    def test_input_file_errors_exit_code(self, tmp_path, capsys, command,
-                                         content, named):
-        """A missing or unreadable input file is a config error (exit 2)
-        naming the file or key, not a traceback."""
-        path = tmp_path / "bad.json"
+            "plot_without_records", "checkpoint_missing_config_key",
+            "checkpoint_short_params", "checkpoint_negative_input_dim",
+            "neutral_missing_stats_key", "neutral_unknown_config_key",
+            "neutral_malformed_json", "neutral_bad_config_value",
+            "eval_non_integer_label", "eval_missing_predictions",
+            "eval_too_few_predictions"])
+    def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,
+                                         command, content, code, named):
+        """A missing or malformed input file exits with its category's code,
+        2 for configs, checkpoints and records and 3 for dataset and neutral
+        directories and predictions, naming the file or key, not a
+        traceback."""
+        path = tmp_path / ("bad.csv" if command == "eval" else "bad.json")
+        model, neutral = tmp_path / "model.json", tmp_path / "neutral"
+        if command == "neutral":
+            save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])),
+                            model)
+            assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                           "--out", tmp_path / "pred.csv",
+                           "--save-neutral", neutral) == 0
+            path = neutral / "neutral_meta.json"
+            if callable(content):
+                meta = json.loads(path.read_text())
+                content(meta)
+                content = meta
         if isinstance(content, dict):
             path.write_text(json.dumps(content))
         elif content is not None:
             path.write_text(content)
         argv = {
-            "gen": ["gen", "--out", tmp_path / "data", "--config", path],
-            "calibrate": ["calibrate", "--model", path, "--data",
-                          tmp_path / "data", "--out", tmp_path / "pred.csv"],
+            "gen": ["gen", "--out", tmp_path / "gen", "--config", path],
+            "calibrate": ["calibrate", "--model", path, "--data", dataset_dir,
+                          "--out", tmp_path / "pred.csv"],
+            "neutral": ["calibrate", "--model", model, "--data", dataset_dir,
+                        "--out", tmp_path / "pred.csv", "--neutral-dir", neutral],
+            "eval": ["eval", "--pred", path, "--data", dataset_dir,
+                     "--out", tmp_path / "metrics.json"],
             "plot": ["plot", "--results", tmp_path],
         }[command]
-        assert run_cli(*argv) == 2
+        assert run_cli(*argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err

@@ -113,6 +113,31 @@ class TestCanonicalFormat:
         with pytest.raises(DatasetParseError):
             load_canonical(tmp_path / "ds")
 
+    @pytest.mark.parametrize("name, content, named", [
+        ("meta.json", "[3, 4, 2]", "meta.json"),
+        ("meta.json", '{"num_nodes": "three", "num_features": 4, '
+                      '"num_classes": 2, "directed": false}', "meta.json"),
+        ("meta.json", '{"num_nodes": 3, "num_features": 4}', "meta.json"),
+        ("masks.json", '{"train": [0, 99]}', "masks.json"),
+        ("masks.json", '{"train": "0"}', "masks.json"),
+        ("edges.csv", "0,1\n0,x\n", "edges.csv:2"),
+        ("edges.csv", "0,1\n0,1\n", "edges.csv"),
+        ("labels.csv", "0\n1\n", "labels.csv"),
+        ("labels.csv", None, "labels.csv"),
+    ], ids=["meta_not_object", "meta_count_not_integer", "meta_missing_keys",
+            "mask_out_of_range", "mask_not_list", "edge_not_integer",
+            "duplicate_edge", "labels_short", "labels_missing"])
+    def test_malformed_file_names_it(self, tmp_path, name, content, named):
+        save_canonical(small_graph(), tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        if content is None:
+            path.unlink()
+        else:
+            path.write_text(content)
+        with pytest.raises(DatasetParseError) as exc:
+            load_canonical(tmp_path / "ds")
+        assert named in str(exc.value)
+
 
 class TestSbm:
     def test_two_class_sizes(self):

@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from neubm.errors import (
-    DensityUndefinedError,
-    EmptyScopeError,
-    GraphValidationError,
-)
+from neubm.errors import DensityUndefinedError, GraphValidationError
 from neubm.graph import (
     Graph,
     bernoulli_cells,
@@ -173,7 +169,7 @@ class TestDatasetStats:
     def test_density_by_hand(self):
         # 4 nodes, 3 edges: 2*3 / (4*3) = 0.5
         g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
-        stats = compute_dataset_stats(g, scope="all_nodes")
+        stats = compute_dataset_stats(g)
         assert stats.n_bar == 4.0
         assert stats.d_bar == pytest.approx(0.5)
 
@@ -191,18 +187,6 @@ class TestDatasetStats:
     def test_density_undefined_single_node(self):
         with pytest.raises(DensityUndefinedError):
             compute_dataset_stats(make_graph(1, []))
-
-    def test_empty_scope(self):
-        g = make_graph(3, [], masks={"train": [False, False, False]})
-        with pytest.raises(EmptyScopeError):
-            compute_dataset_stats(g, scope="train_mask")
-
-    def test_train_scope_induced_subgraph(self):
-        # edge (0,1) inside scope, (1,2) crossing out -> only one counted
-        g = make_graph(3, [(0, 1), (1, 2)], masks={"train": [True, True, False]})
-        stats = compute_dataset_stats(g, scope="train_mask")
-        assert stats.n_bar == 2.0
-        assert stats.d_bar == pytest.approx(1.0)
 
     def test_population_covariance_identity(self):
         # Sigma from centered rows equals (1/n) sum xx^T - mu mu^T

@@ -537,3 +537,11 @@ class TestCheckpoint:
             predict_logits(load_checkpoint(tmp_path / "m.json"), g),
             predict_logits(params, g),
         )
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_from_flat_checks_size_before_reshaping(self, extra):
+        params = init_params(ModelConfig("gcn", input_dim=6, hidden_dim=4,
+                                         num_classes=3))
+        with pytest.raises(ShapeError, match=r"expected \(36,\)") as exc:
+            params.from_flat(np.zeros(params.size + extra))
+        assert EXIT_CODES[exc.value.category] == 3

@@ -560,7 +560,7 @@ class TestTrainLoop:
         g = easy_sbm(seed=8)
         split = stratified_split(g, 0.3, 0.3, 2, seed=5)
         masks = split.to_masks(g.num_nodes)
-        stats = compute_dataset_stats(g, scope="all_nodes")
+        stats = compute_dataset_stats(g)
         source = train_rows(g, masks["train"])
         neutral = NeutralConfig(node_count_override=40, refresh_every=3)
         hook = _make_refresh_hook(source, stats, neutral, neutral_seed=11)
