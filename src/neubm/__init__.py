@@ -7,7 +7,6 @@ are subtracted from its predictions. No retraining involved.
 """
 
 from .calibrate import (
-    BiasReport,
     CalibratedOutput,
     CalibrationSpec,
     calibrate,
@@ -42,7 +41,6 @@ from .harness import (
     run_sensitivity,
 )
 from .metrics import (
-    ConfusionMatrix,
     MetricsReport,
     confusion,
     evaluate,

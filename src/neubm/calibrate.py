@@ -22,6 +22,7 @@ from .errors import (
     DegenerateReferenceError,
     DegenerateRowError,
     ShapeError,
+    build,
     read_lines,
 )
 from .graph import Graph
@@ -59,17 +60,17 @@ class CalibrationSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationSpec":
+    def from_dict(cls, d: dict, file=None) -> "CalibrationSpec":
+        """The spec a config's calibration entry holds; a fault in it
+        raises ConfigError naming ``file``."""
         if not isinstance(d, dict):
-            raise ConfigError(f"calibration spec {d!r} is not an object")
+            raise ConfigError(f"calibration spec {d!r} is not an object", file=file)
         unknown = sorted(set(d) - {"variant", "position", "lambda"})
         if unknown:
-            raise ConfigError(f"calibration spec: unknown keys {unknown}")
-        return cls(
-            variant=d.get("variant", "subtract"),
-            position=d.get("position", "logits"),
-            lam=d.get("lambda"),
-        )
+            raise ConfigError(f"calibration spec: unknown keys {unknown}", file=file)
+        values = {"variant": d.get("variant", "subtract"),
+                  "position": d.get("position", "logits"), "lam": d.get("lambda")}
+        return build("calibration spec", cls, values, ConfigError, file)
 
 
 @dataclass(frozen=True)
@@ -159,55 +160,43 @@ def predict_calibrated(
     return calibrate(logits, neutral_vec, spec)
 
 
-@dataclass(frozen=True)
-class BiasReport:
-    majority_class: int
-    majority_prob_before: float
-    majority_prob_after: float
-    majority_prob_decreased: bool
-    delta_per_class: tuple[float, ...] | None
-
-    def minority_shift_exceeds_majority(self, neutral_vec: np.ndarray) -> bool | None:
-        """Whether the smallest-reference class gained strictly more logit
-        shift than the largest-reference class. None when the reference is
-        flat (no ordering is claimed) or no logit deltas are available."""
-        if self.delta_per_class is None:
-            return None
-        neutral_vec = np.asarray(neutral_vec)
-        lo, hi = int(neutral_vec.argmin()), int(neutral_vec.argmax())
-        if neutral_vec[lo] == neutral_vec[hi]:
-            return None
-        delta = self.delta_per_class
-        return delta[lo] > delta[hi]
-
-
 def check_bias_reduction(
     probs_before: np.ndarray,
     probs_after: np.ndarray,
-    labels: np.ndarray,
     majority_class: int,
+    neutral_vec: np.ndarray,
     logits_before: np.ndarray | None = None,
     logits_after: np.ndarray | None = None,
-) -> BiasReport:
-    """Diagnostic: majority-class mean probability before/after calibration,
-    plus mean per-class logit shifts when logits are supplied."""
+) -> dict:
+    """Diagnostic, as the ``bias`` fields of a records.jsonl row:
+    majority-class mean probability before/after calibration and the
+    neutral vector. When logits are supplied, also the mean per-class logit
+    shift and whether the smallest-reference class gained strictly more of
+    it than the largest-reference class (None without logits, or when the
+    reference is flat and no ordering is claimed)."""
     probs_before = np.asarray(probs_before, dtype=np.float64)
     probs_after = np.asarray(probs_after, dtype=np.float64)
+    neutral_vec = np.asarray(neutral_vec, dtype=np.float64)
     if probs_before.shape != probs_after.shape:
         raise ShapeError("probability matrices must cover the same nodes")
     before = float(probs_before[:, majority_class].mean())
     after = float(probs_after[:, majority_class].mean())
-    delta = None
+    delta = ordering = None
     if logits_before is not None and logits_after is not None:
         shifts = np.asarray(logits_after, float) - np.asarray(logits_before, float)
-        delta = tuple(float(x) for x in shifts.mean(axis=0))
-    return BiasReport(
-        majority_class=int(majority_class),
-        majority_prob_before=before,
-        majority_prob_after=after,
-        majority_prob_decreased=after < before,
-        delta_per_class=delta,
-    )
+        delta = [float(x) for x in shifts.mean(axis=0)]
+        lo, hi = int(neutral_vec.argmin()), int(neutral_vec.argmax())
+        if neutral_vec[lo] != neutral_vec[hi]:
+            ordering = delta[lo] > delta[hi]
+    return {
+        "majority_class": int(majority_class),
+        "majority_prob_before": before,
+        "majority_prob_after": after,
+        "majority_prob_decreased": after < before,
+        "delta_per_class": delta,
+        "min_shift_exceeds_maj": ordering,
+        "neutral_vector": [float(x) for x in neutral_vec],
+    }
 
 
 def write_predictions_csv(output: CalibratedOutput, path) -> None:

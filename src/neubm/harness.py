@@ -127,18 +127,20 @@ class ExperimentConfig:
 def load_experiment_config(source) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON file path or a plain dict.
 
-    Malformed JSON, an unknown top-level key, and an unknown or missing key
-    in a section or calibration spec raise ConfigError naming the file,
-    section or key.
+    Malformed JSON, an unknown top-level key, an unknown or missing key in
+    a section or calibration spec, and a rho_sweep or noise level that is
+    not a number raise ConfigError naming the file, section or key.
     """
     raw, file = _read_config(source)
 
     def section(name, cls, default):
         return build(name, cls, raw.get(name, default), ConfigError, file)
 
-    def listed(name, value):
+    def listed(name, value, numbers=False):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config {name!r} must be a list", file=file)
+        if numbers and not all(type(v) in (int, float) for v in value):
+            raise ConfigError(f"config {name!r} must hold numbers", file=file)
         return tuple(value)
 
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
@@ -156,13 +158,14 @@ def load_experiment_config(source) -> ExperimentConfig:
         raise ConfigError(f"config section 'model': unknown keys {unknown}",
                           file=file)
     calibration = tuple(
-        CalibrationSpec.from_dict(d)
+        CalibrationSpec.from_dict(d, file)
         for d in listed("calibration", raw.get("calibration", []))
     ) or (CalibrationSpec("none"), CalibrationSpec("subtract"))
     noise = raw.get("noise")
     if noise is not None:
         noise = section("noise", NoiseSweep, None)
-        noise = replace(noise, levels=listed("noise levels", noise.levels))
+        noise = replace(noise, levels=listed("noise levels", noise.levels,
+                                             numbers=True))
     return ExperimentConfig(
         dataset=dataset,
         model=model,
@@ -171,7 +174,7 @@ def load_experiment_config(source) -> ExperimentConfig:
         calibration=calibration,
         protocol=section("protocol", ProtocolConfig, {}),
         noise=noise,
-        rho_sweep=(listed("rho_sweep", raw["rho_sweep"])
+        rho_sweep=(listed("rho_sweep", raw["rho_sweep"], numbers=True)
                    if raw.get("rho_sweep") else None),
         output_dir=raw.get("output_dir", "runs/experiment"),
     )
@@ -200,31 +203,6 @@ def resolve_output_dir(output_dir: str) -> Path:
 
 # ---------------------------------------------------------------------------
 # records
-
-
-@dataclass
-class ResultRecord:
-    config_hash: str
-    seed: int
-    fold_id: int
-    group: str
-    row_id: str
-    spec: dict
-    sweep_variable: str | None
-    sweep_value: float | None
-    status: str  # "ok" | "failed"
-    train_summary: dict
-    timestamp: str
-    metrics: dict | None = None
-    bias: dict | None = None
-    error: str | None = None
-    derived_seeds: dict | None = None
-    neutral_fidelity: dict | None = None
-
-    def to_dict(self) -> dict:
-        # shallow on purpose: asdict would deep-copy every nested dict and
-        # list, about 300x slower, and a run converts each record 3 times
-        return dict(self.__dict__)
 
 
 def _now() -> str:
@@ -259,10 +237,13 @@ class AblationRow:
     neutral_variant: str | None  # None = zero reference ("no_neutral")
 
 
-def default_rows(specs) -> list[AblationRow]:
+def default_rows(config: ExperimentConfig) -> list[AblationRow]:
+    """One row per calibration spec; the calibrated rows use the configured
+    neutral construction variant."""
+    variant = config.neutral.construction_variant
     return [
-        AblationRow("default", s.spec_id, s, "mean_cov" if s.variant != "none" else None)
-        for s in specs
+        AblationRow("default", s.spec_id, s, variant if s.variant != "none" else None)
+        for s in config.calibration
     ]
 
 
@@ -325,8 +306,9 @@ def _run_single(
     sweep_variable,
     sweep_value,
     config_hash: str,
-) -> list[ResultRecord]:
-    """Train one model for (run, fold) and evaluate every row post hoc."""
+) -> list[dict]:
+    """Train one model for (run, fold) and evaluate every row post hoc; one
+    records.jsonl row per row."""
     base_seed = config.train.seed
     split_seed = base_seed + run_index + 1000 * (fold.fold_id or 0)
     model_config = _resolve_model_config(config, graph, seed=split_seed + 17)
@@ -337,14 +319,17 @@ def _run_single(
         "dropout": train_config.seed, "neutral": neutral_seed,
     }
 
-    def record(row, status, summary, timestamp, **extra):
-        return ResultRecord(
-            config_hash=config_hash, seed=run_index,
-            fold_id=fold.fold_id or 0, group=row.group, row_id=row.row_id,
-            spec=row.spec.to_dict(), sweep_variable=sweep_variable,
-            sweep_value=sweep_value, status=status, train_summary=summary,
-            timestamp=timestamp, derived_seeds=derived_seeds, **extra,
-        )
+    def record(row, status, summary, timestamp, metrics=None, bias=None,
+               error=None, neutral_fidelity=None):
+        return {
+            "config_hash": config_hash, "seed": run_index,
+            "fold_id": fold.fold_id or 0, "group": row.group,
+            "row_id": row.row_id, "spec": row.spec.to_dict(),
+            "sweep_variable": sweep_variable, "sweep_value": sweep_value,
+            "status": status, "train_summary": summary, "timestamp": timestamp,
+            "metrics": metrics, "bias": bias, "error": error,
+            "derived_seeds": derived_seeds, "neutral_fidelity": neutral_fidelity,
+        }
 
     hook = None
     masks = fold.to_masks(graph.num_nodes)
@@ -421,30 +406,19 @@ def _run_single(
 
 def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority,
                       spec, mmd_memo):
-    report = check_bias_reduction(
-        uncal_probs[test_mask], out.probabilities[test_mask],
-        labels[test_mask], majority,
+    bias = check_bias_reduction(
+        uncal_probs[test_mask], out.probabilities[test_mask], majority, vec,
         logits_before=logits[test_mask],
         logits_after=(
             out.corrected_logits[test_mask]
             if out.corrected_logits is not None else None
         ),
     )
-    ordering = report.minority_shift_exceeds_majority(vec)
-    if ordering is False and spec.variant == "subtract":
+    if bias["min_shift_exceeds_maj"] is False and spec.variant == "subtract":
         # corrected = L - v makes delta = -v, so for subtraction a violated
         # ordering means the implementation broke; other variants add
         # data-dependent terms and carry no such guarantee
         raise NumericError("per-class shift ordering violated")
-    bias = {
-        "majority_class": report.majority_class,
-        "majority_prob_before": report.majority_prob_before,
-        "majority_prob_after": report.majority_prob_after,
-        "majority_prob_decreased": report.majority_prob_decreased,
-        "delta_per_class": list(report.delta_per_class or []) or None,
-        "min_shift_exceeds_maj": ordering,
-        "neutral_vector": [float(x) for x in vec],
-    }
     if spec.variant != "none":
         bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels,
                                     test_mask, mmd_memo))
@@ -493,11 +467,10 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, memo):
 METRIC_FIELDS = ("f1_macro", "f1_weighted", "f1_micro", "accuracy")
 
 
-def aggregate_records(records: list[ResultRecord | dict]) -> list[dict]:
+def aggregate_records(records: list[dict]) -> list[dict]:
     """Mean and population std per (group, sweep point, row); stable order."""
-    dicts = [r.to_dict() if isinstance(r, ResultRecord) else r for r in records]
     groups: dict[tuple, list[dict]] = {}
-    for r in dicts:
+    for r in records:
         key = (r["group"], r["sweep_variable"], r["sweep_value"], r["row_id"])
         groups.setdefault(key, []).append(r)
 
@@ -548,7 +521,7 @@ def aggregate_records(records: list[ResultRecord | dict]) -> list[dict]:
 
 
 def emit_report(
-    records: list[ResultRecord | dict],
+    records: list[dict],
     output_dir,
     config: ExperimentConfig | None = None,
     formats: tuple[str, ...] = ("json", "csv", "svg"),
@@ -634,13 +607,13 @@ def emit_report(
     return written
 
 
-def write_records(records: list[ResultRecord], output_dir) -> Path:
+def write_records(records: list[dict], output_dir) -> Path:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "records.jsonl"
     with path.open("w") as fh:
         for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(r, sort_keys=True) + "\n")
     return path
 
 
@@ -719,7 +692,7 @@ def _run(
 
 def run_experiment(config: ExperimentConfig, force: bool = False) -> list[dict]:
     """seeds x folds x calibration specs on the configured dataset."""
-    return _run("experiment", config, default_rows(config.calibration),
+    return _run("experiment", config, default_rows(config),
                 lambda: [(None, None, _load_base_dataset(config))], force)
 
 
@@ -748,4 +721,4 @@ def run_sensitivity(config: ExperimentConfig, force: bool = False) -> list[dict]
             regenerated = generate_sbm(replace(config.dataset, rho=float(rho)))
             yield "rho", float(rho), regenerated
 
-    return _run("sweep", config, default_rows(config.calibration), sweep_points, force)
+    return _run("sweep", config, default_rows(config), sweep_points, force)

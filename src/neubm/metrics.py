@@ -16,21 +16,6 @@ from .errors import GraphValidationError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[t][p] = number of evaluated nodes with true class t predicted p."""
-
-    counts: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class ClassScores:
     precision: float
     recall: float
@@ -75,7 +60,9 @@ def confusion(
     truth: np.ndarray,
     mask: np.ndarray | None = None,
     num_classes: int | None = None,
-) -> ConfusionMatrix:
+) -> np.ndarray:
+    """The (C, C) int64 count matrix: [t, p] counts the evaluated nodes of
+    true class t predicted p."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
@@ -94,8 +81,7 @@ def confusion(
         check_classes(name, arr, num_classes)
     counts = np.bincount(truth * num_classes + pred,
                          minlength=num_classes * num_classes)
-    return ConfusionMatrix(counts=counts.astype(np.int64, copy=False)
-                           .reshape(num_classes, num_classes))
+    return counts.astype(np.int64, copy=False).reshape(num_classes, num_classes)
 
 
 def check_classes(name: str, labels: np.ndarray, num_classes: int) -> None:
@@ -121,9 +107,9 @@ def class_scores(counts: np.ndarray):
     return precision, recall, f1
 
 
-def f1_scores(cm: ConfusionMatrix, rho: float = float("nan")) -> MetricsReport:
-    """Per-class P/R/F1 plus macro, support-weighted, and micro aggregates."""
-    counts = cm.counts
+def f1_scores(counts: np.ndarray, rho: float = float("nan")) -> MetricsReport:
+    """Per-class P/R/F1 plus macro, support-weighted, and micro aggregates
+    of a confusion count matrix."""
     precision, recall, f1 = class_scores(counts)
     support = counts.sum(axis=1)
     accuracy = float(np.trace(counts) / counts.sum())
@@ -148,9 +134,9 @@ def evaluate(
     num_classes: int | None = None,
 ) -> MetricsReport:
     """confusion + f1_scores + imbalance ratio of the evaluated truth labels."""
-    cm = confusion(pred, truth, mask=mask, num_classes=num_classes)
+    counts = confusion(pred, truth, mask=mask, num_classes=num_classes)
     truth_eval = np.asarray(truth)[np.asarray(mask, dtype=bool)] if mask is not None else truth
-    return f1_scores(cm, rho=imbalance_ratio(truth_eval))
+    return f1_scores(counts, rho=imbalance_ratio(truth_eval))
 
 
 def imbalance_ratio(labels: np.ndarray, mask: np.ndarray | None = None) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import apply_split
 from .errors import (
     ConfigError,
     EmptyScopeError,
@@ -228,8 +229,6 @@ def train(
     :func:`neubm.models.forward_with_operator`) instead of recomputing it;
     the results are bit-identical to recomputing it every step.
     """
-    from .datasets import apply_split  # local import to avoid a cycle
-
     if graph.labels is None:
         raise ConfigError("training requires labels")
     g = apply_split(graph, split) if split is not None else graph

@@ -224,12 +224,12 @@ class TestBiasReport:
         ref = np.array([0.5, 0.5])
         before = calibrate(logits, ref, NONE)
         after = calibrate(logits, ref, SUBTRACT)
-        report = check_bias_reduction(
-            before.probabilities, after.probabilities, np.array([0, 1]), 0,
+        bias = check_bias_reduction(
+            before.probabilities, after.probabilities, 0, ref,
             logits_before=logits, logits_after=after.corrected_logits,
         )
-        assert report.delta_per_class == (-0.5, -0.5)
-        assert report.minority_shift_exceeds_majority(ref) is None
+        assert bias["delta_per_class"] == [-0.5, -0.5]
+        assert bias["min_shift_exceeds_maj"] is None
 
     def test_ordered_reference_orders_shifts(self):
         # reference (2, 0): class 0 shifted by -2, class 1 by 0
@@ -237,12 +237,13 @@ class TestBiasReport:
         ref = np.array([2.0, 0.0])
         before = calibrate(logits, ref, NONE)
         after = calibrate(logits, ref, SUBTRACT)
-        report = check_bias_reduction(
-            before.probabilities, after.probabilities, np.array([0, 1]), 0,
+        bias = check_bias_reduction(
+            before.probabilities, after.probabilities, 0, ref,
             logits_before=logits, logits_after=after.corrected_logits,
         )
-        assert report.delta_per_class == (-2.0, 0.0)
-        assert report.minority_shift_exceeds_majority(ref) is True
+        assert bias["delta_per_class"] == [-2.0, 0.0]
+        assert bias["min_shift_exceeds_maj"] is True
+        assert bias["neutral_vector"] == [2.0, 0.0]
 
     def test_majority_probability_drops_when_reference_favors_it(self):
         rng = np.random.default_rng(8)
@@ -250,11 +251,14 @@ class TestBiasReport:
         ref = np.array([1.5, 0.0, 0.0])  # model "leans" class 0
         before = calibrate(logits, ref, NONE)
         after = calibrate(logits, ref, SUBTRACT)
-        report = check_bias_reduction(
-            before.probabilities, after.probabilities,
-            rng.integers(0, 3, 100), majority_class=0,
+        bias = check_bias_reduction(
+            before.probabilities, after.probabilities, majority_class=0,
+            neutral_vec=ref,
         )
-        assert report.majority_prob_decreased
+        assert bias["majority_prob_decreased"]
+        # no logits: no shifts, so no ordering is claimed
+        assert bias["delta_per_class"] is None
+        assert bias["min_shift_exceeds_maj"] is None
 
 
 class TestPredictionsCsv:

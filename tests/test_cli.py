@@ -185,10 +185,10 @@ class TestExperimentCommands:
         )
         assert run_cli("sweep", "--config", cfg) == 0
         svg = tmp_path / "out" / "sweep_noise_feature.svg"
-        assert svg.exists()
+        drawn = svg.read_bytes()
         svg.unlink()
         assert run_cli("plot", "--results", tmp_path / "out") == 0
-        assert svg.exists()
+        assert svg.read_bytes() == drawn  # redrawn from records.jsonl alone
 
     def test_ablate_runs(self, tmp_path, capsys):
         cfg = self.exp_config(tmp_path)
@@ -210,19 +210,26 @@ class TestExperimentCommands:
         ({"model": {"architecture": "gcn", "hiden_dim": 12}}, "'model'"),
         ({"trian": {"max_epochs": 5}}, "'trian'"),
         ({"calibration": [{"variant": "subtract", "positon": "logits"}]},
-         "'positon'"),
+         ("'positon'", "exp.json")),
         ('{"dataset": {"num_classes": 3,', "bad.json"),
         (None, "bad.json"),
         ({"dataset": 5}, "'dataset'"),
         ({"calibration": {"variant": "none"}}, "'calibration'"),
-        ({"calibration": [3]}, "spec 3"),
+        ({"calibration": [3]}, ("spec 3", "exp.json")),
+        ({"calibration": [{"variant": "shift"}]}, ("'shift'", "exp.json")),
+        ({"calibration": [{"position": "input"}]}, ("'input'", "exp.json")),
         ({"rho_sweep": 4}, "'rho_sweep'"),
         ({"noise": {"kind": "feature", "levels": 0.5}}, "'noise levels'"),
+        ({"rho_sweep": ["a"]}, ("'rho_sweep'", "exp.json")),
+        ({"noise": {"kind": "feature", "levels": ["x"]}},
+         ("'noise levels'", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
-            "calibration_spec_not_an_object", "rho_sweep_not_a_list",
-            "noise_levels_not_a_list"])
+            "calibration_spec_not_an_object", "calibration_variant",
+            "calibration_position", "rho_sweep_not_a_list",
+            "noise_levels_not_a_list", "rho_sweep_entry_not_a_number",
+            "noise_level_not_a_number"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback."""
@@ -233,7 +240,9 @@ class TestExperimentCommands:
             if content is not None:
                 path.write_text(content)
         assert run_cli("experiment", "--config", path) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for name in (named,) if isinstance(named, str) else named:
+            assert name in err
 
     @pytest.mark.parametrize("command, content, code, named", [
         ("gen", {"num_classes": 3, "total_nodes": 200, "rho": 4,

@@ -414,8 +414,8 @@ class TestPostHocLeakage:
 
         def neutral_vectors(g):
             records = _run_single(g, cfg, ablation_rows(), 0, fold, None, None, "h")
-            assert all(r.status == "ok" for r in records)
-            return {r.row_id: r.bias["neutral_vector"] for r in records}
+            assert all(r["status"] == "ok" for r in records)
+            return {r["row_id"]: r["bias"]["neutral_vector"] for r in records}
 
         assert neutral_vectors(permuted) == neutral_vectors(graph)
 
@@ -462,14 +462,14 @@ class TestRunRecords:
             outputs.clear()
             records = harness._run_single(graph, cfg, harness.ablation_rows(),
                                           run_index, fold, None, None, "h")
-            assert all(r.status == "ok" for r in records)
-            assert all("mmd_prob_before" not in r.bias
-                       for r in records if r.spec["variant"] == "none")
+            assert all(r["status"] == "ok" for r in records)
+            assert all("mmd_prob_before" not in r["bias"]
+                       for r in records if r["spec"]["variant"] == "none")
             calibrated = [(r, out) for r, (_, out) in zip(records, outputs)
-                          if r.spec["variant"] != "none"]
+                          if r["spec"]["variant"] != "none"]
             assert 0 < len(calibrated) < len(records)
 
-            (c1, c2), = {tuple(r.bias["mmd_classes"]) for r, _ in calibrated}
+            (c1, c2), = {tuple(r["bias"]["mmd_classes"]) for r, _ in calibrated}
             assert counts[c1] >= counts[c2] >= np.delete(counts, [c1, c2]).max()
 
             def samples(probs):
@@ -481,8 +481,8 @@ class TestRunRecords:
             for r, out in calibrated:
                 after = samples(out.probabilities)
                 distinct.add(key(after))
-                assert r.bias["mmd_prob_before"] == mmd_rbf(*before)
-                assert r.bias["mmd_prob_after"] == mmd_rbf(*after)
+                assert r["bias"]["mmd_prob_before"] == mmd_rbf(*before)
+                assert r["bias"]["mmd_prob_after"] == mmd_rbf(*after)
             assert sorted(key(args) for args, _ in mmd_calls) == sorted(distinct)
             # cal=scale(1) and neutral=none repeat other rows' probabilities
             assert len(mmd_calls) < 1 + len(calibrated)
@@ -495,7 +495,7 @@ class TestRunRecords:
         mmd_calls = []
         _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
         records = harness._run_single(graph, cfg, rows, 0, fold, None, None, "h")
-        assert records and all(r.status == "ok" for r in records)
+        assert records and all(r["status"] == "ok" for r in records)
         assert mmd_calls == []
 
     def test_failed_mmd_before_is_not_cached(self, tmp_path, monkeypatch):
@@ -514,11 +514,11 @@ class TestRunRecords:
         monkeypatch.setattr(harness, "mmd_rbf", fails_first)
         records = harness._run_single(graph, cfg, harness.ablation_rows(),
                                       0, fold, None, None, "h")
-        calibrated = [r for r in records if r.spec["variant"] != "none"]
-        assert calibrated[0].status == "failed"
-        assert "NumericError" in calibrated[0].error
-        assert all(r.status == "ok" for r in calibrated[1:])
-        assert all("mmd_prob_before" in r.bias for r in calibrated[1:])
+        calibrated = [r for r in records if r["spec"]["variant"] != "none"]
+        assert calibrated[0]["status"] == "failed"
+        assert "NumericError" in calibrated[0]["error"]
+        assert all(r["status"] == "ok" for r in calibrated[1:])
+        assert all("mmd_prob_before" in r["bias"] for r in calibrated[1:])
 
     def test_train_summary_reports_curves(self, tmp_path, monkeypatch):
         import neubm.harness as harness
@@ -526,12 +526,12 @@ class TestRunRecords:
         cfg, graph, fold = self._graph_and_fold(tmp_path)
         trained = []
         _spy(monkeypatch, harness, "train", trained)
-        records = harness._run_single(graph, cfg, harness.default_rows(cfg.calibration),
+        records = harness._run_single(graph, cfg, harness.default_rows(cfg),
                                       0, fold, None, None, "h")
         (_, (_, report)), = trained
         assert len(report.val_metric_curve) == report.epochs_run + 1
         for r in records:
-            summary = r.train_summary
+            summary = r["train_summary"]
             assert summary["final_loss"] == report.loss_curve[-1]
             assert summary["best_val_metric"] == max(report.val_metric_curve)
             assert summary["best_val_metric"] == (
@@ -553,9 +553,9 @@ class TestRunRecords:
         assert sorted(expected) == ["class_balanced", "mean_cov", "random"]
         for row, record in zip(rows, records):
             if row.neutral_variant is None:
-                assert record.neutral_fidelity is None
+                assert record["neutral_fidelity"] is None
                 continue
-            fid = record.neutral_fidelity
+            fid = record["neutral_fidelity"]
             assert fid == expected[row.neutral_variant]
             assert fid["variant"] == row.neutral_variant
             assert fid["target_density"] == pytest.approx(
@@ -578,3 +578,18 @@ class TestRunRecords:
         assert by_row["subtract@logits"]["variant"] == "mean_cov"
         for name in ("aggregate.json", "results.csv"):
             assert "fidelity" not in (out / name).read_text()
+
+    def test_default_rows_use_configured_neutral_variant(self, tmp_path):
+        # the reported rows, not only the refresh hook, honour the config's
+        # construction variant
+        cfg = small_config(
+            tmp_path,
+            neutral=NeutralConfig(construction_variant="random"),
+            protocol=ProtocolConfig(num_seeds=1, k_folds=1, train_frac=0.15,
+                                    val_frac=0.15, min_per_class=3),
+        )
+        run_experiment(cfg)
+        records = read_records(tmp_path / "exp" / "records.jsonl")
+        by_row = {r["row_id"]: r["neutral_fidelity"] for r in records}
+        assert by_row["none@logits"] is None
+        assert by_row["subtract@logits"]["variant"] == "random"
