@@ -22,7 +22,6 @@ from .errors import (
     DegenerateReferenceError,
     DegenerateRowError,
     ShapeError,
-    build,
     read_lines,
 )
 from .graph import Graph
@@ -58,19 +57,6 @@ class CalibrationSpec:
         if self.lam is not None:
             d["lambda"] = self.lam
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict, file=None) -> "CalibrationSpec":
-        """The spec a config's calibration entry holds; a fault in it
-        raises ConfigError naming ``file``."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"calibration spec {d!r} is not an object", file=file)
-        unknown = sorted(set(d) - {"variant", "position", "lambda"})
-        if unknown:
-            raise ConfigError(f"calibration spec: unknown keys {unknown}", file=file)
-        values = {"variant": d.get("variant", "subtract"),
-                  "position": d.get("position", "logits"), "lam": d.get("lambda")}
-        return build("calibration spec", cls, values, ConfigError, file)
 
 
 @dataclass(frozen=True)

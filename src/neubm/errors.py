@@ -15,7 +15,13 @@ DatasetParseError.
 """
 
 import json
+from contextlib import suppress
+from dataclasses import is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 
 class NeubmError(Exception):
@@ -126,10 +132,59 @@ def read_lines(path, what, error, parse) -> list:
 
 
 def build(name, cls, values, error, file=None):
-    """``cls(**values)``. An unknown or missing key, ``values`` that are not
-    a mapping, or a value ``cls`` rejects raise ``error`` naming the section
-    ``name`` (and ``file``)."""
+    """``cls(**values)``, each value checked first against the annotation of
+    its field: a ``float`` takes an int or a float, kept as given; an ``int``
+    an int, never a bool; a ``tuple[X, ...]`` a list of X; an ``np.ndarray``
+    a list of numbers; a dataclass, alone or in a union, a mapping, built the
+    same way. Values that are not a mapping, an unknown or missing key, a
+    value of the wrong type, or a value ``cls`` rejects raise ``error``
+    naming the section ``name`` (and ``file``)."""
+    if not isinstance(values, dict):
+        raise error(f"section {name!r} must be an object, got {values!r}", file=file)
+    types = get_type_hints(cls)
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise error(f"section {name!r}: unknown keys {unknown}", file=file)
+    typed = {key: _typed(key, types[key], v, error, file) for key, v in values.items()}
+    for key, value in typed.items():
+        if value is _WRONG:
+            raise error(f"section {name!r}: {key!r} must be {_describe(types[key])}, "
+                        f"got {values[key]!r}", file=file)
     try:
-        return cls(**values)
+        return cls(**typed)
     except (TypeError, NeubmError) as exc:
         raise error(f"section {name!r}: {exc}", file=file) from None
+
+
+_WRONG = object()  # a value that does not fit its annotation
+
+
+def _typed(key, tp, value, error, file):
+    """``value`` as the field ``key``, annotated ``tp``, takes it, or _WRONG."""
+    origin = get_origin(tp)
+    if origin in (Union, UnionType):
+        for arm in get_args(tp):
+            if (typed := _typed(key, arm, value, error, file)) is not _WRONG:
+                return typed
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            items = tuple(_typed(key, get_args(tp)[0], v, error, file) for v in value)
+            if _WRONG not in items:
+                return items
+    elif tp is np.ndarray and isinstance(value, list):
+        with suppress(TypeError, ValueError):  # ragged, or not numbers
+            return np.asarray(value, dtype=np.float64)
+    elif is_dataclass(tp) and isinstance(value, dict):
+        return build(key, tp, value, error, file)
+    elif not isinstance(value, bool) and (
+            isinstance(value, tp) or tp is float and isinstance(value, int)):
+        return value
+    return _WRONG
+
+
+def _describe(tp) -> str:
+    if get_origin(tp) is tuple:
+        return f"a list of {_describe(get_args(tp)[0])}"
+    if get_args(tp):  # a union
+        return " or ".join(_describe(arm) for arm in get_args(tp))
+    return {type(None): "null", np.ndarray: "a list of numbers"}.get(tp, tp.__name__)

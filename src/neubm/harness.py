@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,6 +52,7 @@ from .training import TrainConfig, softmax, train
 OUTPUT_ROOT_ENV = "NEUBM_OUTPUT_ROOT"
 LAMBDA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5)
 MMD_DIAG_MAX_ROWS = 400  # per-class cap for the exploratory diagnostic
+MODEL_DEFAULTS = {"architecture": "gcn", "hidden_dim": 64}
 
 RUN_METADATA = {
     "stats_scope": "all_nodes",
@@ -104,6 +105,10 @@ class ExperimentConfig:
     rho_sweep: tuple[float, ...] | None = None
     output_dir: str = "runs/experiment"
 
+    def __post_init__(self):
+        dims = {"input_dim": 1, "num_classes": 1}  # the graph's, at run time
+        build("model", ModelConfig, {**MODEL_DEFAULTS, **self.model, **dims}, ConfigError)
+
     def to_dict(self) -> dict:
         d = asdict(self)
         # a spec writes its own keys: "lambda", omitted when unset
@@ -125,59 +130,17 @@ class ExperimentConfig:
 
 
 def load_experiment_config(source) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON file path or a plain dict.
-
-    Malformed JSON, an unknown top-level key, an unknown or missing key in
-    a section or calibration spec, and a rho_sweep or noise level that is
-    not a number raise ConfigError naming the file, section or key.
-    """
+    """Build an ExperimentConfig from a JSON file path or a plain dict; any
+    fault in it raises ConfigError naming the section, the key and the file."""
     raw, file = _read_config(source)
-
-    def section(name, cls, default):
-        return build(name, cls, raw.get(name, default), ConfigError, file)
-
-    def listed(name, value, numbers=False):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"config {name!r} must be a list", file=file)
-        if numbers and not all(type(v) in (int, float) for v in value):
-            raise ConfigError(f"config {name!r} must hold numbers", file=file)
-        return tuple(value)
-
-    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}", file=file)
-    dataset = raw.get("dataset")
-    if not isinstance(dataset, (str, dict)):
-        raise ConfigError("config needs a 'dataset' (path or generator settings)",
-                          file=file)
-    if isinstance(dataset, dict):
-        dataset = section("dataset", SbmConfig, None)
-    model = section("model", dict, {})
-    unknown = sorted(set(model) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise ConfigError(f"config section 'model': unknown keys {unknown}",
-                          file=file)
-    calibration = tuple(
-        CalibrationSpec.from_dict(d, file)
-        for d in listed("calibration", raw.get("calibration", []))
-    ) or (CalibrationSpec("none"), CalibrationSpec("subtract"))
-    noise = raw.get("noise")
-    if noise is not None:
-        noise = section("noise", NoiseSweep, None)
-        noise = replace(noise, levels=listed("noise levels", noise.levels,
-                                             numbers=True))
-    return ExperimentConfig(
-        dataset=dataset,
-        model=model,
-        train=section("train", TrainConfig, {}),
-        neutral=section("neutral", NeutralConfig, {}),
-        calibration=calibration,
-        protocol=section("protocol", ProtocolConfig, {}),
-        noise=noise,
-        rho_sweep=(listed("rho_sweep", raw["rho_sweep"], numbers=True)
-                   if raw.get("rho_sweep") else None),
-        output_dir=raw.get("output_dir", "runs/experiment"),
-    )
+    if isinstance(raw.get("calibration"), list):  # JSON "lambda" is field "lam"
+        raw["calibration"] = [
+            {("lam" if k == "lambda" else k): v for k, v in spec.items()}
+            if isinstance(spec, dict) else spec
+            for spec in raw["calibration"]
+        ] or ExperimentConfig.calibration
+    raw["rho_sweep"] = raw.get("rho_sweep") or None
+    return build("config", ExperimentConfig, raw, ConfigError, file)
 
 
 def load_dataset_config(source) -> SbmConfig:
@@ -220,13 +183,8 @@ def _load_base_dataset(config: ExperimentConfig) -> Graph:
 
 
 def _resolve_model_config(config: ExperimentConfig, graph: Graph, seed: int) -> ModelConfig:
-    model = dict(config.model)
-    model.setdefault("architecture", "gcn")
-    model.setdefault("hidden_dim", 64)
-    model["input_dim"] = model.get("input_dim", graph.num_features)
-    model["num_classes"] = model.get("num_classes", graph.num_classes)
-    model["seed"] = seed
-    return ModelConfig(**model)
+    return ModelConfig(**{**MODEL_DEFAULTS, **config.model}, input_dim=graph.num_features,
+                       num_classes=graph.num_classes, seed=seed)
 
 
 @dataclass(frozen=True)

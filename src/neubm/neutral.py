@@ -9,7 +9,7 @@ that estimates the model's class-agnostic output bias.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -300,8 +300,6 @@ def load_neutral(path) -> NeutralGraph:
     meta = read_json(meta_file, "neutral metadata", DatasetParseError)
     stats = build("stats", DatasetStats, meta.get("stats"), DatasetParseError,
                   meta_file)
-    stats = replace(stats, mu_node=np.asarray(stats.mu_node),
-                    sigma_node=np.asarray(stats.sigma_node))
     config = build("config", NeutralConfig, meta.get("config"),
                    DatasetParseError, meta_file)
     return NeutralGraph(graph=graph, stats_used=stats, config=config,

@@ -215,14 +215,14 @@ class TestExperimentCommands:
         (None, "bad.json"),
         ({"dataset": 5}, "'dataset'"),
         ({"calibration": {"variant": "none"}}, "'calibration'"),
-        ({"calibration": [3]}, ("spec 3", "exp.json")),
+        ({"calibration": [3]}, ("'calibration'", "[3]", "exp.json")),
         ({"calibration": [{"variant": "shift"}]}, ("'shift'", "exp.json")),
         ({"calibration": [{"position": "input"}]}, ("'input'", "exp.json")),
         ({"rho_sweep": 4}, "'rho_sweep'"),
-        ({"noise": {"kind": "feature", "levels": 0.5}}, "'noise levels'"),
+        ({"noise": {"kind": "feature", "levels": 0.5}}, ("'noise'", "'levels'")),
         ({"rho_sweep": ["a"]}, ("'rho_sweep'", "exp.json")),
         ({"noise": {"kind": "feature", "levels": ["x"]}},
-         ("'noise levels'", "exp.json")),
+         ("'noise'", "'levels'", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
