@@ -135,15 +135,14 @@ def build(name, cls, values, error, file=None):
     """``cls(**values)``, each value checked first against the annotation of
     its field: a ``float`` takes an int or a float, kept as given; an ``int``
     an int, never a bool; a ``tuple[X, ...]`` a list of X; an ``np.ndarray``
-    a list of numbers; a dataclass, alone or in a union, a mapping, built the
-    same way. Values that are not a mapping, an unknown or missing key, a
-    value of the wrong type, or a value ``cls`` rejects raise ``error``
-    naming the section ``name`` (and ``file``)."""
+    a (nested) list of finite numbers; a dataclass, alone or in a union, a
+    mapping, built the same way. Values that are not a mapping, an unknown or
+    missing key, a value of the wrong type, or a value ``cls`` rejects raise
+    ``error`` naming the section ``name`` (and ``file``)."""
     if not isinstance(values, dict):
         raise error(f"section {name!r} must be an object, got {values!r}", file=file)
     types = get_type_hints(cls)
-    unknown = sorted(set(values) - set(types))
-    if unknown:
+    if unknown := sorted(set(values) - set(types)):
         raise error(f"section {name!r}: unknown keys {unknown}", file=file)
     typed = {key: _typed(key, types[key], v, error, file) for key, v in values.items()}
     for key, value in typed.items():
@@ -173,7 +172,9 @@ def _typed(key, tp, value, error, file):
                 return items
     elif tp is np.ndarray and isinstance(value, list):
         with suppress(TypeError, ValueError):  # ragged, or not numbers
-            return np.asarray(value, dtype=np.float64)
+            array = np.asarray(value, dtype=np.float64)
+            if np.isfinite(array).all():  # a null reads as nan
+                return array
     elif is_dataclass(tp) and isinstance(value, dict):
         return build(key, tp, value, error, file)
     elif not isinstance(value, bool) and (

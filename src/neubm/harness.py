@@ -28,6 +28,7 @@ from .datasets import (
     inject_noise,
     kfold_splits,
     load_canonical,
+    sbm_class_sizes,
 )
 from .errors import (
     ConfigError,
@@ -106,8 +107,17 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
+        if keys := sorted(set(self.model) & {"input_dim", "num_classes", "seed"}):
+            raise ConfigError(f"model keys {keys} come from the graph and train.seed")
         dims = {"input_dim": 1, "num_classes": 1}  # the graph's, at run time
         build("model", ModelConfig, {**MODEL_DEFAULTS, **self.model, **dims}, ConfigError)
+        # every sweep point, checked before any data is made or model trained
+        for level in self.noise.levels if self.noise else ():
+            NoiseSpec(self.noise.kind, level, self.noise.seed)
+        for rho in self.rho_sweep or ():
+            if not isinstance(self.dataset, SbmConfig):
+                raise ConfigError("rho_sweep requires a generated dataset")
+            sbm_class_sizes(replace(self.dataset, rho=rho))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -665,8 +675,6 @@ def run_sensitivity(config: ExperimentConfig, force: bool = False) -> list[dict]
     """Noise and/or imbalance-ratio sweeps; one aggregate per sweep point."""
     if config.noise is None and config.rho_sweep is None:
         raise ConfigError("sensitivity run needs a noise sweep or rho_sweep")
-    if config.rho_sweep is not None and not isinstance(config.dataset, SbmConfig):
-        raise ConfigError("rho_sweep requires a generated dataset")
 
     def sweep_points():
         noise = config.noise

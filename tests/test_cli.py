@@ -223,16 +223,58 @@ class TestExperimentCommands:
         ({"rho_sweep": ["a"]}, ("'rho_sweep'", "exp.json")),
         ({"noise": {"kind": "feature", "levels": ["x"]}},
          ("'noise'", "'levels'", "exp.json")),
+        # a value of the wrong type, in every section
+        ({"calibration": [{"variant": "scale", "lambda": "x"}]},
+         ("'calibration'", "'lam' must be float or null, got 'x'", "exp.json")),
+        ({"protocol": {"num_seeds": 1.5}}, ("'num_seeds' must be int", "exp.json")),
+        ({"protocol": {"k_folds": 1.5}}, ("'k_folds' must be int", "exp.json")),
+        ({"protocol": {"min_per_class": "2"}},
+         ("'min_per_class' must be int", "exp.json")),
+        ({"train": {"learning_rate": "x"}},
+         ("'learning_rate' must be float", "exp.json")),
+        ({"train": {"max_epochs": 3.5, "patience": 3}},
+         ("section 'train': 'max_epochs' must be int, got 3.5", "exp.json")),
+        ({"train": {"seed": "a"}}, ("'seed' must be int", "exp.json")),
+        ({"model": {"hidden_dim": 2.5}}, ("'hidden_dim' must be int", "exp.json")),
+        ({"model": {"dropout": "x"}}, ("'dropout' must be float", "exp.json")),
+        ({"dataset": {"num_classes": 3, "total_nodes": 200.5, "rho": 4,
+                      "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6}},
+         ("'total_nodes' must be int", "exp.json")),
+        ({"neutral": {"seed": "a"}}, ("'seed' must be int", "exp.json")),
+        ({"neutral": {"node_count_override": 10.5}},
+         ("'node_count_override' must be int or null", "exp.json")),
+        ({"neutral": {"refresh_every": True}},
+         ("'refresh_every' must be int or str, got True", "exp.json")),
+        # keys the graph and the split seed set
+        ({"model": {"architecture": "gcn", "hidden_dim": 12, "seed": 5}},
+         ("['seed']", "exp.json")),
+        ({"model": {"architecture": "gcn", "hidden_dim": 12, "input_dim": 4}},
+         ("['input_dim']", "exp.json")),
+        ({"model": {"architecture": "gcn", "hidden_dim": 12, "num_classes": 4}},
+         ("['num_classes']", "exp.json")),
+        # sweep points, checked before any data is made or model trained
+        ({"rho_sweep": [2, 3, 0.5]}, ("rho", "exp.json")),
+        ({"noise": {"kind": "feature", "levels": [0.0, 1.5]}},
+         ("noise level", "exp.json")),
+        ({"noise": {"kind": "bogus", "levels": [0.0]}}, ("'bogus'", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
             "calibration_spec_not_an_object", "calibration_variant",
             "calibration_position", "rho_sweep_not_a_list",
             "noise_levels_not_a_list", "rho_sweep_entry_not_a_number",
-            "noise_level_not_a_number"])
+            "noise_level_not_a_number", "calibration_lambda_type",
+            "protocol_num_seeds_type", "protocol_k_folds_type",
+            "protocol_min_per_class_type", "train_learning_rate_type",
+            "train_max_epochs_type", "train_seed_type", "model_hidden_dim_type",
+            "model_dropout_type", "dataset_total_nodes_type", "neutral_seed_type",
+            "neutral_node_count_override_type", "neutral_refresh_every_bool",
+            "model_seed_derived", "model_input_dim_derived",
+            "model_num_classes_derived", "rho_sweep_point_below_one",
+            "noise_level_above_one", "noise_kind_unknown"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
-        or file, not a traceback."""
+        or file, not a traceback, and is rejected before anything runs."""
         if isinstance(content, dict):
             path = self.exp_config(tmp_path, **content)
         else:
@@ -243,6 +285,7 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         for name in (named,) if isinstance(named, str) else named:
             assert name in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, content, code, named", [
         ("gen", {"num_classes": 3, "total_nodes": 200, "rho": 4,
@@ -266,6 +309,13 @@ class TestExperimentCommands:
         ("neutral", '{"stats": {"n_bar": 3,', 3, "neutral_meta.json:1"),
         ("neutral", lambda meta: meta["config"].update(covariance_mode="bogus"),
          3, "neutral_meta.json"),
+        ("calibrate", {**CHECKPOINT, "model_config": {
+            **CHECKPOINT["model_config"], "hidden_dim": 2.5},
+            "params_flat": [0.0] * 36}, 2, "bad.json"),
+        ("neutral", lambda meta: meta["config"].update(refresh_every=True), 3,
+         "neutral_meta.json"),
+        ("neutral", lambda meta: meta["stats"]["mu_node"].__setitem__(0, None), 3,
+         "neutral_meta.json"),
         ("eval", "node_id,predicted_label,prob_0,prob_1,prob_2\n"
                  "0,1,0.2,0.5,0.3\n1,one,0.2,0.5,0.3\n", 3, "bad.csv:3"),
         ("eval", None, 3, "bad.csv"),
@@ -276,6 +326,8 @@ class TestExperimentCommands:
             "checkpoint_short_params", "checkpoint_negative_input_dim",
             "neutral_missing_stats_key", "neutral_unknown_config_key",
             "neutral_malformed_json", "neutral_bad_config_value",
+            "checkpoint_float_hidden_dim", "neutral_bool_refresh_every",
+            "neutral_null_mean_entry",
             "eval_non_integer_label", "eval_missing_predictions",
             "eval_too_few_predictions"])
     def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,

@@ -40,6 +40,42 @@ def small_config(tmp_path, name="exp", **overrides):
     return ExperimentConfig(**defaults)
 
 
+# the example config of the README's "Experiment configs" section
+README_CONFIG = {
+    "dataset": {"num_classes": 5, "total_nodes": 2000, "rho": 10,
+                "p_intra": 0.02, "p_inter": 0.006, "feature_dim": 16,
+                "class_mean_separation": 0.8, "feature_std": 1.0, "seed": 7},
+    "model": {"architecture": "gcn", "hidden_dim": 32, "dropout": 0.5},
+    "train": {"learning_rate": 0.01, "weight_decay": 0.0005,
+              "max_epochs": 150, "patience": 40, "seed": 0},
+    "neutral": {"construction_variant": "mean_cov", "covariance_mode": "full",
+                "refresh_every": "never", "seed": 0},
+    "calibration": [{"variant": "none"}, {"variant": "subtract"}],
+    "protocol": {"num_seeds": 5, "k_folds": 5, "train_frac": 0.1,
+                 "val_frac": 0.1, "min_per_class": 5},
+    "noise": {"kind": "feature", "levels": [0.0, 0.1, 0.2, 0.4], "seed": 0},
+    "rho_sweep": [1, 5, 10, 25],
+    "output_dir": "runs/demo",
+}
+
+
+def workload_config(architecture, model_seeds, epochs, learning_rate):
+    """The config of a 2,000-node benchmark workload (bench/workloads.py) at
+    dataset seed 2024."""
+    return {
+        "dataset": {"num_classes": 5, "total_nodes": 2000, "rho": 10,
+                    "p_intra": 0.02, "p_inter": 0.006,
+                    "feature_dim": 16, "class_mean_separation": 0.8,
+                    "feature_std": 1.0, "seed": 2024},
+        "model": {"architecture": architecture, "hidden_dim": 32, "dropout": 0.5},
+        "train": {"learning_rate": learning_rate, "weight_decay": 5e-4,
+                  "max_epochs": epochs, "patience": epochs, "seed": 0},
+        "calibration": [{"variant": "none"}, {"variant": "subtract"}],
+        "protocol": {"num_seeds": model_seeds, "k_folds": 1},
+        "output_dir": "out",
+    }
+
+
 class TestRunExperiment:
     def test_single_run_zero_std(self, tmp_path):
         cfg = small_config(
@@ -144,6 +180,18 @@ class TestRunExperiment:
             rho_sweep=(2.0, 4.0),
         )
         assert cfg.config_hash() == "e4ccb435879bd956"
+
+    @pytest.mark.parametrize("raw, expected", [
+        (README_CONFIG, "6f471ce20d8aab08"),
+        (workload_config("gcn", 3, 150, 0.01), "33707bbcf7364453"),
+        (workload_config("gat", 1, 8, 0.05), "c00113754e650df2"),
+    ], ids=["readme_example", "ablate_gcn_2k", "experiment_gat_2k"])
+    def test_loaded_config_hash_pinned(self, tmp_path, raw, expected):
+        """The hash of a config file as loaded: a loader that turned the
+        JSON int 10 into 10.0, say, would move it."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert load_experiment_config(path).config_hash() == expected
 
 
 class TestAblations:
