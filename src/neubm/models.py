@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,40 +142,21 @@ def _gate_grad(dh1, z1, gate):
 # the propagation operator
 
 
-class Segments(NamedTuple):
-    """CSR rows an operator propagates over, with the first stored entry
-    (``starts``) and the number of stored entries (``sizes``) of each row.
-    A per-row value spreads to the row's entries as np.repeat(v, sizes),
-    which is cheaper than gathering it through per-entry row ids."""
-
-    csr: sp.csr_matrix
-    starts: np.ndarray
-    sizes: np.ndarray
-
-
-def segments(adj: sp.csr_matrix) -> Segments:
-    """The segments of every row of ``adj``."""
-    return Segments(adj, adj.indptr[:-1], np.diff(adj.indptr))
-
-
 @dataclass(frozen=True)
 class Operator:
     """The propagation operator of one graph, for either architecture.
 
-    ``adj``: segments of the full self-looped CSR adjacency (GCN: normalized
-    values; GAT: structure only). ``x``: what layer 1 multiplies by its
-    weights (GCN: A_hat . X; GAT: X), so the operator carries its graph's
-    features. The output layer runs on the CSR rows ``rows`` of ``adj``,
-    with segments ``row_adj`` and CSR transpose ``row_adj_t`` (the GCN
-    backward's). The full operator has every row: ``row_adj`` is ``adj`` and
-    ``row_adj_t`` is ``adj.csr``, A_hat being symmetric.
+    ``adj``: the full self-looped CSR adjacency (GCN: normalized values;
+    GAT: structure only). ``x``: what layer 1 multiplies by its weights
+    (GCN: A_hat . X; GAT: X), so the operator carries its graph's features.
+    The output layer runs on the CSR rows ``rows`` of ``adj``, held as
+    ``row_adj``. The full operator has every row: ``row_adj`` is ``adj``.
     """
 
-    adj: Segments
+    adj: sp.csr_matrix
     x: np.ndarray
     rows: np.ndarray | slice
-    row_adj: Segments
-    row_adj_t: sp.csr_matrix
+    row_adj: sp.csr_matrix
 
 
 def prepare_operator(graph: Graph, config: ModelConfig) -> Operator:
@@ -186,8 +166,7 @@ def prepare_operator(graph: Graph, config: ModelConfig) -> Operator:
     if config.architecture == "gcn":
         adj = symmetric_normalize(adj)
         x = adj @ x
-    every = segments(adj)
-    return Operator(adj=every, x=x, rows=slice(None), row_adj=every, row_adj_t=adj)
+    return Operator(adj=adj, x=x, rows=slice(None), row_adj=adj)
 
 
 def row_view(operator: Operator, rows: np.ndarray) -> Operator:
@@ -196,12 +175,10 @@ def row_view(operator: Operator, rows: np.ndarray) -> Operator:
     A forward through the view returns the (len(rows), C) logits that the
     full operator gives at those rows, bit for bit; its backward takes
     dlogits of that shape. The output layer (GCN's second propagation,
-    GAT's output attention) runs on those rows only; their segments and
-    transpose are computed once per view, not per pass.
+    GAT's output attention) runs on those rows only; their CSR is sliced
+    once per view, not per pass.
     """
-    row_adj = operator.adj.csr[rows]
-    return replace(operator, rows=rows, row_adj=segments(row_adj),
-                   row_adj_t=row_adj.T.tocsr())
+    return replace(operator, rows=rows, row_adj=operator.adj[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +195,14 @@ def _gcn_pass(params, operator, mode, dropout_seed, hidden):
     w0, w1 = params.arrays
     z1 = operator.x @ w0 if hidden is None else hidden
     h1, gate = _relu_dropout(z1, params.config, mode, dropout_seed)
-    logits = operator.row_adj.csr @ (h1 @ w1)
+    logits = operator.row_adj @ (h1 @ w1)
     return logits, (z1, gate, h1)
 
 
 def _gcn_backward(params, operator, dlogits, cache):
     w0, w1 = params.arrays
     z1, gate, h1 = cache
-    adl = operator.row_adj_t @ dlogits
+    adl = operator.row_adj.T @ dlogits
     dw1 = h1.T @ adl
     dz1 = _gate_grad(adl @ w1.T, z1, gate)
     dw0 = operator.x.T @ dz1
@@ -236,17 +213,23 @@ def _gcn_backward(params, operator, dlogits, cache):
 # GAT
 
 
-def _attention_layer(h, w, a_src, a_dst, segs, rows=None):
+def _row_spans(adj):
+    """The first stored entry and the number of stored entries of each CSR
+    row. A per-row value spreads to the row's entries as np.repeat(v,
+    sizes), which is cheaper than gathering it through per-entry row ids."""
+    return adj.indptr[:-1], np.diff(adj.indptr)
+
+
+def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
     """Single attention head: softmax-normalized neighbor aggregation.
 
-    ``segs`` holds the self-looped CSR rows of the output nodes ``rows`` (an
+    ``adj`` holds the self-looped CSR rows of the output nodes ``rows`` (an
     index array or slice) over all n columns, or every node's row when
-    ``rows`` is None, with their starts and sizes (:func:`segments`).
-    Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j), one per stored entry
-    (i, j); the softmax runs over each row's segment of entries. Self-loops
-    keep every segment nonempty. Returns the output rows and a cache (side,
-    per-entry LeakyReLU slopes, the attention CSR A_alpha, output) for the
-    backward pass.
+    ``rows`` is None. Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j),
+    one per stored entry (i, j); the softmax runs over each row's stored
+    entries. Self-loops keep every row nonempty. Returns the output rows and
+    a cache (side, per-entry LeakyReLU slopes, the attention CSR A_alpha,
+    output) for the backward pass.
 
     A head over every node (layer 1) runs its sparse products on the
     narrower side: when h is strictly narrower than its projection it takes
@@ -257,7 +240,7 @@ def _attention_layer(h, w, a_src, a_dst, segs, rows=None):
     a matrix-vector path for a single row), and a row view must match it
     bit for bit.
     """
-    adj, starts, sizes = segs
+    starts, sizes = _row_spans(adj)
     narrow = rows is None and h.shape[1] < w.shape[1]
     if narrow:
         s_src, s_dst = h @ (w @ a_src), h @ (w @ a_dst)
@@ -299,10 +282,10 @@ def _first_row_max(alpha, starts, sizes):
     return hits[np.searchsorted(hits, starts)]
 
 
-def _attention_backward(dout, h, w, a_src, a_dst, cache, segs, rows=None,
+def _attention_backward(dout, h, w, a_src, a_dst, cache, adj, rows=None,
                         input_grad=True):
     """Gradients (dh, dw, da_src, da_dst) of one head from ``dout`` at its
-    output rows, given the ``segs`` and ``rows`` of its forward (see
+    output rows, given the ``adj`` and ``rows`` of its forward (see
     :func:`_attention_layer`); dh is None unless ``input_grad``.
 
     The products run on the side the forward aggregated: P = g with dP =
@@ -315,7 +298,7 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, segs, rows=None,
     alpha_ik (P_j* - P_k): on a peaked row the two terms nearly cancel.
     """
     side, slope, att, out = cache
-    _, starts, sizes = segs
+    starts, sizes = _row_spans(adj)
     narrow = side.shape[1] < w.shape[1]  # side is A_alpha . h, not g
     rows = slice(None) if rows is None else rows
     p, agg, dp = (h, side, dout @ w.T) if narrow else (side, out, dout)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from neubm.datasets import SbmConfig, generate_sbm, stratified_split
 from neubm.errors import EXIT_CODES, NumericError, ShapeError
 from neubm.graph import (
     Graph,
@@ -28,7 +29,6 @@ from neubm.models import (
     prepare_operator,
     row_view,
     save_checkpoint,
-    segments,
 )
 from neubm.training import loss_and_gradients
 
@@ -228,7 +228,7 @@ class TestGatForward:
         params = init_params(cfg)
         adj = build_adjacency(g, add_self_loops=True)
         w, a_s, a_d = params.arrays[0:3]
-        _, (_, _, att, _) = _attention_layer(feats, w, a_s, a_d, segments(adj))
+        _, (_, _, att, _) = _attention_layer(feats, w, a_s, a_d, adj)
         dense = att.toarray()
         assert dense[0, 1] == pytest.approx(dense[0, 2], abs=1e-15)
 
@@ -241,8 +241,7 @@ class TestGatForward:
             params = init_params(cfg)
             adj = build_adjacency(g, add_self_loops=True)
             w, a_s, a_d = params.arrays[0:3]
-            _, (_, _, att, _) = _attention_layer(g.features, w, a_s, a_d,
-                                                 segments(adj))
+            _, (_, _, att, _) = _attention_layer(g.features, w, a_s, a_d, adj)
             dense = att.toarray()
             np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
@@ -341,11 +340,10 @@ def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
     adj = build_adjacency(g, add_self_loops=True)
     mask = adj.toarray() > 0
 
-    segs = segments(adj)
-    out, cache = _attention_layer(g.features, w, a_s, a_d, segs)
+    out, cache = _attention_layer(g.features, w, a_s, a_d, adj)
     ref_out, ref_cache = dense_attention_head(g.features, w, a_s, a_d, mask)
     got = (out, cache[2].toarray(),
-           *_attention_backward(dout, g.features, w, a_s, a_d, cache, segs))
+           *_attention_backward(dout, g.features, w, a_s, a_d, cache, adj))
     want = (ref_out, ref_cache[2],
             *dense_attention_backward(dout, g.features, w, a_s, a_d, ref_cache))
     magnitudes = dense_attention_magnitudes(dout, g.features, w, a_s, a_d,
@@ -411,11 +409,11 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     dout = rng.normal(size=(idx.size, d_out))
     adj = build_adjacency(g, add_self_loops=True)
 
-    row_segs, segs = segments(adj[idx]), segments(adj)
-    out, cache = _attention_layer(g.features, w, a_s, a_d, row_segs, idx)
-    grads = _attention_backward(dout, g.features, w, a_s, a_d, cache, row_segs,
+    row_adj = adj[idx]
+    out, cache = _attention_layer(g.features, w, a_s, a_d, row_adj, idx)
+    grads = _attention_backward(dout, g.features, w, a_s, a_d, cache, row_adj,
                                 idx)
-    full, full_cache = _attention_layer(g.features, w, a_s, a_d, segs,
+    full, full_cache = _attention_layer(g.features, w, a_s, a_d, adj,
                                         slice(None))
     assert np.array_equal(out, full[idx])
     full_dout = np.zeros((n, d_out))
@@ -426,10 +424,10 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     for got, want in zip(grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    every, every_cache = _attention_layer(g.features, w, a_s, a_d, segs)
+    every, every_cache = _attention_layer(g.features, w, a_s, a_d, adj)
     np.testing.assert_allclose(every, full, rtol=1e-12, atol=1e-14)
     every_grads = _attention_backward(full_dout, g.features, w, a_s, a_d,
-                                      every_cache, segs)
+                                      every_cache, adj)
     for got, want in zip(every_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -444,7 +442,7 @@ def test_head_cache_slopes_are_the_leaky_relu_branches(seed):
     w = rng.normal(size=(4, 3))
     a_s, a_d = rng.normal(size=(2, 3))
     _, (_, slope, att, _) = _attention_layer(g.features, w, a_s, a_d,
-                                             segments(adj), slice(None))
+                                             adj, slice(None))
     proj = g.features @ w
     e = (proj @ a_s)[csr_rows(adj)] + (proj @ a_d)[adj.indices]
     assert (e > 0.0).any() and (e < 0.0).any()
@@ -515,6 +513,39 @@ def test_row_view_logits_are_full_rows(architecture, n, p, rows, mode, seed):
                                     dropout_seed=seed)
     assert view.shape == (idx.size, 3)
     assert np.array_equal(view, full[idx])
+
+
+@pytest.mark.parametrize("graph", ["random", "criterion-5"])
+def test_transposed_row_product_matches_a_stored_transpose(graph):
+    # the GCN backward's row_adj.T @ dlogits runs scipy's CSC kernel over
+    # row_adj's entries; it must equal, bit for bit and zero sign for zero
+    # sign, the product with the transpose stored as a CSR
+    # (row_adj.T.tocsr()), and for the full operator with the symmetric
+    # A_hat itself
+    rng = np.random.default_rng(11)
+    if graph == "random":
+        g = random_graph(rng, n=60, d=4, p=0.1, num_classes=5)
+    else:
+        g = generate_sbm(SbmConfig(
+            num_classes=5, total_nodes=2000, rho=10, p_intra=0.02,
+            p_inter=0.006, feature_dim=16, class_mean_separation=0.8,
+            seed=2024,
+        ))
+    cfg = ModelConfig("gcn", input_dim=g.features.shape[1], hidden_dim=8,
+                      num_classes=5)
+    operator = prepare_operator(g, cfg)
+    masks = stratified_split(g, 0.1, 0.1, 1, seed=0).to_masks(g.num_nodes)
+    views = [row_view(operator, np.flatnonzero(masks[k])) for k in ("train", "val")]
+    for op in [operator, *views]:
+        d = rng.normal(size=(op.row_adj.shape[0], 5))
+        d[rng.random(d.shape) < 0.2] = -0.0
+        got = op.row_adj.T @ d
+        wants = [op.row_adj.T.tocsr() @ d]
+        if op is operator:
+            wants.append(operator.adj @ d)
+        for want in wants:
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCheckpoint:

@@ -295,12 +295,12 @@ def reference_loss_and_gradients(params, graph, labels, mask, weight_decay,
     if params.config.architecture == "gcn":
         w0, w1 = params.arrays
         z1, drop, h1 = cache
-        adl = operator.adj.csr @ dlogits
+        adl = operator.adj @ dlogits
         dh1 = adl @ w1.T
         da1 = dh1 * drop if drop is not None else dh1
         grads = (operator.x.T @ (da1 * (z1 > 0.0)), h1.T @ adl)
     else:
-        grads = reference_gat_backward(params, operator.adj.csr, graph.features,
+        grads = reference_gat_backward(params, operator.adj, graph.features,
                                        dlogits, cache)
     flat = np.concatenate([g.ravel() for g in grads])
     if weight_decay != 0.0:
