@@ -87,6 +87,15 @@ def main(argv=None) -> int:
         return EXIT_CODES.get(exc.category, 1)
 
 
+# `gen`'s generator flags: flag -> (SbmConfig field, type, default)
+GEN_FLAGS = {
+    "--classes": ("num_classes", int, 5), "--nodes": ("total_nodes", int, 2000),
+    "--rho": ("rho", float, 10.0), "--p-intra": ("p_intra", float, 0.05),
+    "--p-inter": ("p_inter", float, 0.005), "--dim": ("feature_dim", int, 16),
+    "--separation": ("class_mean_separation", float, 1.0),
+    "--std": ("feature_std", float, 1.0), "--seed": ("seed", int, 0)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neubm",
@@ -98,16 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic imbalanced dataset")
     p.add_argument("--out", required=True, help="canonical dataset directory")
-    p.add_argument("--config", help="JSON file with generator settings")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--nodes", type=int, default=2000)
-    p.add_argument("--rho", type=float, default=10.0)
-    p.add_argument("--p-intra", type=float, default=0.05)
-    p.add_argument("--p-inter", type=float, default=0.005)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--std", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="JSON generator settings, instead of the flags")
+    for flag, (field, kind, default) in GEN_FLAGS.items():
+        p.add_argument(flag, dest=field, type=kind, help=f"default {default}")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("stats", help="print dataset summary")
@@ -178,15 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    if args.config:
-        cfg = load_dataset_config(args.config)
-    else:
-        cfg = SbmConfig(
-            num_classes=args.classes, total_nodes=args.nodes, rho=args.rho,
-            p_intra=args.p_intra, p_inter=args.p_inter, feature_dim=args.dim,
-            class_mean_separation=args.separation, feature_std=args.std,
-            seed=args.seed,
-        )
+    given = {flag: getattr(args, field) for flag, (field, _, _) in GEN_FLAGS.items()
+             if getattr(args, field) is not None}
+    if args.config and given:
+        raise ConfigError(f"--config takes no generator flags: {', '.join(given)}")
+    cfg = load_dataset_config(args.config) if args.config else SbmConfig(**{
+        field: given.get(flag, default) for flag, (field, _, default) in GEN_FLAGS.items()})
     graph = generate_sbm(cfg)
     save_canonical(graph, args.out)
     print(describe(graph))

@@ -80,10 +80,12 @@ def load_canonical(path) -> Graph:
     missing = [key for key in META_KEYS if key not in meta]
     if missing:
         raise DatasetParseError(f"header missing keys {missing}", file=meta_file)
-    if meta["directed"]:
-        raise DatasetParseError("directed graphs unsupported", file=meta_file)
+    if meta["directed"] is not False:
+        raise DatasetParseError(f"'directed' must be false, got {meta['directed']!r}",
+                                file=meta_file)
     n, d, c = (meta[key] for key in META_KEYS[:3])
-    if not all(isinstance(v, int) and v >= 0 for v in (n, d, c)):
+    # type(v) is int: an int, never a bool, which would read as 0 or 1
+    if not all(type(v) is int and v >= 0 for v in (n, d, c)):
         raise DatasetParseError("header counts must be nonnegative integers",
                                 file=meta_file)
 
@@ -121,7 +123,7 @@ def load_canonical(path) -> Graph:
     if masks_file.exists():
         for name, idx in read_json(masks_file, "masks", DatasetParseError).items():
             if not (isinstance(idx, list)
-                    and all(isinstance(i, int) and 0 <= i < n for i in idx)):
+                    and all(type(i) is int and 0 <= i < n for i in idx)):
                 raise DatasetParseError(
                     f"mask {name!r} must list node indices in [0, {n})",
                     file=masks_file,

@@ -477,8 +477,7 @@ def aggregate_records(records: list[dict]) -> list[dict]:
                 }
             else:
                 entry["metrics"][fieldname] = None
-        if ok and ok[0]["bias"]:
-            decreased = [r["bias"]["majority_prob_decreased"] for r in ok]
+        if decreased := [r["bias"]["majority_prob_decreased"] for r in ok if r["bias"]]:
             entry["majority_prob_decreased_fraction"] = float(np.mean(decreased))
         rows.append(entry)
     return rows
@@ -586,7 +585,25 @@ def write_records(records: list[dict], output_dir) -> Path:
 
 
 def read_records(path) -> list[dict]:
-    return read_lines(path, "records", ConfigError, json.loads)
+    return read_lines(path, "records", ConfigError, _record)
+
+
+def _record(line: str) -> dict:
+    """A records.jsonl row; ValueError unless it holds, with their JSON
+    types, the keys that aggregate_records and the sweep charts read."""
+    r = json.loads(line)
+    get = r.get if isinstance(r, dict) else {}.get
+    sweep, value = get("sweep_variable", 0), get("sweep_value", "")
+    metrics, bias = get("metrics"), get("bias", 0)
+    if not (all(type(get(key)) is str for key in ("group", "row_id", "status"))
+            and (sweep is value is None or type(sweep) is str
+                 and sweep.isidentifier() and type(value) in (int, float))
+            and (get("status") != "ok" or isinstance(metrics, dict)
+                 and all(type(metrics.get(f)) in (int, float) for f in METRIC_FIELDS)
+                 and (bias is None or type(getattr(bias, "get", {}.get)(
+                     "majority_prob_decreased")) is bool))):
+        raise ValueError(f"not a neubm record: {line[:60]}")
+    return r
 
 
 def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:

@@ -214,9 +214,8 @@ def _gcn_backward(params, operator, dlogits, cache):
 
 
 def _row_spans(adj):
-    """The first stored entry and the number of stored entries of each CSR
-    row. A per-row value spreads to the row's entries as np.repeat(v,
-    sizes), which is cheaper than gathering it through per-entry row ids."""
+    """Each CSR row's first stored entry and number of stored entries: a row's
+    value spreads to its entries as np.repeat(v, sizes), cheaper than a gather."""
     return adj.indptr[:-1], np.diff(adj.indptr)
 
 

@@ -25,6 +25,14 @@ CHECKPOINT = {
     "model_config": {"architecture": "gcn", "input_dim": 6, "hidden_dim": 4,
                      "num_classes": 3},
 }  # 6 x 4 + 4 x 3 = 36 weights, for the 6-feature, 3-class dataset_dir
+# what `neubm plot` reads of one records.jsonl row
+RECORD = {"group": "sweep", "row_id": "none@logits", "status": "ok",
+          "sweep_variable": "rho", "sweep_value": 2.0,
+          "metrics": {"f1_macro": 0.5, "f1_weighted": 0.5, "f1_micro": 0.5,
+                      "accuracy": 0.5},
+          "bias": {"majority_prob_decreased": True}}
+GEN_CONFIG = {"num_classes": 3, "total_nodes": 60, "rho": 2, "p_intra": 0.2,
+              "p_inter": 0.02, "feature_dim": 8}
 
 
 def run_cli(*args):
@@ -296,6 +304,11 @@ class TestExperimentCommands:
         ("calibrate", None, 2, "bad.json"),
         ("calibrate", "not a checkpoint", 2, "bad.json"),
         ("plot", None, 2, "records.jsonl"),
+        ("plot", '{"group": "g"}\n', 2, "records.jsonl:1"),
+        ("plot", "[1, 2]\n", 2, "records.jsonl:1"),
+        ("plot", json.dumps(RECORD) + "\n"
+         + json.dumps({**RECORD, "sweep_value": "3"}) + "\n", 2, "records.jsonl:2"),
+        ("gen_flags", GEN_CONFIG, 2, "--nodes, --seed"),
         ("calibrate", {**CHECKPOINT, "model_config": {
             "architecture": "gcn", "input_dim": 6, "hidden_dim": 4},
             "params_flat": [0.0] * 36}, 2, "bad.json"),
@@ -322,7 +335,9 @@ class TestExperimentCommands:
         ("eval", "node_id,predicted_label,prob_0\n0,0,1.0\n", 3, "bad.csv"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
-            "plot_without_records", "checkpoint_missing_config_key",
+            "plot_without_records", "plot_record_missing_keys",
+            "plot_record_not_an_object", "plot_record_string_sweep_value",
+            "gen_config_with_flags", "checkpoint_missing_config_key",
             "checkpoint_short_params", "checkpoint_negative_input_dim",
             "neutral_missing_stats_key", "neutral_unknown_config_key",
             "neutral_malformed_json", "neutral_bad_config_value",
@@ -336,7 +351,8 @@ class TestExperimentCommands:
         2 for configs, checkpoints and records and 3 for dataset and neutral
         directories and predictions, naming the file or key, not a
         traceback."""
-        path = tmp_path / ("bad.csv" if command == "eval" else "bad.json")
+        path = tmp_path / {"eval": "bad.csv", "plot": "records.jsonl"}.get(
+            command, "bad.json")
         model, neutral = tmp_path / "model.json", tmp_path / "neutral"
         if command == "neutral":
             save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])),
@@ -362,6 +378,8 @@ class TestExperimentCommands:
             "eval": ["eval", "--pred", path, "--data", dataset_dir,
                      "--out", tmp_path / "metrics.json"],
             "plot": ["plot", "--results", tmp_path],
+            "gen_flags": ["gen", "--out", tmp_path / "gen", "--config", path,
+                          "--nodes", "500", "--seed", "9"],
         }[command]
         assert run_cli(*argv) == code
         err = capsys.readouterr().err

@@ -120,12 +120,18 @@ class TestCanonicalFormat:
         ("meta.json", '{"num_nodes": 3, "num_features": 4}', "meta.json"),
         ("masks.json", '{"train": [0, 99]}', "masks.json"),
         ("masks.json", '{"train": "0"}', "masks.json"),
+        ("masks.json", '{"train": [true, 2]}', "masks.json"),
+        ("meta.json", '{"num_nodes": 3, "num_features": 4, '
+                      '"num_classes": true, "directed": false}', "meta.json"),
+        ("meta.json", '{"num_nodes": 3, "num_features": 4, '
+                      '"num_classes": 2, "directed": 0}', "meta.json"),
         ("edges.csv", "0,1\n0,x\n", "edges.csv:2"),
         ("edges.csv", "0,1\n0,1\n", "edges.csv"),
         ("labels.csv", "0\n1\n", "labels.csv"),
         ("labels.csv", None, "labels.csv"),
     ], ids=["meta_not_object", "meta_count_not_integer", "meta_missing_keys",
-            "mask_out_of_range", "mask_not_list", "edge_not_integer",
+            "mask_out_of_range", "mask_not_list", "mask_bool_index",
+            "meta_count_bool", "meta_directed_not_false", "edge_not_integer",
             "duplicate_edge", "labels_short", "labels_missing"])
     def test_malformed_file_names_it(self, tmp_path, name, content, named):
         save_canonical(small_graph(), tmp_path / "ds")
