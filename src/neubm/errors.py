@@ -104,12 +104,16 @@ def _read_text(path, what, error) -> str:
 
 def read_json(path, what, error) -> dict:
     """The JSON object in the file ``path``. A file that is missing,
-    unreadable, malformed or not an object raises ``error`` naming it."""
+    unreadable, malformed, nested too deeply for the decoder or not an
+    object raises ``error`` naming it."""
+    text = _read_text(path, what, error)
     try:
-        value = json.loads(_read_text(path, what, error))
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"malformed {what}: {exc.msg}", file=path,
                     line=exc.lineno) from None
+    except RecursionError:
+        raise error(f"malformed {what}: nested too deeply", file=path) from None
     if not isinstance(value, dict):
         raise error(f"{what} is not a JSON object", file=path)
     return value
@@ -117,15 +121,16 @@ def read_json(path, what, error) -> dict:
 
 def read_lines(path, what, error, parse) -> list:
     """``parse`` of each non-blank line of the text file ``path``, stripped.
-    A file that cannot be read, or a ValueError from ``parse``, raises
-    ``error`` naming the file (and the line)."""
+    A file that cannot be read, or a ValueError or RecursionError (JSON
+    nested too deeply) from ``parse``, raises ``error`` naming the file (and
+    the line)."""
     rows = []
     for lineno, line in enumerate(_read_text(path, what, error).splitlines(), 1):
         line = line.strip()
         if line:
             try:
                 rows.append(parse(line))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise error(f"malformed {what}: {exc}", file=path,
                             line=lineno) from None
     return rows

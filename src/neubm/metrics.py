@@ -152,6 +152,11 @@ def imbalance_ratio(labels: np.ndarray, mask: np.ndarray | None = None) -> float
     return float(counts.max() / counts.min())
 
 
+# pooled samples per row block of distances: mmd_rbf never holds the m x m
+# distance matrix, only blocks of this many rows
+MMD_BLOCK_ROWS = 64
+
+
 def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     """Biased (V-statistic) RBF-kernel MMD between two sample sets.
 
@@ -160,12 +165,21 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     Returns sqrt(max(0, MMD^2)). Non-finite samples or bandwidth raise
     NumericError; a malformed or non-positive bandwidth raises ShapeError.
 
-    Precision: the distances come from the Gram identity, so each carries
-    an absolute rounding error of about eps * S^2, where S is the largest
-    norm of the mean-centred pooled sample. The kernel of a pair therefore
-    has a relative error of about eps * (S / h)^2. The median bandwidth
-    grows with S; a fixed h far below the spread loses digits on close
-    pairs (30 points of scale 1e3 in 3-d at h = 0.2: MMD^2 off by 2e-11).
+    Precision: the distances come from the Gram identity, one gemm per
+    block of MMD_BLOCK_ROWS pooled samples, so each carries an absolute
+    rounding error of about eps * S^2, where S is the largest norm of the
+    mean-centred pooled sample. The kernel of a pair therefore has a
+    relative error of about eps * (S / h)^2. The median bandwidth grows
+    with S; a fixed h far below the spread loses digits on close pairs (30
+    points of scale 1e3 in 3-d at h = 0.2: MMD^2 off by 2e-11). The
+    distance of a sample to itself, and between bitwise-equal samples, is
+    set to exactly 0, and XX, YY and XY are each summed as a full region in
+    the same block order, so mmd_rbf(x, x) is exactly 0.
+
+    Working set: for m pooled samples, the median bandwidth takes one
+    packed buffer of the m(m-1)/2 distances of distinct pairs, and each
+    block holds O(MMD_BLOCK_ROWS * m) doubles, where the m x m matrix took
+    about 1.5 m^2.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -178,30 +192,12 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericError("MMD samples must be finite")
 
-    # Pooled squared distances by the Gram identity |a|^2 + |b|^2 - 2 a.b,
-    # built in place. Centring keeps a shared offset out of the cancellation;
-    # taking the norms from the Gram diagonal makes the diagonal (and the
-    # distance between bitwise-equal rows) exactly 0.
-    n = x.shape[0]
-    pooled = np.concatenate([x, y], axis=0)
-    pooled -= pooled.mean(axis=0)
-    sq = pooled @ pooled.T
-    norms = np.diag(sq).copy()
-    sq *= -2.0
-    sq += norms[:, None]
-    sq += norms[None, :]
-    np.maximum(sq, 0.0, out=sq)
-
+    pool = _pool(x, y)
     if bandwidth == "median":
-        # both sides are nonempty, so the strict upper triangle is too. It is
-        # gathered row by row into one buffer; one in-place partition yields
-        # the order statistics np.median averages, whatever their order.
-        m = sq.shape[0]
-        upper = np.empty(m * (m - 1) // 2)
-        pos = 0
-        for i in range(m - 1):
-            upper[pos : pos + m - 1 - i] = sq[i, i + 1 :]
-            pos += m - 1 - i
+        # both sides are nonempty, so there is at least one distinct pair;
+        # one in-place partition yields the order statistics np.median
+        # averages, whatever their order
+        upper = _upper_sq_dists(pool)
         mid = upper.size // 2
         upper.partition(mid)
         med = upper[mid] if upper.size % 2 else (upper[:mid].max() + upper[mid]) / 2
@@ -220,12 +216,80 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
             raise ShapeError("bandwidth must be positive")
 
     gamma = 1.0 / (2.0 * h * h)
-    sq *= -gamma
-    k = np.exp(sq, out=sq)
-    kxx = k[:n, :n].mean()
-    kyy = k[n:, n:].mean()
-    kxy = k[:n, n:].mean()
+
+    def kernel_sum(rows, cols):
+        total = 0.0
+        for start in range(rows.start, rows.stop, MMD_BLOCK_ROWS):
+            block = _sq_dists(pool, slice(start, min(start + MMD_BLOCK_ROWS,
+                                                     rows.stop)), cols)
+            block *= -gamma
+            total += float(np.exp(block, out=block).sum())
+        return total
+
+    n, m = x.shape[0], len(pool[0])
+    xs, ys = slice(0, n), slice(n, m)
+    kxx = kernel_sum(xs, xs) / (n * n)
+    kyy = kernel_sum(ys, ys) / ((m - n) * (m - n))
+    kxy = kernel_sum(xs, ys) / (n * (m - n))
     mmd2 = kxx + kyy - 2.0 * kxy
     if not np.isfinite(mmd2):  # finite samples whose distances overflow
         raise NumericError("MMD is not finite")
     return float(np.sqrt(max(0.0, mmd2)))
+
+
+def _pool(x, y):
+    """(left, right, labels) for the pooled samples a_i, mean-centred so that
+    a shared offset stays out of the Gram identity's cancellation: the rows
+    left_i = [a_i, |a_i|^2, 1] and right_i = [-2 a_i, 1, |a_i|^2], so that
+    left_i . right_j = |a_i|^2 + |a_j|^2 - 2 a_i . a_j = |a_i - a_j|^2 in
+    one gemm, and labels numbering the distinct samples when two are
+    bitwise equal (else None)."""
+    pooled = np.concatenate([x, y], axis=0)
+    pooled -= pooled.mean(axis=0)
+    norms = np.einsum("ij,ij->i", pooled, pooled)[:, None]
+    ones = np.ones_like(norms)
+    labels = None
+    # distinct values in one coordinate rule out equal samples cheaply
+    if np.unique(pooled[:, 0]).size < len(pooled):
+        distinct, inverse = np.unique(pooled, axis=0, return_inverse=True)
+        if len(distinct) < len(pooled):
+            labels = inverse.ravel()
+    return (np.hstack([pooled, norms, ones]), np.hstack([-2.0 * pooled, ones, norms]),
+            labels)
+
+
+def _sq_dists(pool, rows, cols, out=None):
+    """Squared distances left[rows] . right[cols]^T between the pooled
+    samples ``rows`` and ``cols`` (slices), clipped at 0, into ``out`` if
+    given, and exactly 0 where a sample meets itself or a bitwise-equal
+    one."""
+    left, right, labels = pool
+    sq = np.matmul(left[rows], right[cols].T, out=out)
+    np.maximum(sq, 0.0, out=sq)
+    if labels is not None:
+        sq[labels[rows, None] == labels[None, cols]] = 0.0
+    else:
+        same = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+        sq[same - rows.start, same - cols.start] = 0.0
+    return sq
+
+
+def _upper_sq_dists(pool):
+    """The m(m-1)/2 squared distances of distinct pairs of the m pooled
+    samples, in one packed buffer. For each block of rows,
+    the pairs within it are taken from its small square and those with
+    later samples are written in place by the gemm."""
+    m = len(pool[0])
+    upper = np.empty(m * (m - 1) // 2)
+    strict = ~np.tri(min(MMD_BLOCK_ROWS, m), dtype=bool)
+    pos = 0
+    for start in range(0, m, MMD_BLOCK_ROWS):
+        stop = min(start + MMD_BLOCK_ROWS, m)
+        rows, size = slice(start, stop), stop - start
+        inner = _sq_dists(pool, rows, rows)[strict[:size, :size]]
+        upper[pos : pos + inner.size] = inner
+        pos += inner.size
+        later = upper[pos : pos + size * (m - stop)]
+        _sq_dists(pool, rows, slice(stop, m), out=later.reshape(size, m - stop))
+        pos += later.size
+    return upper

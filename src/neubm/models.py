@@ -228,7 +228,7 @@ def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
     one per stored entry (i, j); the softmax runs over each row's stored
     entries. Self-loops keep every row nonempty. Returns the output rows and
     a cache (side, per-entry LeakyReLU slopes, the attention CSR A_alpha,
-    output) for the backward pass.
+    output, per-row softmax sums) for the backward pass.
 
     A head over every node (layer 1) runs its sparse products on the
     narrower side: when h is strictly narrower than its projection it takes
@@ -266,18 +266,18 @@ def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
     else:
         side = g
         out = att @ g
-    return out, (side, slope, att, out)
+    return out, (side, slope, att, out, sums)
 
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _first_row_max(alpha, starts, sizes):
-    """Storage index of the first largest entry of each nonempty CSR row:
-    the first hit of the row-max mask at or after the row's start."""
-    hits = np.flatnonzero(alpha == np.repeat(np.maximum.reduceat(alpha, starts),
-                                             sizes))
+def _first_row_max(alpha, row_max, starts, sizes):
+    """Storage index of the first entry of each nonempty CSR row that equals
+    the row's largest entry ``row_max``: the first hit of the row-max mask
+    at or after the row's start."""
+    hits = np.flatnonzero(alpha == np.repeat(row_max, sizes))
     return hits[np.searchsorted(hits, starts)]
 
 
@@ -296,13 +296,15 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, adj, rows=None,
     apart as B_ij* u_i, u_i = dalpha_ij* - r_i = dP_i . sum_{k != j*}
     alpha_ik (P_j* - P_k): on a peaked row the two terms nearly cancel.
     """
-    side, slope, att, out = cache
+    side, slope, att, out, sums = cache
     starts, sizes = _row_spans(adj)
     narrow = side.shape[1] < w.shape[1]  # side is A_alpha . h, not g
     rows = slice(None) if rows is None else rows
     p, agg, dp = (h, side, dout @ w.T) if narrow else (side, out, dout)
     alpha = att.data
-    top = _first_row_max(alpha, starts, sizes)
+    # a row's top exponential is exp(0) = 1, and correctly rounded division
+    # is monotone, so 1 / sum is its largest coefficient bit for bit
+    top = _first_row_max(alpha, 1.0 / sums, starts, sizes)
     top_col = att.indices[top]
     rest = with_values(att, alpha.copy())  # A_alpha without the top entries
     rest.data[top] = 0.0

@@ -33,6 +33,9 @@ RECORD = {"group": "sweep", "row_id": "none@logits", "status": "ok",
           "bias": {"majority_prob_decreased": True}}
 GEN_CONFIG = {"num_classes": 3, "total_nodes": 60, "rho": 2, "p_intra": 0.2,
               "p_inter": 0.02, "feature_dim": 8}
+# JSON nested deeper than the decoder's recursion limit
+DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 
 
 def run_cli(*args):
@@ -333,6 +336,10 @@ class TestExperimentCommands:
                  "0,1,0.2,0.5,0.3\n1,one,0.2,0.5,0.3\n", 3, "bad.csv:3"),
         ("eval", None, 3, "bad.csv"),
         ("eval", "node_id,predicted_label,prob_0\n0,0,1.0\n", 3, "bad.csv"),
+        ("gen", DEEP_OBJECT, 2, "bad.json"),
+        ("calibrate", DEEP_OBJECT, 2, "bad.json"),
+        ("plot", DEEP_ARRAY + "\n", 2, "records.jsonl:1"),
+        ("neutral", DEEP_OBJECT, 3, "neutral_meta.json"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
             "plot_without_records", "plot_record_missing_keys",
@@ -344,7 +351,9 @@ class TestExperimentCommands:
             "checkpoint_float_hidden_dim", "neutral_bool_refresh_every",
             "neutral_null_mean_entry",
             "eval_non_integer_label", "eval_missing_predictions",
-            "eval_too_few_predictions"])
+            "eval_too_few_predictions", "gen_deeply_nested_config",
+            "checkpoint_deeply_nested", "plot_record_deeply_nested",
+            "neutral_deeply_nested"])
     def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,
                                          command, content, code, named):
         """A missing or malformed input file exits with its category's code,

@@ -129,10 +129,13 @@ class TestCanonicalFormat:
         ("edges.csv", "0,1\n0,1\n", "edges.csv"),
         ("labels.csv", "0\n1\n", "labels.csv"),
         ("labels.csv", None, "labels.csv"),
+        ("meta.json", '{"a": ' * 100_000 + "1" + "}" * 100_000, "meta.json"),
+        ("masks.json", "[" * 100_000 + "]" * 100_000, "masks.json"),
     ], ids=["meta_not_object", "meta_count_not_integer", "meta_missing_keys",
             "mask_out_of_range", "mask_not_list", "mask_bool_index",
             "meta_count_bool", "meta_directed_not_false", "edge_not_integer",
-            "duplicate_edge", "labels_short", "labels_missing"])
+            "duplicate_edge", "labels_short", "labels_missing",
+            "meta_deeply_nested", "masks_deeply_nested"])
     def test_malformed_file_names_it(self, tmp_path, name, content, named):
         save_canonical(small_graph(), tmp_path / "ds")
         path = tmp_path / "ds" / name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from neubm.metrics import (
     imbalance_ratio,
     mmd_rbf,
 )
+from neubm.metrics import _pool, _upper_sq_dists
 
 
 def brute_force_report(pred, truth, num_classes):
@@ -53,8 +56,10 @@ def reference_mmd2(x, y, bandwidth="median"):
 
 
 def reference_gram_mmd(x, y):
-    """mmd_rbf with the median bandwidth as np.median took it: the same
-    Gram-form distances, so the result must match bit for bit."""
+    """mmd_rbf with the median bandwidth as it was before the distances
+    moved to row blocks: one syrk Gram matrix of the centred pooled samples,
+    the m x m distance matrix and np.median over its strict upper triangle.
+    Blocked gemms round differently, so it is a tolerance reference."""
     pooled = np.concatenate([x, y], axis=0)
     pooled -= pooled.mean(axis=0)
     sq = pooled @ pooled.T
@@ -278,6 +283,10 @@ class TestMmd:
          spread=1.0, points="grid")
 @example(seed=4, n=3, m=4, d=2, bandwidth="median", shift_scale=1e2,
          spread=1.0, points="equal")
+# a self-distance left at its rounding error (norms not from the gemm that
+# forms the cross terms) gives MMD^2 = 1.99999999999818 here, not 2
+@example(seed=0, n=1, m=1, d=3, bandwidth=1.0, shift_scale=1.0,
+         spread=100.0, points="normal")
 def test_mmd_matches_pairwise_reference(seed, n, m, d, bandwidth, shift_scale,
                                         spread, points):
     # MMD^2 is compared, not MMD: the square root amplifies rounding near 0.
@@ -296,7 +305,27 @@ def test_mmd_matches_pairwise_reference(seed, n, m, d, bandwidth, shift_scale,
     got = mmd_rbf(x, y, bandwidth)
     assert got ** 2 == pytest.approx(max(expected, 0.0), abs=1e-12)
     if bandwidth == "median":
-        assert got == reference_gram_mmd(x, y)
+        # the median of the kernel's own distances, as np.median takes it,
+        # is the bandwidth it used, bit for bit
+        med = float(np.sqrt(np.median(_upper_sq_dists(_pool(x, y)))))
+        h_ref = med if med != 0.0 else 1.0
+        assert got == mmd_rbf(x, y, bandwidth=h_ref)
+        assert got ** 2 == pytest.approx(reference_gram_mmd(x, y) ** 2,
+                                         abs=1e-12)
+
+
+def test_mmd_working_set_stays_below_the_distance_matrix():
+    # 400 + 400 samples: the 800 x 800 distance matrix alone is 5.12 MB; the
+    # packed distinct pairs are 2.56 MB
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(400, 5)), rng.normal(size=(400, 5)) + 0.5
+    tracemalloc.start()
+    try:
+        mmd_rbf(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
 
 
 @settings(max_examples=50, deadline=None)

@@ -228,7 +228,7 @@ class TestGatForward:
         params = init_params(cfg)
         adj = build_adjacency(g, add_self_loops=True)
         w, a_s, a_d = params.arrays[0:3]
-        _, (_, _, att, _) = _attention_layer(feats, w, a_s, a_d, adj)
+        _, (_, _, att, _, _) = _attention_layer(feats, w, a_s, a_d, adj)
         dense = att.toarray()
         assert dense[0, 1] == pytest.approx(dense[0, 2], abs=1e-15)
 
@@ -241,7 +241,7 @@ class TestGatForward:
             params = init_params(cfg)
             adj = build_adjacency(g, add_self_loops=True)
             w, a_s, a_d = params.arrays[0:3]
-            _, (_, _, att, _) = _attention_layer(g.features, w, a_s, a_d, adj)
+            _, (_, _, att, _, _) = _attention_layer(g.features, w, a_s, a_d, adj)
             dense = att.toarray()
             np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
 
@@ -255,7 +255,7 @@ class TestGatForward:
                           num_classes=3, dropout=0.0, num_heads=2, seed=1)
         params = init_params(cfg)
         _, (heads, *_) = forward_with_operator(params, prepare_operator(g, cfg))
-        for i, (side, _, att, out) in enumerate(heads):
+        for i, (side, _, att, out, _) in enumerate(heads):
             w = params.arrays[3 * i]
             if d_in < hidden:
                 np.testing.assert_array_equal(side, att @ g.features)
@@ -441,8 +441,8 @@ def test_head_cache_slopes_are_the_leaky_relu_branches(seed):
     adj = build_adjacency(g, add_self_loops=True)
     w = rng.normal(size=(4, 3))
     a_s, a_d = rng.normal(size=(2, 3))
-    _, (_, slope, att, _) = _attention_layer(g.features, w, a_s, a_d,
-                                             adj, slice(None))
+    _, (_, slope, att, _, _) = _attention_layer(g.features, w, a_s, a_d,
+                                                adj, slice(None))
     proj = g.features @ w
     e = (proj @ a_s)[csr_rows(adj)] + (proj @ a_d)[adj.indices]
     assert (e > 0.0).any() and (e < 0.0).any()
@@ -476,8 +476,41 @@ def test_first_row_max_matches_reference(lengths, levels, seed):
     indices = np.concatenate([np.sort(rng.choice(6, size=k, replace=False))
                               for k in lengths])
     att = sp.csr_matrix((values, indices, indptr), shape=(len(lengths), 6))
-    got = _first_row_max(att.data, att.indptr[:-1], np.diff(att.indptr))
+    starts = att.indptr[:-1]
+    got = _first_row_max(att.data, np.maximum.reduceat(att.data, starts), starts,
+                         np.diff(att.indptr))
     np.testing.assert_array_equal(got, reference_first_row_max(att))
+
+
+@pytest.mark.parametrize("graph", ["random", "criterion-5"])
+@pytest.mark.parametrize("width", [2, 24])
+def test_row_max_from_softmax_sums(graph, width):
+    # the backward takes each row's largest coefficient as 1 / (its softmax
+    # sum) from the forward; it must be the row maximum bit for bit, and so
+    # find the same top entries, on a full layer (narrow when width exceeds
+    # the features) and on a row view
+    rng = np.random.default_rng(5)
+    if graph == "random":
+        g = random_graph(rng, n=60, d=4, p=0.1)
+    else:
+        g = generate_sbm(SbmConfig(
+            num_classes=5, total_nodes=2000, rho=10, p_intra=0.02,
+            p_inter=0.006, feature_dim=16, class_mean_separation=0.8,
+            seed=2024,
+        ))
+    adj = build_adjacency(g, add_self_loops=True)
+    w = rng.normal(size=(g.features.shape[1], width))
+    a_s, a_d = rng.normal(size=(2, width))
+    idx = np.flatnonzero(rng.random(g.num_nodes) < 0.3)
+    for rows, row_adj in [(None, adj), (idx, adj[idx])]:
+        _, (_, _, att, _, sums) = _attention_layer(g.features, w, a_s, a_d,
+                                                   row_adj, rows)
+        starts, sizes = att.indptr[:-1], np.diff(att.indptr)
+        np.testing.assert_array_equal(1.0 / sums,
+                                      np.maximum.reduceat(att.data, starts))
+        np.testing.assert_array_equal(
+            _first_row_max(att.data, 1.0 / sums, starts, sizes),
+            reference_first_row_max(att))
 
 
 @settings(max_examples=120, deadline=None)
