@@ -11,7 +11,6 @@ from .calibrate import (
     CalibrationSpec,
     calibrate,
     check_bias_reduction,
-    predict_calibrated,
 )
 from .datasets import (
     NoiseSpec,

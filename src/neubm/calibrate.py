@@ -24,9 +24,6 @@ from .errors import (
     ShapeError,
     read_lines,
 )
-from .graph import Graph
-from .models import ModelParams, predict_logits
-from .neutral import NeutralGraph, neutral_logit_vector
 from .training import softmax
 
 VARIANTS = ("none", "subtract", "scale", "normalize")
@@ -125,25 +122,6 @@ def calibrate(
         predicted_labels=probs.argmax(axis=1),  # first max = lowest class index
         corrected_logits=corrected,
     )
-
-
-def predict_calibrated(
-    params: ModelParams,
-    graph: Graph,
-    neutral: NeutralGraph | None,
-    spec: CalibrationSpec,
-) -> CalibratedOutput:
-    """predict_logits + neutral_logit_vector + calibrate, composed.
-
-    ``neutral`` may be None only for the identity variant (or to model the
-    no-reference ablation, where the neutral vector is all zeros).
-    """
-    logits = predict_logits(params, graph)
-    if neutral is None:
-        neutral_vec = np.zeros(logits.shape[1])
-    else:
-        neutral_vec = neutral_logit_vector(params, neutral)
-    return calibrate(logits, neutral_vec, spec)
 
 
 def check_bias_reduction(

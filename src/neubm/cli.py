@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import (
+    POSITIONS,
+    VARIANTS,
     CalibrationSpec,
     calibrate,
     read_predictions_csv,
@@ -34,6 +36,8 @@ from .datasets import (
 from .errors import EXIT_CODES, ConfigError, DatasetParseError, NeubmError
 from .graph import compute_dataset_stats
 from .harness import (
+    MODEL_DEFAULTS,
+    ProtocolConfig,
     emit_report,
     load_dataset_config,
     load_experiment_config,
@@ -44,8 +48,15 @@ from .harness import (
     run_sensitivity,
 )
 from .metrics import evaluate
-from .models import ModelConfig, load_checkpoint, predict_logits, save_checkpoint
+from .models import (
+    ARCHITECTURES,
+    ModelConfig,
+    load_checkpoint,
+    predict_logits,
+    save_checkpoint,
+)
 from .neutral import (
+    CONSTRUCTION_VARIANTS,
     NeutralConfig,
     construct_neutral,
     load_neutral,
@@ -92,8 +103,9 @@ GEN_FLAGS = {
     "--classes": ("num_classes", int, 5), "--nodes": ("total_nodes", int, 2000),
     "--rho": ("rho", float, 10.0), "--p-intra": ("p_intra", float, 0.05),
     "--p-inter": ("p_inter", float, 0.005), "--dim": ("feature_dim", int, 16),
-    "--separation": ("class_mean_separation", float, 1.0),
-    "--std": ("feature_std", float, 1.0), "--seed": ("seed", int, 0)}
+    "--separation": ("class_mean_separation", float, SbmConfig.class_mean_separation),
+    "--std": ("feature_std", float, SbmConfig.feature_std),
+    "--seed": ("seed", int, SbmConfig.seed)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,18 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint JSON path")
-    p.add_argument("--arch", choices=["gcn", "gat"], default="gcn")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-frac", type=float, default=0.1)
-    p.add_argument("--val-frac", type=float, default=0.1)
-    p.add_argument("--min-per-class", type=int, default=5)
+    p.add_argument("--arch", choices=ARCHITECTURES,
+                   default=MODEL_DEFAULTS["architecture"])
+    p.add_argument("--hidden", type=int, default=MODEL_DEFAULTS["hidden_dim"])
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--heads", type=int, default=ModelConfig.num_heads)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--train-frac", type=float, default=ProtocolConfig.train_frac)
+    p.add_argument("--val-frac", type=float, default=ProtocolConfig.val_frac)
+    p.add_argument("--min-per-class", type=int,
+                   default=ProtocolConfig.min_per_class)
     p.add_argument("--write-masks", action="store_true",
                    help="save the split into the dataset's masks.json")
     p.set_defaults(func=cmd_train)
@@ -142,15 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="predictions CSV path")
-    p.add_argument("--variant", default="subtract",
-                   choices=["none", "subtract", "scale", "normalize"])
-    p.add_argument("--position", default="logits",
-                   choices=["logits", "post_softmax"])
+    p.add_argument("--variant", default=CalibrationSpec.variant, choices=VARIANTS)
+    p.add_argument("--position", default=CalibrationSpec.position,
+                   choices=POSITIONS)
     p.add_argument("--lam", type=float, help="scaling factor (scale variant)")
     p.add_argument("--neutral-dir", help="reuse a serialized neutral graph")
-    p.add_argument("--neutral-seed", type=int, default=0)
-    p.add_argument("--neutral-variant", default="mean_cov",
-                   choices=["mean_cov", "random", "class_balanced"])
+    p.add_argument("--neutral-seed", type=int, default=NeutralConfig.seed)
+    p.add_argument("--neutral-variant", default=NeutralConfig.construction_variant,
+                   choices=CONSTRUCTION_VARIANTS)
     p.add_argument("--save-neutral", help="serialize the constructed neutral graph")
     p.set_defaults(func=cmd_calibrate)
 
@@ -204,9 +217,21 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # every flag is checked before anything is trained or written
+    protocol = ProtocolConfig(train_frac=args.train_frac, val_frac=args.val_frac,
+                              min_per_class=args.min_per_class)
+    train_config = TrainConfig(
+        learning_rate=args.lr, weight_decay=args.weight_decay,
+        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
+    )
     graph = load_canonical(args.data)
     if graph.labels is None:
         raise ConfigError("training needs a labeled dataset")
+    model_config = ModelConfig(
+        architecture=args.arch, input_dim=graph.num_features,
+        hidden_dim=args.hidden, num_classes=graph.num_classes,
+        dropout=args.dropout, num_heads=args.heads, seed=args.seed,
+    )
     if all(name in graph.masks for name in ("train", "val", "test")):
         split = SplitAssignment(
             train=np.flatnonzero(graph.mask("train")),
@@ -216,7 +241,8 @@ def cmd_train(args) -> int:
         )
     else:
         split = stratified_split(
-            graph, args.train_frac, args.val_frac, args.min_per_class, args.seed
+            graph, protocol.train_frac, protocol.val_frac, protocol.min_per_class,
+            args.seed,
         )
         if args.write_masks:
             masks = {
@@ -226,15 +252,6 @@ def cmd_train(args) -> int:
             (Path(args.data) / "masks.json").write_text(
                 json.dumps(masks, indent=2) + "\n"
             )
-    model_config = ModelConfig(
-        architecture=args.arch, input_dim=graph.num_features,
-        hidden_dim=args.hidden, num_classes=graph.num_classes,
-        dropout=args.dropout, num_heads=args.heads, seed=args.seed,
-    )
-    train_config = TrainConfig(
-        learning_rate=args.lr, weight_decay=args.weight_decay,
-        max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
-    )
     params, report = train(graph, split, model_config, train_config)
     save_checkpoint(params, args.out)
     pred = predict_logits(params, graph).argmax(axis=1)

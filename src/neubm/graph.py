@@ -214,30 +214,27 @@ def edge_density(num_nodes: int, num_edges: int) -> float:
 class DatasetStats:
     """Average size/density plus feature mean and covariance of a dataset.
 
-    sigma_node is the population covariance: a (d, d) matrix in "full" mode
-    or the (d,) per-dimension variance vector in "diagonal" mode.
+    sigma_node is the full (d, d) population covariance; a neutral config's
+    covariance_mode decides how much of it the sampler uses.
     """
 
     n_bar: float
     d_bar: float
     mu_node: np.ndarray
     sigma_node: np.ndarray
-    source_node_count: int
-    covariance_mode: str = "full"
 
     def __post_init__(self):
         if not 0.0 <= self.d_bar <= 1.0:
             raise GraphValidationError(f"d_bar must lie in [0, 1], got {self.d_bar}")
-        if self.covariance_mode not in ("full", "diagonal"):
+        d = np.shape(self.mu_node)[0]
+        if np.shape(self.sigma_node) != (d, d):
             raise GraphValidationError(
-                f"unknown covariance mode {self.covariance_mode!r}"
+                f"sigma_node must be a ({d}, {d}) matrix, got shape "
+                f"{np.shape(self.sigma_node)}"
             )
 
 
-def compute_dataset_stats(
-    graph: Graph,
-    covariance_mode: str = "full",
-) -> DatasetStats:
+def compute_dataset_stats(graph: Graph) -> DatasetStats:
     """Extract n_bar, d_bar and the feature mean/covariance from all nodes
     and edges of one graph. Covariance is population (divide by the node
     count).
@@ -247,16 +244,6 @@ def compute_dataset_stats(
     x = graph.features
     mu = x.mean(axis=0)
     centered = x - mu
-    if covariance_mode == "diagonal":
-        sigma = np.mean(centered * centered, axis=0)
-    else:
-        sigma = centered.T @ centered / n
-
     return DatasetStats(
-        n_bar=float(n),
-        d_bar=d_bar,
-        mu_node=mu,
-        sigma_node=sigma,
-        source_node_count=n,
-        covariance_mode=covariance_mode,
+        n_bar=float(n), d_bar=d_bar, mu_node=mu, sigma_node=centered.T @ centered / n
     )

@@ -149,7 +149,8 @@ def load_experiment_config(source) -> ExperimentConfig:
             if isinstance(spec, dict) else spec
             for spec in raw["calibration"]
         ] or ExperimentConfig.calibration
-    raw["rho_sweep"] = raw.get("rho_sweep") or None
+    if raw.get("rho_sweep") in ([], ()):  # only an empty list means no sweep
+        raw["rho_sweep"] = None
     return build("config", ExperimentConfig, raw, ConfigError, file)
 
 

@@ -27,11 +27,12 @@ from .errors import ConfigError, NumericError, ShapeError, build, read_json
 from .graph import Graph, build_adjacency, symmetric_normalize, with_values
 
 LEAKY_SLOPE = 0.2  # attention score nonlinearity
+ARCHITECTURES = ("gcn", "gat")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    architecture: str  # "gcn" | "gat"
+    architecture: str  # one of ARCHITECTURES
     input_dim: int
     hidden_dim: int
     num_classes: int
@@ -40,7 +41,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.architecture not in ("gcn", "gat"):
+        if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if min(self.input_dim, self.hidden_dim, self.num_classes) < 1:
             raise ConfigError("input_dim, hidden_dim and num_classes must be >= 1")

@@ -28,6 +28,9 @@ from .graph import DatasetStats, Graph, bernoulli_cells
 from .models import ModelParams, predict_logits
 
 CONSTRUCTION_VARIANTS = ("mean_cov", "random", "class_balanced")
+# "stats" keys of older neutral_meta.json files: the covariance mode is the
+# config's alone, and the source node count always equalled n_bar
+RETIRED_STATS_KEYS = ("covariance_mode", "source_node_count")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class NeutralGraph:
     graph: Graph
     stats_used: DatasetStats
     config: NeutralConfig
-    seed: int
 
 
 def regularized_covariance_factor(
@@ -111,10 +113,9 @@ def sample_mvn(
 ) -> np.ndarray:
     """Draw ``count`` rows from N(mu, Sigma), deterministically per seed.
 
-    full mode factors Sigma + eps*I via eigendecomposition (negative
-    eigenvalues clipped); diagonal mode treats dimensions independently
-    with variance diag(Sigma). ``sigma`` may be the (d,) variance vector
-    in diagonal mode.
+    ``sigma`` is a (d, d) matrix. full mode factors Sigma + eps*I via
+    eigendecomposition (negative eigenvalues clipped); diagonal mode treats
+    dimensions independently with variance diag(Sigma).
 
     The draws are moment-matched: their sample mean is mu and, when count >
     d, their population covariance the target (Sigma + eps*I, or diag(Sigma)
@@ -123,17 +124,14 @@ def sample_mvn(
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
     d = mu.shape[0]
+    if sigma.shape != (d, d):
+        raise ShapeError("sigma does not match mu")
     rng = np.random.default_rng(seed)
     z = _matched_normals(rng.standard_normal((count, d)), mode)
     if mode == "diagonal":
-        var = sigma if sigma.ndim == 1 else np.diag(sigma)
-        if var.shape != (d,):
-            raise ShapeError("variance vector does not match mu")
-        return mu + z * np.sqrt(np.clip(var, 0.0, None))
+        return mu + z * np.sqrt(np.clip(np.diag(sigma), 0.0, None))
     if mode != "full":
         raise InfeasibleError(f"unknown sampling mode {mode!r}")
-    if sigma.shape != (d, d):
-        raise ShapeError("sigma does not match mu")
     asymmetry = float(np.max(np.abs(sigma - sigma.T))) if d else 0.0
     if asymmetry > 1e-8:
         raise GraphValidationError(
@@ -231,31 +229,35 @@ def construct_neutral(
         rows = np.concatenate(class_rows)[firsts[picks] + rng.integers(0, sizes[picks])]
         features = labeled_source.features[rows]
     graph = Graph(num_nodes=n, features=features, edges=edges)
-    return NeutralGraph(graph=graph, stats_used=stats, config=config, seed=config.seed)
+    return NeutralGraph(graph=graph, stats_used=stats, config=config)
 
 
 def neutral_fidelity(neutral: NeutralGraph) -> dict:
     """How closely the neutral graph matches the statistics it was built
     from: target and realized edge density, the largest per-dimension gap
     between its feature mean and mu_node, and the relative Frobenius error
-    of its population feature covariance against sigma_node (the variance
-    vector in diagonal mode; None when the target is zero)."""
+    of its population feature covariance against sigma_node; in the
+    config's diagonal covariance_mode, of its per-dimension variances
+    against diag(sigma_node), the target that mode samples (None when the
+    target is zero)."""
     g, stats = neutral.graph, neutral.stats_used
     pairs = g.num_nodes * (g.num_nodes - 1) // 2
     mean = g.features.mean(axis=0)
     centered = g.features - mean
-    if stats.sigma_node.ndim == 1:
+    if neutral.config.covariance_mode == "diagonal":
+        target = np.diag(stats.sigma_node)
         cov = np.mean(centered * centered, axis=0)
     else:
+        target = stats.sigma_node
         cov = centered.T @ centered / g.num_nodes
-    target_norm = float(np.linalg.norm(stats.sigma_node))
+    target_norm = float(np.linalg.norm(target))
     return {
         "variant": neutral.config.construction_variant,
         "target_density": float(stats.d_bar),
         "realized_density": g.num_edges / pairs if pairs else None,
         "max_abs_mean_error": float(np.abs(mean - stats.mu_node).max()),
         "cov_rel_frobenius_error": (
-            float(np.linalg.norm(cov - stats.sigma_node)) / target_norm
+            float(np.linalg.norm(cov - target)) / target_norm
             if target_norm else None
         ),
     }
@@ -263,14 +265,9 @@ def neutral_fidelity(neutral: NeutralGraph) -> dict:
 
 def neutral_logit_vector(params: ModelParams, neutral: NeutralGraph) -> np.ndarray:
     """Eval-mode forward pass on the neutral graph, mean-pooled to one
-    per-class vector."""
-    if neutral.graph.num_features != params.config.input_dim:
-        raise ShapeError(
-            f"neutral features have width {neutral.graph.num_features}, "
-            f"model expects {params.config.input_dim}"
-        )
-    logits = predict_logits(params, neutral.graph)
-    return logits.mean(axis=0)
+    per-class vector. A model whose input_dim differs from the neutral
+    feature width raises ShapeError."""
+    return predict_logits(params, neutral.graph).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +282,6 @@ def save_neutral(neutral: NeutralGraph, path) -> None:
         "stats": {**asdict(stats), "mu_node": stats.mu_node.tolist(),
                   "sigma_node": stats.sigma_node.tolist()},
         "config": asdict(neutral.config),
-        "seed": neutral.seed,
         "neutral_logit_pooling": "mean",
     }
     (out / "neutral_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -293,14 +289,16 @@ def save_neutral(neutral: NeutralGraph, path) -> None:
 
 def load_neutral(path) -> NeutralGraph:
     """Read a directory written by :func:`save_neutral`; a fault in its
-    neutral_meta.json raises DatasetParseError naming the file."""
+    neutral_meta.json raises DatasetParseError naming the file. The
+    RETIRED_STATS_KEYS and the top-level seed of older files are ignored."""
     root = Path(path)
     graph = load_canonical(root)
     meta_file = root / "neutral_meta.json"
     meta = read_json(meta_file, "neutral metadata", DatasetParseError)
-    stats = build("stats", DatasetStats, meta.get("stats"), DatasetParseError,
-                  meta_file)
+    stats = meta.get("stats")
+    if isinstance(stats, dict):
+        stats = {k: v for k, v in stats.items() if k not in RETIRED_STATS_KEYS}
+    stats = build("stats", DatasetStats, stats, DatasetParseError, meta_file)
     config = build("config", NeutralConfig, meta.get("config"),
                    DatasetParseError, meta_file)
-    return NeutralGraph(graph=graph, stats_used=stats, config=config,
-                        seed=config.seed)
+    return NeutralGraph(graph=graph, stats_used=stats, config=config)

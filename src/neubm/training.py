@@ -43,6 +43,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ConfigError("learning_rate must be positive")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be >= 0")
         if self.patience > self.max_epochs:
             raise ConfigError("patience must be <= max_epochs")
 

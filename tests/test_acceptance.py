@@ -154,10 +154,7 @@ def test_criterion_03_metric_oracle():
 def test_criterion_04_neutral_statistics():
     mu = np.array([1.0, -0.5, 2.0, 0.0])
     sigma = np.diag([1.0, 0.5, 2.0, 1.5])
-    stats = DatasetStats(
-        n_bar=100.0, d_bar=0.1, mu_node=mu, sigma_node=sigma,
-        source_node_count=100,
-    )
+    stats = DatasetStats(n_bar=100.0, d_bar=0.1, mu_node=mu, sigma_node=sigma)
     pairs = 100 * 99 / 2
     densities = [
         construct_neutral(stats, NeutralConfig(seed=s)).graph.num_edges / pairs

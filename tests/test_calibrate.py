@@ -5,7 +5,6 @@ from neubm.calibrate import (
     CalibrationSpec,
     calibrate,
     check_bias_reduction,
-    predict_calibrated,
     read_predictions_csv,
     write_predictions_csv,
 )
@@ -17,7 +16,7 @@ from neubm.errors import (
 )
 from neubm.graph import Graph, compute_dataset_stats
 from neubm.models import ModelConfig, init_params, predict_logits
-from neubm.neutral import NeutralConfig, construct_neutral
+from neubm.neutral import NeutralConfig, construct_neutral, neutral_logit_vector
 from neubm.training import softmax
 
 SUBTRACT = CalibrationSpec("subtract")
@@ -190,29 +189,22 @@ def tiny_setup(seed=0):
 
 
 class TestPredictCalibrated:
+    """predict_logits + neutral_logit_vector + calibrate, composed as the
+    README's usage snippet composes them."""
+
     def test_identity_path(self):
         graph, params, neutral = tiny_setup()
-        out = predict_calibrated(params, graph, neutral, NONE)
+        out = calibrate(predict_logits(params, graph),
+                        neutral_logit_vector(params, neutral), NONE)
         np.testing.assert_allclose(
             out.probabilities, softmax(predict_logits(params, graph)), atol=1e-15
         )
 
-    def test_composition_equals_manual(self):
-        from neubm.neutral import neutral_logit_vector
-
-        graph, params, neutral = tiny_setup(seed=1)
-        composed = predict_calibrated(params, graph, neutral, SUBTRACT)
-        manual = calibrate(
-            predict_logits(params, graph),
-            neutral_logit_vector(params, neutral),
-            SUBTRACT,
-        )
-        assert np.array_equal(composed.probabilities, manual.probabilities)
-        assert np.array_equal(composed.corrected_logits, manual.corrected_logits)
-
     def test_none_neutral_means_zero_vector(self):
+        # the no-reference ablation calibrates against an all-zero vector
         graph, params, _ = tiny_setup(seed=2)
-        out = predict_calibrated(params, graph, None, SUBTRACT)
+        logits = predict_logits(params, graph)
+        out = calibrate(logits, np.zeros(logits.shape[1]), SUBTRACT)
         np.testing.assert_allclose(
             out.probabilities, softmax(predict_logits(params, graph)), atol=1e-12
         )

@@ -117,6 +117,46 @@ class TestTrainCalibrateEval:
                 "--neutral-dir", tmp_path / "neutral")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_older_neutral_layout_gives_the_same_predictions(self, dataset_dir,
+                                                             tmp_path):
+        # a neutral_meta.json that still holds the retired stats keys and a
+        # top-level seed loads, and calibrates as the current layout does
+        model = tmp_path / "model.json"
+        run_cli("train", "--data", dataset_dir, "--out", model, "--hidden", 8,
+                "--max-epochs", 10, "--patience", 10, "--train-frac", 0.2,
+                "--val-frac", 0.2, "--min-per-class", 3)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", a, "--save-neutral", tmp_path / "neutral") == 0
+        meta_file = tmp_path / "neutral" / "neutral_meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["stats"].update(source_node_count=200, covariance_mode="full")
+        meta["seed"] = meta["config"]["seed"]
+        meta_file.write_text(json.dumps(meta, indent=2) + "\n")
+        assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", b, "--neutral-dir", tmp_path / "neutral") == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--train-frac", 0.5, "--val-frac", 0.5), "train_frac + val_frac"),
+        (("--lr", -1), "learning_rate"),
+        (("--lr", 0), "learning_rate"),
+        (("--weight-decay", -0.1), "weight_decay"),
+    ], ids=["split_leaves_no_test_nodes", "negative_lr", "zero_lr",
+            "negative_weight_decay"])
+    def test_train_flags_checked_before_training(self, dataset_dir, tmp_path,
+                                                 capsys, flags, named):
+        # a config error (exit 2) before anything is trained or written
+        model = tmp_path / "model.json"
+        code = run_cli("train", "--data", dataset_dir, "--out", model,
+                       "--hidden", 8, "--max-epochs", 5, "--patience", 5,
+                       "--write-masks", *flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and "trained" not in captured.out
+        assert not model.exists()
+        assert not (dataset_dir / "masks.json").exists()
+
     def test_scale_variant_requires_lambda(self, dataset_dir, tmp_path):
         model = tmp_path / "model.json"
         run_cli("train", "--data", dataset_dir, "--out", model, "--hidden", 8,
@@ -230,6 +270,11 @@ class TestExperimentCommands:
         ({"calibration": [{"variant": "shift"}]}, ("'shift'", "exp.json")),
         ({"calibration": [{"position": "input"}]}, ("'input'", "exp.json")),
         ({"rho_sweep": 4}, "'rho_sweep'"),
+        # only an empty list means "no sweep"; other falsy values are wrong
+        ({"rho_sweep": 0}, ("'rho_sweep'", "exp.json")),
+        ({"rho_sweep": False}, ("'rho_sweep'", "exp.json")),
+        ({"rho_sweep": ""}, ("'rho_sweep'", "exp.json")),
+        ({"rho_sweep": {}}, ("'rho_sweep'", "exp.json")),
         ({"noise": {"kind": "feature", "levels": 0.5}}, ("'noise'", "'levels'")),
         ({"rho_sweep": ["a"]}, ("'rho_sweep'", "exp.json")),
         ({"noise": {"kind": "feature", "levels": ["x"]}},
@@ -272,7 +317,8 @@ class TestExperimentCommands:
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
             "calibration_spec_not_an_object", "calibration_variant",
-            "calibration_position", "rho_sweep_not_a_list",
+            "calibration_position", "rho_sweep_not_a_list", "rho_sweep_zero",
+            "rho_sweep_false", "rho_sweep_empty_string", "rho_sweep_empty_object",
             "noise_levels_not_a_list", "rho_sweep_entry_not_a_number",
             "noise_level_not_a_number", "calibration_lambda_type",
             "protocol_num_seeds_type", "protocol_k_folds_type",
@@ -332,6 +378,10 @@ class TestExperimentCommands:
          "neutral_meta.json"),
         ("neutral", lambda meta: meta["stats"]["mu_node"].__setitem__(0, None), 3,
          "neutral_meta.json"),
+        # diagonal-mode stats of older files held only the variance vector
+        ("neutral", lambda meta: meta["stats"].update(
+            sigma_node=[1.0] * 6, covariance_mode="diagonal"), 3,
+         "neutral_meta.json"),
         ("eval", "node_id,predicted_label,prob_0,prob_1,prob_2\n"
                  "0,1,0.2,0.5,0.3\n1,one,0.2,0.5,0.3\n", 3, "bad.csv:3"),
         ("eval", None, 3, "bad.csv"),
@@ -349,7 +399,7 @@ class TestExperimentCommands:
             "neutral_missing_stats_key", "neutral_unknown_config_key",
             "neutral_malformed_json", "neutral_bad_config_value",
             "checkpoint_float_hidden_dim", "neutral_bool_refresh_every",
-            "neutral_null_mean_entry",
+            "neutral_null_mean_entry", "neutral_variance_vector_sigma",
             "eval_non_integer_label", "eval_missing_predictions",
             "eval_too_few_predictions", "gen_deeply_nested_config",
             "checkpoint_deeply_nested", "plot_record_deeply_nested",

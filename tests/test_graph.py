@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from neubm.errors import DensityUndefinedError, GraphValidationError
 from neubm.graph import (
+    DatasetStats,
     Graph,
     bernoulli_cells,
     build_adjacency,
@@ -197,12 +198,16 @@ class TestDatasetStats:
         alt = x.T @ x / 40 - np.outer(stats.mu_node, stats.mu_node)
         np.testing.assert_allclose(stats.sigma_node, alt, atol=1e-10)
 
-    def test_diagonal_mode_matches_full_diagonal(self):
+    def test_sigma_is_a_full_matrix(self):
+        # the stats always hold the full covariance; a neutral config's
+        # covariance_mode decides how much of it the sampler uses
         rng = np.random.default_rng(6)
         g = Graph(num_nodes=30, features=rng.normal(size=(30, 4)), edges=[(0, 1)])
-        full = compute_dataset_stats(g, covariance_mode="full")
-        diag = compute_dataset_stats(g, covariance_mode="diagonal")
-        np.testing.assert_allclose(diag.sigma_node, np.diag(full.sigma_node))
+        stats = compute_dataset_stats(g)
+        assert stats.sigma_node.shape == (4, 4)
+        with pytest.raises(GraphValidationError, match=r"\(4, 4\) matrix"):
+            DatasetStats(n_bar=30.0, d_bar=0.1, mu_node=stats.mu_node,
+                         sigma_node=np.diag(stats.sigma_node))
 
 
 @settings(max_examples=60, deadline=None)

@@ -373,6 +373,11 @@ class TestConfigLoading:
         assert cfg.calibration[0].spec_id == "subtract@logits"
         assert cfg.protocol.num_seeds == 1
 
+    @pytest.mark.parametrize("empty", [[], (), None])
+    def test_empty_rho_sweep_means_no_sweep(self, empty):
+        cfg = load_experiment_config({"dataset": "data", "rho_sweep": empty})
+        assert cfg.rho_sweep is None
+
     def test_missing_dataset_rejected(self):
         with pytest.raises(ConfigError):
             load_experiment_config({"model": {}})

@@ -1,10 +1,12 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from neubm.errors import GraphValidationError, InfeasibleError
+from neubm.datasets import SbmConfig, generate_sbm
+from neubm.errors import GraphValidationError, InfeasibleError, ShapeError
 from neubm.graph import DatasetStats, Graph, compute_dataset_stats
 from neubm.models import ModelConfig, init_params
 from neubm.neutral import (
@@ -23,10 +25,7 @@ from neubm.neutral import (
 def stats_for(n_bar=10.0, d_bar=0.2, d=3, mu=None, sigma=None):
     mu = np.zeros(d) if mu is None else np.asarray(mu, float)
     sigma = np.eye(d) if sigma is None else np.asarray(sigma, float)
-    return DatasetStats(
-        n_bar=n_bar, d_bar=d_bar, mu_node=mu, sigma_node=sigma,
-        source_node_count=int(n_bar),
-    )
+    return DatasetStats(n_bar=n_bar, d_bar=d_bar, mu_node=mu, sigma_node=sigma)
 
 
 class TestSampleMvn:
@@ -84,10 +83,15 @@ class TestSampleMvn:
     def test_diagonal_mode_matches_moments_exactly(self, count):
         var = np.array([0.25, 1.0, 4.0, 9.0])
         mu = np.array([1.0, -2.0, 0.0, 5.0])
-        for sigma in (var, np.diag(var)):
-            out = sample_mvn(mu, sigma, count=count, mode="diagonal", seed=count)
-            np.testing.assert_allclose(out.mean(axis=0), mu, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(out.var(axis=0), var, rtol=0, atol=1e-10)
+        out = sample_mvn(mu, np.diag(var), count=count, mode="diagonal", seed=count)
+        np.testing.assert_allclose(out.mean(axis=0), mu, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(out.var(axis=0), var, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_variance_vector_rejected(self, mode):
+        # sigma is always the (d, d) matrix; diagonal mode reads its diagonal
+        with pytest.raises(ShapeError, match="sigma does not match mu"):
+            sample_mvn(np.zeros(3), np.ones(3), count=5, mode=mode)
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     @pytest.mark.parametrize("count", [1, 2, 4])
@@ -281,7 +285,7 @@ class TestEdgeSampler:
                        num_classes=3)
         stats = compute_dataset_stats(source)
         stats = DatasetStats(n_bar=n_bar, d_bar=0.1, mu_node=stats.mu_node,
-                             sigma_node=stats.sigma_node, source_node_count=30)
+                             sigma_node=stats.sigma_node)
         for seed in (0, 5, 2024):
             cfg = NeutralConfig(construction_variant=variant, seed=seed)
             got = construct_neutral(stats, cfg, labeled_source=source)
@@ -368,17 +372,15 @@ class TestNeutralFidelity:
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_covariance_error(self, mode):
-        # mean_cov matches the covariance up to the eps regularization; rows
-        # copied from a source carry the source's covariance instead
+        # mean_cov matches the covariance up to the eps regularization (full
+        # mode) or the per-dimension variances exactly (diagonal mode, where
+        # the target is diag(Sigma)); rows copied from a source carry the
+        # source's covariance instead
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
         stats = stats_for(n_bar=50.0, d=2, sigma=sigma)
-        if mode == "diagonal":
-            stats = DatasetStats(n_bar=50.0, d_bar=0.1, mu_node=np.zeros(2),
-                                 sigma_node=np.diag(sigma),
-                                 source_node_count=50, covariance_mode=mode)
         cfg = NeutralConfig(covariance_mode=mode, seed=2)
         fid = neutral_fidelity(construct_neutral(stats, cfg))
-        assert fid["cov_rel_frobenius_error"] < 1e-5
+        assert fid["cov_rel_frobenius_error"] < (1e-5 if mode == "full" else 1e-12)
         source = Graph(num_nodes=2, features=[[1.0, 0.0], [-1.0, 0.0]], edges=[])
         copied = construct_neutral(
             stats, NeutralConfig(construction_variant="random", seed=2),
@@ -392,7 +394,48 @@ class TestNeutralFidelity:
         assert fid["cov_rel_frobenius_error"] is None
 
 
+# the criterion-5 block model (tests/test_acceptance.py)
+CRITERION_5_SBM = SbmConfig(
+    num_classes=5, total_nodes=2000, rho=10, p_intra=0.02, p_inter=0.006,
+    feature_dim=16, class_mean_separation=0.8, feature_std=1.0, seed=2024,
+)
+
+
+def former_diagonal_features(mu, sigma, n, seed):
+    """mean_cov features in diagonal mode as the sampler drew them when it
+    also took a (d,) variance vector: the harness passed the full Sigma
+    and the sampler read its diagonal."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(n * (n - 1) // 2)
+    z = np.random.default_rng(int(rng.integers(2**32))).standard_normal(
+        (n, mu.shape[0]))
+    z = z - z.mean(axis=0)
+    if n > mu.shape[0]:
+        z = z / np.sqrt(np.mean(z * z, axis=0))
+    return mu + z * np.sqrt(np.clip(np.diag(sigma), 0.0, None))
+
+
+class TestDiagonalMode:
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return compute_dataset_stats(generate_sbm(CRITERION_5_SBM))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2027])
+    def test_features_match_former_sampler(self, stats, seed):
+        cfg = NeutralConfig(covariance_mode="diagonal", seed=seed)
+        got = construct_neutral(stats, cfg).graph.features
+        want = former_diagonal_features(stats.mu_node, stats.sigma_node, 2000, seed)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestNeutralLogits:
+    def test_width_mismatch_is_shape_error(self):
+        # the forward pass owns the check: a data error, exit 3
+        neutral = construct_neutral(stats_for(d=2), NeutralConfig(seed=0))
+        params = init_params(ModelConfig("gcn", 3, 4, 2, dropout=0.0))
+        with pytest.raises(ShapeError, match="width 2, model expects 3"):
+            neutral_logit_vector(params, neutral)
+
     def test_constant_rows_pool_to_row(self):
         stats = stats_for(n_bar=4.0, d_bar=0.0, d=2, mu=[1.0, 2.0],
                           sigma=np.zeros((2, 2)))
@@ -441,4 +484,9 @@ class TestNeutralSerialization:
         np.testing.assert_array_equal(loaded.graph.features, neutral.graph.features)
         np.testing.assert_array_equal(loaded.graph.edges, neutral.graph.edges)
         assert loaded.config == neutral.config
-        assert loaded.seed == 11
+        assert loaded.config.seed == 11
+        assert loaded.stats_used.n_bar == stats.n_bar
+        np.testing.assert_array_equal(loaded.stats_used.sigma_node, stats.sigma_node)
+        meta = json.loads((tmp_path / "neutral" / "neutral_meta.json").read_text())
+        assert set(meta) == {"stats", "config", "neutral_logit_pooling"}
+        assert set(meta["stats"]) == {"n_bar", "d_bar", "mu_node", "sigma_node"}

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from neubm.datasets import SbmConfig, generate_sbm, stratified_split
 from neubm.errors import (
     EXIT_CODES,
+    ConfigError,
     EmptyScopeError,
     GraphValidationError,
     TrainingFailureError,
@@ -423,6 +424,21 @@ def easy_sbm(seed=0):
         feature_dim=4, class_mean_separation=5.0, feature_std=1.0, seed=seed,
     )
     return generate_sbm(cfg)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+    def test_learning_rate_must_be_positive(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("wd", [-1e-4, float("nan")])
+    def test_weight_decay_must_be_nonnegative(self, wd):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            TrainConfig(weight_decay=wd)
+
+    def test_zero_weight_decay_allowed(self):
+        assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
 
 class TestTrainLoop:
