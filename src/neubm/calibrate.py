@@ -16,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DatasetParseError,
-    DegenerateReferenceError,
-    DegenerateRowError,
-    ShapeError,
-    read_lines,
-)
+from .errors import ConfigError, DataError, NumericError, read_lines
 from .training import softmax
 
 VARIANTS = ("none", "subtract", "scale", "normalize")
@@ -74,7 +67,7 @@ def _corrected_logits(logits, neutral_vec, spec):
     # normalize: population std of the C neutral entries
     sigma = float(neutral_vec.std())
     if sigma == 0.0:
-        raise DegenerateReferenceError(
+        raise NumericError(
             "neutral vector has zero spread; normalize variant undefined "
             "(fall back to subtract)"
         )
@@ -90,9 +83,9 @@ def calibrate(
     logits = np.asarray(logits, dtype=np.float64)
     neutral_vec = np.asarray(neutral_vec, dtype=np.float64)
     if logits.ndim != 2 or neutral_vec.ndim != 1:
-        raise ShapeError("expected (n, C) logits and a length-C neutral vector")
+        raise DataError("expected (n, C) logits and a length-C neutral vector")
     if logits.shape[1] != neutral_vec.shape[0]:
-        raise ShapeError(
+        raise DataError(
             f"logits have {logits.shape[1]} classes, neutral vector has "
             f"{neutral_vec.shape[0]}"
         )
@@ -111,7 +104,7 @@ def calibrate(
             row_sums = clamped.sum(axis=1)
             dead = np.flatnonzero(row_sums == 0.0)
             if dead.size:
-                raise DegenerateRowError(
+                raise NumericError(
                     f"row {dead[0]} collapsed to zero after post-softmax clamping"
                 )
             probs = clamped / row_sums[:, None]
@@ -142,7 +135,7 @@ def check_bias_reduction(
     probs_after = np.asarray(probs_after, dtype=np.float64)
     neutral_vec = np.asarray(neutral_vec, dtype=np.float64)
     if probs_before.shape != probs_after.shape:
-        raise ShapeError("probability matrices must cover the same nodes")
+        raise DataError("probability matrices must cover the same nodes")
     before = float(probs_before[:, majority_class].mean())
     after = float(probs_after[:, majority_class].mean())
     delta = ordering = None
@@ -177,13 +170,13 @@ def write_predictions_csv(output: CalibratedOutput, path) -> None:
 
 def read_predictions_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (predicted_labels, probabilities) from a file written by
-    :func:`write_predictions_csv`. A fault in it raises DatasetParseError
+    :func:`write_predictions_csv`. A fault in it raises DataError
     naming the file (and the line)."""
-    rows = read_lines(path, "predictions", DatasetParseError, _prediction_row)
+    rows = read_lines(path, "predictions", DataError, _prediction_row)
     rows = [row for row in rows if row is not None]
     if len({len(probs) for _, probs in rows}) > 1:
-        raise DatasetParseError("rows differ in their number of probabilities",
-                                file=path)
+        raise DataError("rows differ in their number of probabilities",
+                        file=path)
     labels = np.array([label for label, _ in rows], dtype=np.int64)
     return labels, np.array([probs for _, probs in rows], dtype=np.float64)
 

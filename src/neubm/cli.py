@@ -33,7 +33,7 @@ from .datasets import (
     save_canonical,
     stratified_split,
 )
-from .errors import EXIT_CODES, ConfigError, DatasetParseError, NeubmError
+from .errors import ConfigError, DataError, NeubmError
 from .graph import compute_dataset_stats
 from .harness import (
     MODEL_DEFAULTS,
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         return args.func(args) or 0
     except NeubmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(exc.category, 1)
+        return exc.exit_code
 
 
 # `gen`'s generator flags: flag -> (SbmConfig field, type, default)
@@ -244,6 +244,7 @@ def cmd_train(args) -> int:
             graph, protocol.train_frac, protocol.val_frac, protocol.min_per_class,
             args.seed,
         )
+        protocol.check_split(split)
         if args.write_masks:
             masks = {
                 name: np.flatnonzero(m).tolist()
@@ -306,7 +307,7 @@ def cmd_eval(args) -> int:
     if graph.labels is None:
         raise ConfigError("evaluation needs a labeled dataset")
     if pred.shape != (graph.num_nodes,):
-        raise DatasetParseError(
+        raise DataError(
             f"{pred.size} predictions for {graph.num_nodes} nodes", file=args.pred
         )
     if args.mask == "all":

@@ -17,18 +17,12 @@ seeds, so repeated calls are byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DatasetParseError,
-    GraphValidationError,
-    InfeasibleError,
-    read_json,
-    read_lines,
-)
+from .errors import ConfigError, DataError, read_json, read_lines
 from .graph import Graph, bernoulli_cells
 from .metrics import imbalance_ratio
 
@@ -71,23 +65,23 @@ def save_canonical(graph: Graph, path) -> None:
 def load_canonical(path) -> Graph:
     """Load a canonical dataset directory into a validated Graph.
 
-    A missing or malformed file raises DatasetParseError naming it, and the
+    A missing or malformed file raises DataError naming it, and the
     line for a bad row.
     """
     root = Path(path)
     meta_file = root / "meta.json"
-    meta = read_json(meta_file, "dataset header", DatasetParseError)
+    meta = read_json(meta_file, "dataset header", DataError)
     missing = [key for key in META_KEYS if key not in meta]
     if missing:
-        raise DatasetParseError(f"header missing keys {missing}", file=meta_file)
+        raise DataError(f"header missing keys {missing}", file=meta_file)
     if meta["directed"] is not False:
-        raise DatasetParseError(f"'directed' must be false, got {meta['directed']!r}",
-                                file=meta_file)
+        raise DataError(f"'directed' must be false, got {meta['directed']!r}",
+                        file=meta_file)
     n, d, c = (meta[key] for key in META_KEYS[:3])
     # type(v) is int: an int, never a bool, which would read as 0 or 1
     if not all(type(v) is int and v >= 0 for v in (n, d, c)):
-        raise DatasetParseError("header counts must be nonnegative integers",
-                                file=meta_file)
+        raise DataError("header counts must be nonnegative integers",
+                        file=meta_file)
 
     def feature_row(line):
         parts = line.split(",")
@@ -116,15 +110,15 @@ def load_canonical(path) -> Graph:
     features = _rows(root / "features.csv", feature_row, n)
     edges = _rows(root / "edges.csv", edge)
     if len(set(edges)) != len(edges):
-        raise DatasetParseError("duplicate edges", file=root / "edges.csv")
+        raise DataError("duplicate edges", file=root / "edges.csv")
     labels = np.asarray(_rows(root / "labels.csv", label, n), dtype=np.int64)
     masks = {}
     masks_file = root / "masks.json"
     if masks_file.exists():
-        for name, idx in read_json(masks_file, "masks", DatasetParseError).items():
+        for name, idx in read_json(masks_file, "masks", DataError).items():
             if not (isinstance(idx, list)
                     and all(type(i) is int and 0 <= i < n for i in idx)):
-                raise DatasetParseError(
+                raise DataError(
                     f"mask {name!r} must list node indices in [0, {n})",
                     file=masks_file,
                 )
@@ -145,10 +139,10 @@ def load_canonical(path) -> Graph:
 def _rows(path: Path, parse, count: int | None = None) -> list:
     """``parse`` of each non-blank line of one dataset file, checking the
     row count when one is given."""
-    rows = read_lines(path, path.name, DatasetParseError, parse)
+    rows = read_lines(path, path.name, DataError, parse)
     if count is not None and len(rows) != count:
-        raise DatasetParseError(f"expected {count} rows, found {len(rows)}",
-                                file=path)
+        raise DataError(f"expected {count} rows, found {len(rows)}",
+                        file=path)
     return rows
 
 
@@ -192,21 +186,21 @@ class SbmConfig:
 
     def __post_init__(self):
         if self.num_classes < 1:
-            raise InfeasibleError("need at least one class")
+            raise ConfigError("need at least one class")
         if self.total_nodes < self.num_classes:
-            raise InfeasibleError(
+            raise ConfigError(
                 f"{self.total_nodes} nodes cannot cover {self.num_classes} classes"
             )
         if self.rho < 1.0:
-            raise InfeasibleError("rho is max/min and must be >= 1")
+            raise ConfigError("rho is max/min and must be >= 1")
         if not (0.0 <= self.p_inter <= self.p_intra <= 1.0):
-            raise InfeasibleError("require 0 <= p_inter <= p_intra <= 1")
+            raise ConfigError("require 0 <= p_inter <= p_intra <= 1")
         if self.feature_dim < self.num_classes:
-            raise InfeasibleError(
+            raise ConfigError(
                 "feature_dim must be >= num_classes for equidistant class means"
             )
         if self.feature_std <= 0 or self.class_mean_separation < 0:
-            raise InfeasibleError("feature_std > 0 and separation >= 0 required")
+            raise ConfigError("feature_std > 0 and separation >= 0 required")
 
 
 def largest_remainder(targets: np.ndarray, total: int, caps=None) -> np.ndarray:
@@ -224,12 +218,12 @@ def largest_remainder(targets: np.ndarray, total: int, caps=None) -> np.ndarray:
     out = np.minimum(floor.astype(np.int64), caps)
     short = total - int(out.sum())
     if short < 0:
-        raise InfeasibleError("targets exceed total")
+        raise ConfigError("targets exceed total")
     order = np.lexsort((np.arange(len(targets)), -(targets - floor)))
     while short > 0:
         free = order[out[order] < caps[order]]
         if free.size == 0:
-            raise InfeasibleError(f"caps too tight to place all of {total}")
+            raise ConfigError(f"caps too tight to place all of {total}")
         out[free[:short]] += 1
         short -= min(short, free.size)
     return out
@@ -244,7 +238,7 @@ def sbm_class_sizes(config: SbmConfig) -> np.ndarray:
     raw = ratio ** np.arange(c)
     sizes = largest_remainder(raw / raw.sum() * config.total_nodes, config.total_nodes)
     if sizes.min() < 1:
-        raise InfeasibleError(
+        raise ConfigError(
             f"rho={config.rho} with {config.total_nodes} nodes starves a class"
         )
     return sizes
@@ -330,7 +324,7 @@ def apply_split(graph: Graph, split: SplitAssignment) -> Graph:
     if graph.labels is not None:
         for name, m in masks.items():
             if np.any(graph.labels[m] < 0):
-                raise GraphValidationError(
+                raise DataError(
                     f"{name} split holds unlabeled nodes (label -1)"
                 )
     return graph.with_masks(masks)
@@ -354,9 +348,9 @@ def stratified_split(
     -1) are excluded from all three sets.
     """
     if graph.labels is None:
-        raise GraphValidationError("stratified split needs labels")
+        raise DataError("stratified split needs labels")
     if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1:
-        raise InfeasibleError("fractions must be nonnegative and sum to <= 1")
+        raise ConfigError("fractions must be nonnegative and sum to <= 1")
     labels = graph.labels
     classes = np.unique(labels[labels >= 0])
     rng = np.random.default_rng(seed)
@@ -365,7 +359,7 @@ def stratified_split(
     for c in classes:
         nodes = np.flatnonzero(labels == c)
         if len(nodes) < max(min_per_class, 1):
-            raise InfeasibleError(
+            raise ConfigError(
                 f"class {c} has {len(nodes)} nodes, needs >= {max(min_per_class, 1)}"
             )
         class_nodes[c] = rng.permutation(nodes)
@@ -410,7 +404,7 @@ def kfold_splits(
 ) -> list[SplitAssignment]:
     """k independently stratified splits with per-fold seeds seed + fold_id."""
     if k < 1:
-        raise InfeasibleError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     return [
         stratified_split(
             graph, train_frac, val_frac, min_per_class, seed + fold, fold_id=fold
@@ -431,9 +425,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.kind not in ("feature", "structural"):
-            raise InfeasibleError(f"unknown noise kind {self.kind!r}")
+            raise ConfigError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.level <= 1.0:
-            raise InfeasibleError("noise level must lie in [0, 1]")
+            raise ConfigError("noise level must lie in [0, 1]")
 
 
 def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
@@ -455,21 +449,14 @@ def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
         std = graph.features.std(axis=0)
         feats = graph.features.copy()
         feats[chosen] += rng.normal(0.0, 1.0, size=(k, graph.num_features)) * std
-        return Graph(
-            num_nodes=n,
-            features=feats,
-            edges=graph.edges,
-            labels=graph.labels,
-            num_classes=graph.num_classes,
-            masks=graph.masks,
-        )
+        return replace(graph, features=feats)
 
     m = graph.num_edges
     k = int(round(spec.level * m))
     n = graph.num_nodes
     total_pairs = n * (n - 1) // 2
     if total_pairs - m < k:
-        raise InfeasibleError("not enough absent pairs to rewire into")
+        raise ConfigError("not enough absent pairs to rewire into")
     chosen = rng.choice(m, size=k, replace=False)
     original = {(int(u), int(v)) for u, v in graph.edges}
     keep_mask = np.ones(m, dtype=bool)
@@ -487,11 +474,4 @@ def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
         current.add(pair)
         added.append(pair)
     edges = np.array(sorted(current), dtype=np.int64)
-    return Graph(
-        num_nodes=n,
-        features=graph.features,
-        edges=edges,
-        labels=graph.labels,
-        num_classes=graph.num_classes,
-        masks=graph.masks,
-    )
+    return replace(graph, edges=edges)

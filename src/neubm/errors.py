@@ -1,17 +1,17 @@
-"""Exception hierarchy, and the readers that turn a faulty input file into
-one of these errors.
+"""Error classes, and the readers that turn a faulty input file into one
+of them.
 
-Every error carries a ``category`` used by the CLI to pick an exit code:
-``config`` (2) for bad configuration or infeasible requests, ``data`` (3)
-for malformed or inconsistent inputs, ``numeric`` (4) for runtime numeric
+There is one class per CLI exit code, carried as ``exit_code``:
+ConfigError (2) for bad configuration or infeasible requests, DataError (3)
+for malformed or inconsistent inputs, NumericError (4) for runtime numeric
 failures (divergence, degenerate references).
 
 An error may name where in an input file it lies; its message then ends
 with ``[file:line]`` (or ``[file]``). :func:`read_json`, :func:`read_lines`
 and :func:`build` raise the error class their caller picks, so each input
-file fails in one category: configs, checkpoints and records as
+file fails with one class: configs, checkpoints and records as
 ConfigError, dataset and neutral directories and prediction CSVs as
-DatasetParseError.
+DataError.
 """
 
 import json
@@ -25,7 +25,9 @@ import numpy as np
 
 
 class NeubmError(Exception):
-    category = "data"
+    """Base of the three error classes; never raised itself."""
+
+    exit_code: int
 
     def __init__(self, message="", file=None, line=None):
         if file is not None:
@@ -35,63 +37,24 @@ class NeubmError(Exception):
         self.line = line
 
 
-class GraphValidationError(NeubmError):
-    """Structural invariant of a graph violated (bad edge index, mask overlap...)."""
-
-    category = "data"
-
-
-class DatasetParseError(NeubmError):
-    """Malformed input data file; names the offending file and line."""
-
-    category = "data"
-
-
-class EmptyScopeError(NeubmError):
-    category = "data"
-
-
-class DensityUndefinedError(NeubmError):
-    """Edge density needs at least two nodes."""
-
-    category = "data"
-
-
-class InfeasibleError(NeubmError):
-    """Request cannot be satisfied (split too small, total_nodes < classes...)."""
-
-    category = "config"
-
-
 class ConfigError(NeubmError):
-    category = "config"
+    """Bad configuration or an infeasible request (split too small...)."""
+
+    exit_code = 2
 
 
-class ShapeError(NeubmError):
-    category = "data"
+class DataError(NeubmError):
+    """Malformed or inconsistent input: a data file, a graph invariant, a
+    shape mismatch, an empty selection."""
+
+    exit_code = 3
 
 
 class NumericError(NeubmError):
-    category = "numeric"
+    """Runtime numeric failure: divergence, a degenerate reference, a
+    collapsed probability row."""
 
-
-class TrainingFailureError(NumericError):
-    """Training diverged; carries the epoch index."""
-
-    def __init__(self, message, epoch=None):
-        super().__init__(message)
-        self.epoch = epoch
-
-
-class DegenerateReferenceError(NumericError):
-    """Neutral reference unusable (e.g. zero spread for the normalize variant)."""
-
-
-class DegenerateRowError(NumericError):
-    """A probability row collapsed to all-zero after post-softmax clamping."""
-
-
-EXIT_CODES = {"config": 2, "data": 3, "numeric": 4}
+    exit_code = 4
 
 
 def _read_text(path, what, error) -> str:

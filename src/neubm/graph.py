@@ -7,12 +7,12 @@ operations here are pure functions, safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DensityUndefinedError, GraphValidationError
+from .errors import DataError
 
 MASK_NAMES = ("train", "val", "test")
 
@@ -60,14 +60,14 @@ def canonical_edges(edges) -> np.ndarray:
     if arr.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if np.any(arr[:, 0] == arr[:, 1]):
-        raise GraphValidationError("self-pairs are not allowed in the edge list")
+        raise DataError("self-pairs are not allowed in the edge list")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     if lo.min() < 0:
-        raise GraphValidationError("edge endpoints must be non-negative")
+        raise DataError("edge endpoints must be non-negative")
     span = int(hi.max()) + 1
     if span > _MAX_ENDPOINT:
-        raise GraphValidationError(f"edge endpoint {span - 1} is too large")
+        raise DataError(f"edge endpoint {span - 1} is too large")
     # sorting the packed keys sorts the pairs lexicographically; keys that
     # already increase strictly are sorted and duplicate-free
     keys = lo * span + hi
@@ -96,38 +96,38 @@ class Graph:
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         if feats.ndim != 2 or feats.shape[0] != self.num_nodes:
-            raise GraphValidationError(
+            raise DataError(
                 f"features must be (num_nodes, d); got {feats.shape} for "
                 f"{self.num_nodes} nodes"
             )
         if not np.all(np.isfinite(feats)):
-            raise GraphValidationError("features must be finite (no NaN or inf)")
+            raise DataError("features must be finite (no NaN or inf)")
         edges = canonical_edges(self.edges)
         if edges.size and edges.max() >= self.num_nodes:
-            raise GraphValidationError(
+            raise DataError(
                 f"edge endpoint out of range [0, {self.num_nodes})"
             )
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (self.num_nodes,):
-                raise GraphValidationError("labels must be one entry per node")
+                raise DataError("labels must be one entry per node")
             if self.num_classes is None:
-                raise GraphValidationError("labels present but num_classes missing")
+                raise DataError("labels present but num_classes missing")
             if np.any(labels >= self.num_classes) or np.any(labels < -1):
-                raise GraphValidationError(
+                raise DataError(
                     f"labels must lie in [-1, {self.num_classes})"
                 )
         masks = {}
         for name, m in self.masks.items():
             m = np.asarray(m, dtype=bool)
             if m.shape != (self.num_nodes,):
-                raise GraphValidationError(f"mask {name!r} has wrong length")
+                raise DataError(f"mask {name!r} has wrong length")
             masks[name] = m
         for i, a in enumerate(MASK_NAMES):
             for b in MASK_NAMES[i + 1 :]:
                 if a in masks and b in masks and np.any(masks[a] & masks[b]):
-                    raise GraphValidationError(f"masks {a!r} and {b!r} overlap")
+                    raise DataError(f"masks {a!r} and {b!r} overlap")
         for arr in (feats, edges, labels, *masks.values()):
             if arr is not None:
                 arr.flags.writeable = False
@@ -146,18 +146,11 @@ class Graph:
 
     def mask(self, name: str) -> np.ndarray:
         if name not in self.masks:
-            raise GraphValidationError(f"graph has no {name!r} mask")
+            raise DataError(f"graph has no {name!r} mask")
         return self.masks[name]
 
     def with_masks(self, masks: dict[str, np.ndarray]) -> "Graph":
-        return Graph(
-            num_nodes=self.num_nodes,
-            features=self.features,
-            edges=self.edges,
-            labels=self.labels,
-            num_classes=self.num_classes,
-            masks=masks,
-        )
+        return replace(self, masks=masks)
 
 
 def build_adjacency(graph: Graph, add_self_loops: bool = True) -> sp.csr_matrix:
@@ -204,7 +197,7 @@ def symmetric_normalize(adj: sp.csr_matrix) -> sp.csr_matrix:
 def edge_density(num_nodes: int, num_edges: int) -> float:
     """Undirected edge density 2|E| / (n(n-1)); undefined for n < 2."""
     if num_nodes < 2:
-        raise DensityUndefinedError(
+        raise DataError(
             f"edge density undefined for {num_nodes} node(s)"
         )
     return 2.0 * num_edges / (num_nodes * (num_nodes - 1))
@@ -225,10 +218,10 @@ class DatasetStats:
 
     def __post_init__(self):
         if not 0.0 <= self.d_bar <= 1.0:
-            raise GraphValidationError(f"d_bar must lie in [0, 1], got {self.d_bar}")
+            raise DataError(f"d_bar must lie in [0, 1], got {self.d_bar}")
         d = np.shape(self.mu_node)[0]
         if np.shape(self.sigma_node) != (d, d):
-            raise GraphValidationError(
+            raise DataError(
                 f"sigma_node must be a ({d}, {d}) matrix, got shape "
                 f"{np.shape(self.sigma_node)}"
             )

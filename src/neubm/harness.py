@@ -83,6 +83,15 @@ class ProtocolConfig:
         if self.train_frac + self.val_frac >= 1.0:
             raise ConfigError("train_frac + val_frac must be < 1")
 
+    def check_split(self, split) -> None:
+        """Raise ConfigError if a split drawn with these fractions leaves a
+        part empty, which would fail only after a model is trained."""
+        if empty := [name for name in ("train", "val", "test")
+                     if not len(getattr(split, name))]:
+            raise ConfigError(
+                f"the split leaves the {' and '.join(empty)} part empty "
+                f"(train_frac={self.train_frac}, val_frac={self.val_frac})")
+
 
 @dataclass(frozen=True)
 class NoiseSweep:
@@ -664,6 +673,8 @@ def _run(
             graph, protocol.k_folds, protocol.train_frac, protocol.val_frac,
             protocol.min_per_class, seed=config.train.seed,
         )
+        for fold in folds:
+            protocol.check_split(fold)
         for run_index in range(protocol.num_seeds):
             for fold in folds:
                 records.extend(_run_single(

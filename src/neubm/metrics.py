@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphValidationError, NumericError, ShapeError
+from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,13 @@ def confusion(
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
-        raise ShapeError(
+        raise DataError(
             f"pred has shape {pred.shape}, truth has shape {truth.shape}"
         )
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != pred.shape:
-            raise ShapeError("mask length mismatch")
+            raise DataError("mask length mismatch")
         pred, truth = pred[mask], truth[mask]
     if num_classes is None:
         num_classes = int(max(pred.max(initial=-1), truth.max(initial=-1))) + 1
@@ -85,9 +85,9 @@ def confusion(
 
 
 def check_classes(name: str, labels: np.ndarray, num_classes: int) -> None:
-    """Raise GraphValidationError unless every label lies in [0, num_classes)."""
+    """Raise DataError unless every label lies in [0, num_classes)."""
     if np.any((labels < 0) | (labels >= num_classes)):
-        raise GraphValidationError(
+        raise DataError(
             f"{name} holds a class outside [0, {num_classes})"
         )
 
@@ -95,7 +95,7 @@ def check_classes(name: str, labels: np.ndarray, num_classes: int) -> None:
 def class_scores(counts: np.ndarray):
     """Per-class (precision, recall, F1) vectors of a confusion count matrix."""
     if counts.sum() == 0:
-        raise GraphValidationError("metrics undefined for an empty confusion matrix")
+        raise DataError("metrics undefined for an empty confusion matrix")
     tp = np.diag(counts).astype(np.float64)
     support = counts.sum(axis=1).astype(np.float64)
     predicted = counts.sum(axis=0).astype(np.float64)
@@ -146,7 +146,7 @@ def imbalance_ratio(labels: np.ndarray, mask: np.ndarray | None = None) -> float
         labels = labels[np.asarray(mask, dtype=bool)]
     labels = labels[labels >= 0]
     if labels.size == 0:
-        raise GraphValidationError("imbalance ratio needs at least one labeled node")
+        raise DataError("imbalance ratio needs at least one labeled node")
     counts = np.bincount(labels)
     counts = counts[counts > 0]
     return float(counts.max() / counts.min())
@@ -163,7 +163,7 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     k(a, b) = exp(-|a-b|^2 / (2 h^2)); h defaults to the median pairwise
     Euclidean distance over the pooled samples (1.0 when that median is 0).
     Returns sqrt(max(0, MMD^2)). Non-finite samples or bandwidth raise
-    NumericError; a malformed or non-positive bandwidth raises ShapeError.
+    NumericError; a malformed or non-positive bandwidth raises DataError.
 
     Precision: the distances come from the Gram identity, one gemm per
     block of MMD_BLOCK_ROWS pooled samples, so each carries an absolute
@@ -184,11 +184,11 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape[1] != y.shape[1]:
-        raise ShapeError("sample dimensionality mismatch")
+        raise DataError("sample dimensionality mismatch")
     if x.shape[1] == 0:
-        raise ShapeError("zero-dimensional samples")
+        raise DataError("zero-dimensional samples")
     if x.shape[0] == 0 or y.shape[0] == 0:
-        raise ShapeError("need at least one sample on each side")
+        raise DataError("need at least one sample on each side")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericError("MMD samples must be finite")
 
@@ -208,12 +208,12 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
         try:
             h = float(bandwidth)
         except (TypeError, ValueError):
-            raise ShapeError(f"bandwidth must be 'median' or a number, "
-                             f"got {bandwidth!r}") from None
+            raise DataError(f"bandwidth must be 'median' or a number, "
+                            f"got {bandwidth!r}") from None
         if not np.isfinite(h):
             raise NumericError(f"bandwidth must be finite, got {h}")
         if h <= 0:
-            raise ShapeError("bandwidth must be positive")
+            raise DataError("bandwidth must be positive")
 
     gamma = 1.0 / (2.0 * h * h)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, NumericError, ShapeError, build, read_json
+from .errors import ConfigError, DataError, NumericError, build, read_json
 from .graph import Graph, build_adjacency, symmetric_normalize, with_values
 
 LEAKY_SLOPE = 0.2  # attention score nonlinearity
@@ -73,7 +73,7 @@ class ModelParams:
 
     def from_flat(self, flat: np.ndarray) -> "ModelParams":
         if flat.shape != (self.size,):
-            raise ShapeError(
+            raise DataError(
                 f"flat vector has shape {flat.shape}, expected ({self.size},)"
             )
         out, pos = [], 0
@@ -395,7 +395,7 @@ def forward_with_operator(params, operator: Operator, mode="eval", dropout_seed=
     """
     width, expected = operator.x.shape[1], params.config.input_dim
     if width != expected:
-        raise ShapeError(f"operator input has width {width}, model expects {expected}")
+        raise DataError(f"operator input has width {width}, model expects {expected}")
     model_pass = _gcn_pass if params.config.architecture == "gcn" else _gat_pass
     return model_pass(params, operator, mode, dropout_seed, hidden)
 
@@ -446,5 +446,5 @@ def load_checkpoint(path) -> ModelParams:
         return template.from_flat(
             np.asarray(payload.get("params_flat"), dtype=np.float64)
         )
-    except (TypeError, ValueError, ShapeError) as exc:
+    except (TypeError, ValueError, DataError, NumericError) as exc:
         raise ConfigError(f"params_flat: {exc}", file=path) from None

@@ -14,15 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DatasetParseError,
-    EmptyScopeError,
-    GraphValidationError,
-    InfeasibleError,
-    ShapeError,
-    build,
-    read_json,
-)
+from .errors import ConfigError, DataError, build, read_json
 from .datasets import load_canonical, save_canonical
 from .graph import DatasetStats, Graph, bernoulli_cells
 from .models import ModelParams, predict_logits
@@ -44,21 +36,21 @@ class NeutralConfig:
 
     def __post_init__(self):
         if self.node_count_override is not None and self.node_count_override < 1:
-            raise InfeasibleError("neutral node count must be >= 1")
+            raise ConfigError("neutral node count must be >= 1")
         if self.covariance_mode not in ("full", "diagonal"):
-            raise InfeasibleError(
+            raise ConfigError(
                 f"unknown covariance mode {self.covariance_mode!r}"
             )
         if self.regularization_eps_scale <= 0:
-            raise InfeasibleError("regularization_eps_scale must be positive")
+            raise ConfigError("regularization_eps_scale must be positive")
         if self.construction_variant not in CONSTRUCTION_VARIANTS:
-            raise InfeasibleError(
+            raise ConfigError(
                 f"unknown construction variant {self.construction_variant!r}"
             )
         if self.refresh_every != "never" and not (
             isinstance(self.refresh_every, int) and 1 <= self.refresh_every <= 10
         ):
-            raise InfeasibleError("refresh_every must be 'never' or an int in [1, 10]")
+            raise ConfigError("refresh_every must be 'never' or an int in [1, 10]")
 
 
 @dataclass(frozen=True)
@@ -125,16 +117,16 @@ def sample_mvn(
     sigma = np.asarray(sigma, dtype=np.float64)
     d = mu.shape[0]
     if sigma.shape != (d, d):
-        raise ShapeError("sigma does not match mu")
+        raise DataError("sigma does not match mu")
     rng = np.random.default_rng(seed)
     z = _matched_normals(rng.standard_normal((count, d)), mode)
     if mode == "diagonal":
         return mu + z * np.sqrt(np.clip(np.diag(sigma), 0.0, None))
     if mode != "full":
-        raise InfeasibleError(f"unknown sampling mode {mode!r}")
+        raise ConfigError(f"unknown sampling mode {mode!r}")
     asymmetry = float(np.max(np.abs(sigma - sigma.T))) if d else 0.0
     if asymmetry > 1e-8:
-        raise GraphValidationError(
+        raise DataError(
             f"sigma asymmetry {asymmetry:.3g} exceeds 1e-8"
         )
     factor = regularized_covariance_factor(sigma, eps_scale)
@@ -150,7 +142,7 @@ def train_rows(graph: Graph, train_mask: np.ndarray) -> Graph:
     """
     idx = np.flatnonzero(train_mask)
     if idx.size == 0:
-        raise EmptyScopeError("the train mask selects no nodes")
+        raise DataError("the train mask selects no nodes")
     return Graph(
         num_nodes=idx.size,
         features=graph.features[idx],
@@ -188,7 +180,7 @@ def construct_neutral(
     """
     n = config.node_count_override or int(np.floor(stats.n_bar))
     if n < 1:
-        raise InfeasibleError("neutral graph needs at least one node")
+        raise ConfigError("neutral graph needs at least one node")
     edges = _bernoulli_pairs(
         n, stats.d_bar, np.random.SeedSequence(config.seed).spawn(1)[0]
     )
@@ -208,12 +200,12 @@ def construct_neutral(
         )
     elif variant == "random":
         if labeled_source is None:
-            raise GraphValidationError("random variant needs a source graph")
+            raise DataError("random variant needs a source graph")
         rows = rng.integers(0, labeled_source.num_nodes, size=n)
         features = labeled_source.features[rows].copy()
     else:  # class_balanced
         if labeled_source is None or labeled_source.labels is None:
-            raise GraphValidationError(
+            raise DataError(
                 "class_balanced variant needs a labeled source graph"
             )
         labels = labeled_source.labels
@@ -266,7 +258,7 @@ def neutral_fidelity(neutral: NeutralGraph) -> dict:
 def neutral_logit_vector(params: ModelParams, neutral: NeutralGraph) -> np.ndarray:
     """Eval-mode forward pass on the neutral graph, mean-pooled to one
     per-class vector. A model whose input_dim differs from the neutral
-    feature width raises ShapeError."""
+    feature width raises DataError."""
     return predict_logits(params, neutral.graph).mean(axis=0)
 
 
@@ -289,16 +281,16 @@ def save_neutral(neutral: NeutralGraph, path) -> None:
 
 def load_neutral(path) -> NeutralGraph:
     """Read a directory written by :func:`save_neutral`; a fault in its
-    neutral_meta.json raises DatasetParseError naming the file. The
+    neutral_meta.json raises DataError naming the file. The
     RETIRED_STATS_KEYS and the top-level seed of older files are ignored."""
     root = Path(path)
     graph = load_canonical(root)
     meta_file = root / "neutral_meta.json"
-    meta = read_json(meta_file, "neutral metadata", DatasetParseError)
+    meta = read_json(meta_file, "neutral metadata", DataError)
     stats = meta.get("stats")
     if isinstance(stats, dict):
         stats = {k: v for k, v in stats.items() if k not in RETIRED_STATS_KEYS}
-    stats = build("stats", DatasetStats, stats, DatasetParseError, meta_file)
+    stats = build("stats", DatasetStats, stats, DataError, meta_file)
     config = build("config", NeutralConfig, meta.get("config"),
-                   DatasetParseError, meta_file)
+                   DataError, meta_file)
     return NeutralGraph(graph=graph, stats_used=stats, config=config)

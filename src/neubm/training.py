@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import apply_split
-from .errors import (
-    ConfigError,
-    EmptyScopeError,
-    NumericError,
-    ShapeError,
-    TrainingFailureError,
-)
+from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
 from .metrics import check_classes, class_scores
 from .models import (
@@ -87,7 +81,7 @@ def cross_entropy_loss(
     mask = np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        raise EmptyScopeError("loss needs a nonempty mask")
+        raise DataError("loss needs a nonempty mask")
     lp = log_softmax(logits[idx])
     nll = -lp[np.arange(idx.size), np.asarray(labels)[idx]].mean()
     if weight_decay != 0.0:
@@ -123,7 +117,7 @@ def loss_and_gradients(
     mask = np.asarray(mask, dtype=bool)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        raise EmptyScopeError("loss needs a nonempty mask")
+        raise DataError("loss needs a nonempty mask")
     if operator is None:
         operator = row_view(prepare_operator(graph, params.config), idx)
 
@@ -131,7 +125,7 @@ def loss_and_gradients(
         params, operator, mode=mode, dropout_seed=dropout_seed, hidden=hidden
     )
     if logits.shape[0] != idx.size:
-        raise ShapeError(
+        raise DataError(
             f"operator gives {logits.shape[0]} rows, the mask selects {idx.size}"
         )
     picked = np.arange(idx.size), np.asarray(labels)[idx]
@@ -286,9 +280,7 @@ def train(
             current = params.from_flat(flat)
             metric, hidden = val_f1(current, epoch)
         except NumericError as exc:
-            raise TrainingFailureError(
-                f"training diverged at epoch {epoch}: {exc}", epoch=epoch
-            ) from exc
+            raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
         loss_curve.append(loss)
         val_curve.append(metric)
         if metric > best_metric:

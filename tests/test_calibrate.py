@@ -8,12 +8,7 @@ from neubm.calibrate import (
     read_predictions_csv,
     write_predictions_csv,
 )
-from neubm.errors import (
-    ConfigError,
-    DegenerateReferenceError,
-    DegenerateRowError,
-    ShapeError,
-)
+from neubm.errors import ConfigError, DataError, NumericError
 from neubm.graph import Graph, compute_dataset_stats
 from neubm.models import ModelConfig, init_params, predict_logits
 from neubm.neutral import NeutralConfig, construct_neutral, neutral_logit_vector
@@ -63,7 +58,7 @@ class TestCalibrateAlgebra:
             )
         # normalize is undefined at sigma=0; with a unit-spread zero-mean
         # reference it reduces to subtract of that reference instead
-        with pytest.raises(DegenerateReferenceError):
+        with pytest.raises(NumericError):
             calibrate(logits, zero, CalibrationSpec("normalize"))
 
     def test_normalize_with_unit_spread_matches_subtract(self):
@@ -143,7 +138,7 @@ class TestCalibrateAlgebra:
         assert out.predicted_labels[0] == 0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError):
             calibrate(np.zeros((2, 3)), np.zeros(2), SUBTRACT)
 
 
@@ -164,7 +159,7 @@ class TestPostSoftmax:
         # model probabilities dominated everywhere by the neutral -> all clamp to 0
         logits = np.array([[0.0, 0.0]])
         ref = np.array([0.0, 0.0])
-        with pytest.raises(DegenerateRowError):
+        with pytest.raises(NumericError):
             calibrate(logits, ref, CalibrationSpec("subtract", "post_softmax"))
 
     def test_none_position_is_plain_softmax(self):

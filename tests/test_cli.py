@@ -11,6 +11,7 @@ import neubm
 from neubm import cli
 from neubm.cli import main
 from neubm.datasets import load_canonical
+from neubm.errors import ConfigError, DataError, NeubmError, NumericError
 from neubm.models import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -40,6 +41,13 @@ DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def test_one_error_class_per_exit_code():
+    classes = NeubmError.__subclasses__()
+    assert set(classes) == {ConfigError, DataError, NumericError}
+    assert not any(cls.__subclasses__() for cls in classes)
+    assert (ConfigError.exit_code, DataError.exit_code, NumericError.exit_code) == (2, 3, 4)
 
 
 @pytest.fixture()
@@ -142,8 +150,13 @@ class TestTrainCalibrateEval:
         (("--lr", -1), "learning_rate"),
         (("--lr", 0), "learning_rate"),
         (("--weight-decay", -0.1), "weight_decay"),
+        # fractions that pass the sum check but draw an empty part
+        (("--train-frac", 0.5, "--val-frac", 0.499),
+         "test part empty (train_frac=0.5, val_frac=0.499)"),
+        (("--val-frac", 0), "val part empty"),
     ], ids=["split_leaves_no_test_nodes", "negative_lr", "zero_lr",
-            "negative_weight_decay"])
+            "negative_weight_decay", "drawn_split_empty_test",
+            "drawn_split_empty_val"])
     def test_train_flags_checked_before_training(self, dataset_dir, tmp_path,
                                                  capsys, flags, named):
         # a config error (exit 2) before anything is trained or written
@@ -313,6 +326,10 @@ class TestExperimentCommands:
         ({"noise": {"kind": "feature", "levels": [0.0, 1.5]}},
          ("noise level", "exp.json")),
         ({"noise": {"kind": "bogus", "levels": [0.0]}}, ("'bogus'", "exp.json")),
+        # fractions that pass the sum check but draw an empty part
+        ({"protocol": {"num_seeds": 1, "k_folds": 2, "train_frac": 0.5,
+                       "val_frac": 0.499, "min_per_class": 3}},
+         "the split leaves the test part empty (train_frac=0.5, val_frac=0.499)"),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
@@ -328,7 +345,8 @@ class TestExperimentCommands:
             "neutral_node_count_override_type", "neutral_refresh_every_bool",
             "model_seed_derived", "model_input_dim_derived",
             "model_num_classes_derived", "rho_sweep_point_below_one",
-            "noise_level_above_one", "noise_kind_unknown"])
+            "noise_level_above_one", "noise_kind_unknown",
+            "drawn_split_empty_test"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback, and is rejected before anything runs."""
@@ -390,6 +408,11 @@ class TestExperimentCommands:
         ("calibrate", DEEP_OBJECT, 2, "bad.json"),
         ("plot", DEEP_ARRAY + "\n", 2, "records.jsonl:1"),
         ("neutral", DEEP_OBJECT, 3, "neutral_meta.json"),
+        # JSON's NaN and Infinity parse; the parameters they fill must not load
+        ("calibrate", {**CHECKPOINT, "params_flat": [float("nan")] + [0.0] * 35},
+         2, "bad.json"),
+        ("calibrate", {**CHECKPOINT, "params_flat": [0.0] * 35 + [float("inf")]},
+         2, "bad.json"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
             "plot_without_records", "plot_record_missing_keys",
@@ -403,7 +426,8 @@ class TestExperimentCommands:
             "eval_non_integer_label", "eval_missing_predictions",
             "eval_too_few_predictions", "gen_deeply_nested_config",
             "checkpoint_deeply_nested", "plot_record_deeply_nested",
-            "neutral_deeply_nested"])
+            "neutral_deeply_nested", "checkpoint_nan_param",
+            "checkpoint_infinite_param"])
     def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,
                                          command, content, code, named):
         """A missing or malformed input file exits with its category's code,

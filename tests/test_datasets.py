@@ -22,11 +22,7 @@ from neubm.datasets import (
     sbm_class_sizes,
     stratified_split,
 )
-from neubm.errors import (
-    DatasetParseError,
-    GraphValidationError,
-    InfeasibleError,
-)
+from neubm.errors import ConfigError, DataError
 from neubm.graph import Graph
 
 
@@ -69,13 +65,13 @@ class TestCanonicalFormat:
     def test_edge_out_of_range_is_structural_error(self, tmp_path):
         save_canonical(small_graph(10), tmp_path / "ds")
         (tmp_path / "ds" / "edges.csv").write_text("0,99\n")
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             load_canonical(tmp_path / "ds")
 
     def test_malformed_header_names_file(self, tmp_path):
         save_canonical(small_graph(), tmp_path / "ds")
         (tmp_path / "ds" / "meta.json").write_text("{not json")
-        with pytest.raises(DatasetParseError) as exc:
+        with pytest.raises(DataError) as exc:
             load_canonical(tmp_path / "ds")
         assert "meta.json" in str(exc.value)
 
@@ -85,7 +81,7 @@ class TestCanonicalFormat:
         lines = path.read_text().splitlines()
         lines[1] = "1.0,2.0"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetParseError) as exc:
+        with pytest.raises(DataError) as exc:
             load_canonical(tmp_path / "ds")
         assert "features.csv:2" in str(exc.value)
 
@@ -96,21 +92,21 @@ class TestCanonicalFormat:
         lines = path.read_text().splitlines()
         lines[2] = ",".join([value] + lines[2].split(",")[1:])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetParseError) as exc:
+        with pytest.raises(DataError) as exc:
             load_canonical(tmp_path / "ds")
         assert "features.csv:3" in str(exc.value)
 
     def test_label_out_of_range_rejected(self, tmp_path):
         save_canonical(small_graph(), tmp_path / "ds")
         (tmp_path / "ds" / "labels.csv").write_text("0\n1\n7\n")
-        with pytest.raises(DatasetParseError) as exc:
+        with pytest.raises(DataError) as exc:
             load_canonical(tmp_path / "ds")
         assert "labels.csv:3" in str(exc.value)
 
     def test_unsorted_edge_rejected(self, tmp_path):
         save_canonical(small_graph(), tmp_path / "ds")
         (tmp_path / "ds" / "edges.csv").write_text("2,1\n")
-        with pytest.raises(DatasetParseError):
+        with pytest.raises(DataError):
             load_canonical(tmp_path / "ds")
 
     @pytest.mark.parametrize("name, content, named", [
@@ -143,7 +139,7 @@ class TestCanonicalFormat:
             path.unlink()
         else:
             path.write_text(content)
-        with pytest.raises(DatasetParseError) as exc:
+        with pytest.raises(DataError) as exc:
             load_canonical(tmp_path / "ds")
         assert named in str(exc.value)
 
@@ -226,10 +222,10 @@ class TestSbm:
             assert 0.75 < np.std(scores, ddof=1) < 1.25, (kind, np.std(scores))
 
     def test_infeasible_configs(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ConfigError):
             SbmConfig(num_classes=5, total_nodes=3, rho=1, p_intra=0.1,
                       p_inter=0.05, feature_dim=5)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ConfigError):
             SbmConfig(num_classes=2, total_nodes=10, rho=2, p_intra=0.1,
                       p_inter=0.5, feature_dim=2)
 
@@ -322,7 +318,7 @@ class TestLargestRemainder:
         ([], 1, None),
     ])
     def test_infeasible(self, targets, total, caps):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ConfigError):
             largest_remainder(targets, total, caps=caps)
 
     def test_capped_exact_total(self):
@@ -390,7 +386,7 @@ class TestStratifiedSplit:
                   labels=[0, 1, 0, -1], num_classes=2)
         parts = {"train": [0], "val": [1], "test": [2]}
         parts[name] = parts[name] + [3]
-        with pytest.raises(GraphValidationError) as exc:
+        with pytest.raises(DataError) as exc:
             apply_split(g, SplitAssignment(**parts, seed=0))
         assert name in str(exc.value)
 
@@ -402,7 +398,7 @@ class TestStratifiedSplit:
 
     def test_class_too_small(self):
         g = labeled_graph([30, 3])
-        with pytest.raises(InfeasibleError) as exc:
+        with pytest.raises(ConfigError) as exc:
             stratified_split(g, 0.1, 0.1, min_per_class=5, seed=0)
         assert "class 1" in str(exc.value)
 

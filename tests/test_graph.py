@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from neubm.errors import DensityUndefinedError, GraphValidationError
+from neubm.errors import DataError
 from neubm.graph import (
     DatasetStats,
     Graph,
@@ -36,23 +36,23 @@ class TestGraphInvariants:
         assert g.edges.tolist() == [[0, 2], [1, 3]]
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             make_graph(3, [(0, 5)])
 
     def test_self_pair_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             make_graph(3, [(1, 1)])
 
     def test_negative_endpoint_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             make_graph(3, [(0, 1), (-1, 2)])
 
     def test_unpackable_endpoint_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             canonical_edges([(0, 2**40)])
 
     def test_label_out_of_range_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             make_graph(2, [], labels=[0, 3], num_classes=2)
 
     def test_unlabeled_sentinel_allowed(self):
@@ -61,14 +61,14 @@ class TestGraphInvariants:
 
     def test_overlapping_split_masks_rejected(self):
         masks = {"train": [True, False], "val": [True, False]}
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             make_graph(2, [], masks=masks)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         feats = np.zeros((3, 2))
         feats[1, 0] = value
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             Graph(num_nodes=3, features=feats, edges=[(0, 1)])
 
     def test_arrays_are_frozen(self):
@@ -186,7 +186,7 @@ class TestDatasetStats:
         assert edge_density(2708, 5429) == pytest.approx(0.00148, abs=5e-6)
 
     def test_density_undefined_single_node(self):
-        with pytest.raises(DensityUndefinedError):
+        with pytest.raises(DataError):
             compute_dataset_stats(make_graph(1, []))
 
     def test_population_covariance_identity(self):
@@ -205,7 +205,7 @@ class TestDatasetStats:
         g = Graph(num_nodes=30, features=rng.normal(size=(30, 4)), edges=[(0, 1)])
         stats = compute_dataset_stats(g)
         assert stats.sigma_node.shape == (4, 4)
-        with pytest.raises(GraphValidationError, match=r"\(4, 4\) matrix"):
+        with pytest.raises(DataError, match=r"\(4, 4\) matrix"):
             DatasetStats(n_bar=30.0, d_bar=0.1, mu_node=stats.mu_node,
                          sigma_node=np.diag(stats.sigma_node))
 

@@ -336,7 +336,7 @@ class TestEmitReport:
         assert all(row["incomplete"] for row in agg)
         records = read_records(tmp_path / "diverge" / "records.jsonl")
         assert all(r["status"] == "failed" for r in records)
-        assert all("TrainingFailureError" in r["error"] for r in records)
+        assert all("NumericError: training diverged" in r["error"] for r in records)
 
     def test_failed_runs_marked_incomplete(self):
         ok = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neubm.errors import GraphValidationError, NumericError, ShapeError
+from neubm.errors import DataError, NumericError
 from neubm.metrics import (
     confusion,
     evaluate,
@@ -92,16 +92,16 @@ class TestConfusion:
         assert cm.sum() == 0
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError):
             confusion([0, 1], [0])
 
     def test_unlabeled_truth_rejected(self):
         # label -1 must not be tallied as the last class
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             confusion([0, 1, 2], [0, 1, -1], num_classes=3)
 
     def test_prediction_outside_classes_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             confusion([0, 3], [0, 1], num_classes=3)
 
     def test_masked_out_unlabeled_truth_ignored(self):
@@ -127,7 +127,7 @@ class TestF1:
 
     def test_empty_matrix_rejected(self):
         cm = confusion([0], [0], mask=[False], num_classes=2)
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             f1_scores(cm)
 
     def test_against_brute_force_oracle(self):
@@ -202,7 +202,7 @@ class TestImbalanceRatio:
         assert imbalance_ratio([0, 0, -1, -1, 1]) == 2.0
 
     def test_empty_rejected(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             imbalance_ratio([-1, -1])
 
 
@@ -234,7 +234,7 @@ class TestMmd:
         assert mmd_rbf(x, y) == pytest.approx(mmd_rbf(y, x), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError):
             mmd_rbf(np.zeros((3, 2)), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -251,7 +251,7 @@ class TestMmd:
             mmd_rbf(np.zeros((3, 2)), np.ones((3, 2)), bandwidth=float("nan"))
 
     def test_non_numeric_bandwidth_is_shape_error(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError):
             mmd_rbf(np.zeros((3, 2)), np.ones((3, 2)), bandwidth="med")
 
     def test_overflowing_distances_raise(self):

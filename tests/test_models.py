@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neubm.datasets import SbmConfig, generate_sbm, stratified_split
-from neubm.errors import EXIT_CODES, NumericError, ShapeError
+from neubm.errors import DataError, NumericError
 from neubm.graph import (
     Graph,
     build_adjacency,
@@ -120,9 +120,9 @@ class TestGcnForward:
         cfg = ModelConfig(architecture, input_dim=3, hidden_dim=2, num_classes=2)
         operator = prepare_operator(g, cfg)
         for op in (operator, row_view(operator, np.array([1]))):
-            with pytest.raises(ShapeError, match="width 2, model expects 3"):
+            with pytest.raises(DataError, match="width 2, model expects 3"):
                 forward_with_operator(init_params(cfg), op)
-        assert EXIT_CODES[ShapeError.category] == 3
+        assert DataError.exit_code == 3
 
 
 def reference_gcn_pass(params, norm_adj, features, mode, dropout_seed):
@@ -606,6 +606,6 @@ class TestCheckpoint:
     def test_from_flat_checks_size_before_reshaping(self, extra):
         params = init_params(ModelConfig("gcn", input_dim=6, hidden_dim=4,
                                          num_classes=3))
-        with pytest.raises(ShapeError, match=r"expected \(36,\)") as exc:
+        with pytest.raises(DataError, match=r"expected \(36,\)") as exc:
             params.from_flat(np.zeros(params.size + extra))
-        assert EXIT_CODES[exc.value.category] == 3
+        assert exc.value.exit_code == 3

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from neubm.datasets import SbmConfig, generate_sbm
-from neubm.errors import GraphValidationError, InfeasibleError, ShapeError
+from neubm.errors import ConfigError, DataError
 from neubm.graph import DatasetStats, Graph, compute_dataset_stats
 from neubm.models import ModelConfig, init_params
 from neubm.neutral import (
@@ -54,7 +54,7 @@ class TestSampleMvn:
 
     def test_asymmetric_sigma_rejected(self):
         sigma = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             sample_mvn(np.zeros(2), sigma, count=1)
 
     def test_deterministic(self):
@@ -90,7 +90,7 @@ class TestSampleMvn:
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_variance_vector_rejected(self, mode):
         # sigma is always the (d, d) matrix; diagonal mode reads its diagonal
-        with pytest.raises(ShapeError, match="sigma does not match mu"):
+        with pytest.raises(DataError, match="sigma does not match mu"):
             sample_mvn(np.zeros(3), np.ones(3), count=5, mode=mode)
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
@@ -203,7 +203,7 @@ class TestConstructNeutral:
 
     def test_class_balanced_requires_labels(self):
         source = Graph(num_nodes=5, features=np.zeros((5, 2)), edges=[])
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(DataError):
             construct_neutral(
                 stats_for(d=2),
                 NeutralConfig(construction_variant="class_balanced", seed=0),
@@ -227,7 +227,7 @@ class TestConstructNeutral:
         assert abs(share - 0.5) < 3 * 0.5 / np.sqrt(400)
 
     def test_infeasible_zero_nodes(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ConfigError):
             construct_neutral(stats_for(n_bar=0.4), NeutralConfig(seed=0))
 
 
@@ -433,7 +433,7 @@ class TestNeutralLogits:
         # the forward pass owns the check: a data error, exit 3
         neutral = construct_neutral(stats_for(d=2), NeutralConfig(seed=0))
         params = init_params(ModelConfig("gcn", 3, 4, 2, dropout=0.0))
-        with pytest.raises(ShapeError, match="width 2, model expects 3"):
+        with pytest.raises(DataError, match="width 2, model expects 3"):
             neutral_logit_vector(params, neutral)
 
     def test_constant_rows_pool_to_row(self):
