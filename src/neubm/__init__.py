@@ -16,7 +16,6 @@ from .datasets import (
     NoiseSpec,
     SbmConfig,
     SplitAssignment,
-    apply_split,
     generate_sbm,
     inject_noise,
     kfold_splits,

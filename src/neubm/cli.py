@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import sys
 from pathlib import Path
 
@@ -26,11 +25,12 @@ from .calibrate import (
 )
 from .datasets import (
     SbmConfig,
-    SplitAssignment,
     describe,
     generate_sbm,
     load_canonical,
     save_canonical,
+    save_masks,
+    stored_split,
     stratified_split,
 )
 from .errors import ConfigError, DataError, NeubmError
@@ -232,27 +232,15 @@ def cmd_train(args) -> int:
         hidden_dim=args.hidden, num_classes=graph.num_classes,
         dropout=args.dropout, num_heads=args.heads, seed=args.seed,
     )
-    if all(name in graph.masks for name in ("train", "val", "test")):
-        split = SplitAssignment(
-            train=np.flatnonzero(graph.mask("train")),
-            val=np.flatnonzero(graph.mask("val")),
-            test=np.flatnonzero(graph.mask("test")),
-            seed=args.seed,
-        )
-    else:
+    split = stored_split(graph, args.data)
+    if split is None:
         split = stratified_split(
             graph, protocol.train_frac, protocol.val_frac, protocol.min_per_class,
             args.seed,
         )
         protocol.check_split(split)
         if args.write_masks:
-            masks = {
-                name: np.flatnonzero(m).tolist()
-                for name, m in sorted(split.to_masks(graph.num_nodes).items())
-            }
-            (Path(args.data) / "masks.json").write_text(
-                json.dumps(masks, indent=2) + "\n"
-            )
+            save_masks(split.to_masks(graph.num_nodes), args.data)
     params, report = train(graph, split, model_config, train_config)
     save_checkpoint(params, args.out)
     pred = predict_logits(params, graph).argmax(axis=1)
@@ -284,8 +272,12 @@ def cmd_calibrate(args) -> int:
         stats = compute_dataset_stats(graph)
         source = None
         if args.neutral_variant != "mean_cov":
-            # copied rows come from the train split (masks.json) only
-            source = train_rows(graph, graph.mask("train"))
+            # copied rows come from the stored split's train part only
+            split = stored_split(graph, args.data)
+            if split is None:
+                raise DataError(f"neutral variant {args.neutral_variant!r} needs "
+                                "a stored split", file=Path(args.data) / "masks.json")
+            source = train_rows(graph, split.to_masks(graph.num_nodes)["train"])
         neutral = construct_neutral(
             stats,
             NeutralConfig(construction_variant=args.neutral_variant,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, read_json, read_lines
-from .graph import Graph, bernoulli_cells
+from .graph import MASK_NAMES, Graph, bernoulli_cells, check_disjoint
 from .metrics import imbalance_ratio
 
 META_KEYS = ("num_nodes", "num_features", "num_classes", "directed")
@@ -56,10 +56,13 @@ def save_canonical(graph: Graph, path) -> None:
         for lab in labels:
             fh.write(f"{lab}\n")
     if graph.masks:
-        masks = {
-            name: np.flatnonzero(m).tolist() for name, m in sorted(graph.masks.items())
-        }
-        (out / "masks.json").write_text(json.dumps(masks, indent=2) + "\n")
+        save_masks(graph.masks, out)
+
+
+def save_masks(masks: dict[str, np.ndarray], path) -> None:
+    """Write boolean node masks, by name, as ``path``/masks.json."""
+    payload = {name: np.flatnonzero(m).tolist() for name, m in sorted(masks.items())}
+    (Path(path) / "masks.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_canonical(path) -> Graph:
@@ -97,8 +100,8 @@ def load_canonical(path) -> Graph:
         if len(parts) != 2:
             raise ValueError("expected 'u,v' pair")
         u, v = int(parts[0]), int(parts[1])
-        if u >= v:
-            raise ValueError(f"edges must satisfy u < v, got ({u},{v})")
+        if not 0 <= u < v < n:
+            raise ValueError(f"edges must satisfy 0 <= u < v < {n}, got ({u},{v})")
         return u, v
 
     def label(line):
@@ -124,6 +127,7 @@ def load_canonical(path) -> Graph:
                 )
             masks[name] = np.zeros(n, dtype=bool)
             masks[name][idx] = True
+        check_disjoint(masks, file=masks_file)
 
     labeled = bool(np.any(labels != -1))
     return Graph(
@@ -306,28 +310,32 @@ class SplitAssignment:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
-    fold_id: int | None = None
 
     def to_masks(self, num_nodes: int) -> dict[str, np.ndarray]:
         masks = {}
-        for name in ("train", "val", "test"):
+        for name in MASK_NAMES:
             m = np.zeros(num_nodes, dtype=bool)
             m[getattr(self, name)] = True
             masks[name] = m
         return masks
 
+    def empty_parts(self) -> list[str]:
+        """The names of the parts that hold no node."""
+        return [name for name in MASK_NAMES if not len(getattr(self, name))]
 
-def apply_split(graph: Graph, split: SplitAssignment) -> Graph:
-    """The graph with the split's masks; every split node must be labeled."""
-    masks = split.to_masks(graph.num_nodes)
-    if graph.labels is not None:
-        for name, m in masks.items():
-            if np.any(graph.labels[m] < 0):
-                raise DataError(
-                    f"{name} split holds unlabeled nodes (label -1)"
-                )
-    return graph.with_masks(masks)
+
+def stored_split(graph: Graph, path) -> SplitAssignment | None:
+    """The split in the masks.json of ``path``, the dataset directory of
+    ``graph``, or None without one; a missing or empty part is a DataError."""
+    masks_file = Path(path) / "masks.json"
+    if not masks_file.exists():
+        return None
+    split = SplitAssignment(*(np.flatnonzero(graph.masks.get(name, ()))
+                              for name in MASK_NAMES))
+    if empty := split.empty_parts():
+        raise DataError(f"the stored split has no {' or '.join(empty)} nodes",
+                        file=masks_file)
+    return split
 
 
 def stratified_split(
@@ -336,7 +344,6 @@ def stratified_split(
     val_frac: float,
     min_per_class: int,
     seed: int,
-    fold_id: int | None = None,
 ) -> SplitAssignment:
     """Class-proportional split with a minimum train count per class.
 
@@ -389,8 +396,6 @@ def stratified_split(
         train=np.sort(np.concatenate(train)),
         val=np.sort(np.concatenate(val)) if val else np.array([], dtype=np.int64),
         test=np.sort(np.concatenate(test)) if test else np.array([], dtype=np.int64),
-        seed=seed,
-        fold_id=fold_id,
     )
 
 
@@ -402,13 +407,11 @@ def kfold_splits(
     min_per_class: int,
     seed: int,
 ) -> list[SplitAssignment]:
-    """k independently stratified splits with per-fold seeds seed + fold_id."""
+    """k independently stratified splits; fold i is drawn with seed + i."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     return [
-        stratified_split(
-            graph, train_frac, val_frac, min_per_class, seed + fold, fold_id=fold
-        )
+        stratified_split(graph, train_frac, val_frac, min_per_class, seed + fold)
         for fold in range(k)
     ]
 

@@ -7,7 +7,8 @@ operations here are pure functions, safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,10 +125,7 @@ class Graph:
             if m.shape != (self.num_nodes,):
                 raise DataError(f"mask {name!r} has wrong length")
             masks[name] = m
-        for i, a in enumerate(MASK_NAMES):
-            for b in MASK_NAMES[i + 1 :]:
-                if a in masks and b in masks and np.any(masks[a] & masks[b]):
-                    raise DataError(f"masks {a!r} and {b!r} overlap")
+        check_disjoint(masks)
         for arr in (feats, edges, labels, *masks.values()):
             if arr is not None:
                 arr.flags.writeable = False
@@ -149,8 +147,13 @@ class Graph:
             raise DataError(f"graph has no {name!r} mask")
         return self.masks[name]
 
-    def with_masks(self, masks: dict[str, np.ndarray]) -> "Graph":
-        return replace(self, masks=masks)
+
+def check_disjoint(masks: dict[str, np.ndarray], file=None) -> None:
+    """Raise DataError (naming ``file``) if two of the train/val/test
+    boolean masks share a node."""
+    for a, b in combinations(MASK_NAMES, 2):
+        if a in masks and b in masks and np.any(masks[a] & masks[b]):
+            raise DataError(f"masks {a!r} and {b!r} overlap", file=file)
 
 
 def build_adjacency(graph: Graph, add_self_loops: bool = True) -> sp.csr_matrix:

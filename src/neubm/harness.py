@@ -80,14 +80,15 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.num_seeds < 1 or self.k_folds < 1:
             raise ConfigError("num_seeds and k_folds must be >= 1")
+        if min(self.train_frac, self.val_frac) < 0:
+            raise ConfigError("train_frac and val_frac must be >= 0")
         if self.train_frac + self.val_frac >= 1.0:
             raise ConfigError("train_frac + val_frac must be < 1")
 
     def check_split(self, split) -> None:
         """Raise ConfigError if a split drawn with these fractions leaves a
         part empty, which would fail only after a model is trained."""
-        if empty := [name for name in ("train", "val", "test")
-                     if not len(getattr(split, name))]:
+        if empty := split.empty_parts():
             raise ConfigError(
                 f"the split leaves the {' and '.join(empty)} part empty "
                 f"(train_frac={self.train_frac}, val_frac={self.val_frac})")
@@ -98,6 +99,13 @@ class NoiseSweep:
     kind: str
     levels: tuple[float, ...]
     seed: int = 0
+
+    def __post_init__(self):
+        # every sweep point, checked before any data is made or model trained
+        if not self.levels:
+            raise ConfigError("levels must list at least one noise level")
+        for level in self.levels:
+            NoiseSpec(self.kind, level, self.seed)
 
 
 @dataclass(frozen=True)
@@ -120,9 +128,7 @@ class ExperimentConfig:
             raise ConfigError(f"model keys {keys} come from the graph and train.seed")
         dims = {"input_dim": 1, "num_classes": 1}  # the graph's, at run time
         build("model", ModelConfig, {**MODEL_DEFAULTS, **self.model, **dims}, ConfigError)
-        # every sweep point, checked before any data is made or model trained
-        for level in self.noise.levels if self.noise else ():
-            NoiseSpec(self.noise.kind, level, self.noise.seed)
+        # every rho point, checked before any data is made or model trained
         for rho in self.rho_sweep or ():
             if not isinstance(self.dataset, SbmConfig):
                 raise ConfigError("rho_sweep requires a generated dataset")
@@ -280,6 +286,7 @@ def _run_single(
     config: ExperimentConfig,
     rows: list[AblationRow],
     run_index: int,
+    fold_id: int,
     fold,
     sweep_variable,
     sweep_value,
@@ -288,7 +295,7 @@ def _run_single(
     """Train one model for (run, fold) and evaluate every row post hoc; one
     records.jsonl row per row."""
     base_seed = config.train.seed
-    split_seed = base_seed + run_index + 1000 * (fold.fold_id or 0)
+    split_seed = base_seed + run_index + 1000 * fold_id
     model_config = _resolve_model_config(config, graph, seed=split_seed + 17)
     train_config = replace(config.train, seed=split_seed + 29)
     neutral_seed = config.neutral.seed + split_seed
@@ -301,7 +308,7 @@ def _run_single(
                error=None, neutral_fidelity=None):
         return {
             "config_hash": config_hash, "seed": run_index,
-            "fold_id": fold.fold_id or 0, "group": row.group,
+            "fold_id": fold_id, "group": row.group,
             "row_id": row.row_id, "spec": row.spec.to_dict(),
             "sweep_variable": sweep_variable, "sweep_value": sweep_value,
             "status": status, "train_summary": summary, "timestamp": timestamp,
@@ -676,9 +683,9 @@ def _run(
         for fold in folds:
             protocol.check_split(fold)
         for run_index in range(protocol.num_seeds):
-            for fold in folds:
+            for fold_id, fold in enumerate(folds):
                 records.extend(_run_single(
-                    graph, config, rows, run_index, fold,
+                    graph, config, rows, run_index, fold_id, fold,
                     sweep_variable, sweep_value, config_hash,
                 ))
     write_records(records, out)

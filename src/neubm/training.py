@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import apply_split
 from .errors import ConfigError, DataError, NumericError
 from .graph import Graph
 from .metrics import check_classes, class_scores
@@ -212,6 +211,8 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Full-batch training with early stopping on validation F1-macro.
 
+    ``split`` is a :class:`neubm.datasets.SplitAssignment`; a node of any
+    of its parts labeled -1 raises DataError before anything is trained.
     Returns the parameters of the best-validation epoch. An initial
     evaluation at epoch 0 seeds the best checkpoint; training stops once
     ``epoch - best_epoch >= patience`` or at max_epochs. The optional
@@ -229,16 +230,19 @@ def train(
     """
     if graph.labels is None:
         raise ConfigError("training requires labels")
-    g = apply_split(graph, split) if split is not None else graph
-    train_mask = g.mask("train")
-    labels = g.labels
-    val_idx = np.flatnonzero(g.mask("val"))
+    labels = graph.labels
+    masks = split.to_masks(graph.num_nodes)
+    for name, m in masks.items():
+        if np.any(labels[m] < 0):
+            raise DataError(f"{name} split holds unlabeled nodes (label -1)")
+    train_mask = masks["train"]
+    val_idx = np.flatnonzero(masks["val"])
     num_classes = model_config.num_classes
     val_labels = np.asarray(labels[val_idx], dtype=np.int64)
     check_classes("truth", val_labels, num_classes)
     val_codes = val_labels * num_classes  # confusion cell of (truth, pred 0)
 
-    operator = prepare_operator(g, model_config)
+    operator = prepare_operator(graph, model_config)
     train_view = row_view(operator, np.flatnonzero(train_mask))
     val_view = row_view(operator, val_idx)
     params = init_params(model_config)
@@ -266,7 +270,7 @@ def train(
     for epoch in range(1, train_config.max_epochs + 1):
         try:
             loss, grad = loss_and_gradients(
-                current, g, labels, train_mask,
+                current, graph, labels, train_mask,
                 weight_decay=train_config.weight_decay,
                 mode="train",
                 dropout_seed=train_config.seed * 1_000_003 + epoch,

@@ -154,9 +154,10 @@ class TestTrainCalibrateEval:
         (("--train-frac", 0.5, "--val-frac", 0.499),
          "test part empty (train_frac=0.5, val_frac=0.499)"),
         (("--val-frac", 0), "val part empty"),
+        (("--val-frac", -0.1), "train_frac and val_frac must be >= 0"),
     ], ids=["split_leaves_no_test_nodes", "negative_lr", "zero_lr",
             "negative_weight_decay", "drawn_split_empty_test",
-            "drawn_split_empty_val"])
+            "drawn_split_empty_val", "negative_val_frac"])
     def test_train_flags_checked_before_training(self, dataset_dir, tmp_path,
                                                  capsys, flags, named):
         # a config error (exit 2) before anything is trained or written
@@ -330,6 +331,13 @@ class TestExperimentCommands:
         ({"protocol": {"num_seeds": 1, "k_folds": 2, "train_frac": 0.5,
                        "val_frac": 0.499, "min_per_class": 3}},
          "the split leaves the test part empty (train_frac=0.5, val_frac=0.499)"),
+        # a negative fraction is the protocol section's fault, found on load
+        ({"protocol": {"num_seeds": 1, "k_folds": 1, "train_frac": -0.1,
+                       "val_frac": 0.2, "min_per_class": 3}},
+         ("section 'protocol': train_frac and val_frac must be >= 0", "exp.json")),
+        # a sweep with no points, like an empty rho_sweep, is an error
+        ({"noise": {"kind": "feature", "levels": []}},
+         ("section 'noise': levels must list at least one", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
@@ -346,7 +354,8 @@ class TestExperimentCommands:
             "model_seed_derived", "model_input_dim_derived",
             "model_num_classes_derived", "rho_sweep_point_below_one",
             "noise_level_above_one", "noise_kind_unknown",
-            "drawn_split_empty_test"])
+            "drawn_split_empty_test", "protocol_negative_train_frac",
+            "noise_levels_empty"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback, and is rejected before anything runs."""
@@ -413,6 +422,12 @@ class TestExperimentCommands:
          2, "bad.json"),
         ("calibrate", {**CHECKPOINT, "params_flat": [0.0] * 35 + [float("inf")]},
          2, "bad.json"),
+        # a stored split holds all three parts, each nonempty, or is no split
+        ("train", {"test": list(range(0, 200, 2))}, 3, "masks.json]"),
+        ("train", {"train": list(range(0, 40)), "val": list(range(40, 80)),
+                   "test": []}, 3, "masks.json]"),
+        ("calibrate_random", {"test": list(range(0, 200, 2))}, 3, "masks.json]"),
+        ("calibrate_random", None, 3, "needs a stored split"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
             "plot_without_records", "plot_record_missing_keys",
@@ -427,19 +442,25 @@ class TestExperimentCommands:
             "eval_too_few_predictions", "gen_deeply_nested_config",
             "checkpoint_deeply_nested", "plot_record_deeply_nested",
             "neutral_deeply_nested", "checkpoint_nan_param",
-            "checkpoint_infinite_param"])
+            "checkpoint_infinite_param", "stored_split_only_test",
+            "stored_split_empty_test", "stored_split_only_test_random_neutral",
+            "random_neutral_without_stored_split"])
     def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,
                                          command, content, code, named):
         """A missing or malformed input file exits with its category's code,
         2 for configs, checkpoints and records and 3 for dataset and neutral
         directories and predictions, naming the file or key, not a
-        traceback."""
+        traceback. A partial stored split fails before a checkpoint is
+        written."""
         path = tmp_path / {"eval": "bad.csv", "plot": "records.jsonl"}.get(
             command, "bad.json")
         model, neutral = tmp_path / "model.json", tmp_path / "neutral"
-        if command == "neutral":
+        if command in ("train", "calibrate_random"):
+            path = dataset_dir / "masks.json"
+        if command in ("neutral", "calibrate_random"):
             save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])),
                             model)
+        if command == "neutral":
             assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
                            "--out", tmp_path / "pred.csv",
                            "--save-neutral", neutral) == 0
@@ -463,11 +484,17 @@ class TestExperimentCommands:
             "plot": ["plot", "--results", tmp_path],
             "gen_flags": ["gen", "--out", tmp_path / "gen", "--config", path,
                           "--nodes", "500", "--seed", "9"],
+            "train": ["train", "--data", dataset_dir, "--out", model,
+                      "--max-epochs", 3, "--patience", 3],
+            "calibrate_random": ["calibrate", "--model", model, "--data",
+                                 dataset_dir, "--out", tmp_path / "pred.csv",
+                                 "--neutral-variant", "random"],
         }[command]
         assert run_cli(*argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
+        assert command != "train" or not model.exists()
 
 
 HEAP_PROBE = """

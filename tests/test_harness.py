@@ -466,7 +466,7 @@ class TestPostHocLeakage:
                          num_classes=graph.num_classes)
 
         def neutral_vectors(g):
-            records = _run_single(g, cfg, ablation_rows(), 0, fold, None, None, "h")
+            records = _run_single(g, cfg, ablation_rows(), 0, 0, fold, None, None, "h")
             assert all(r["status"] == "ok" for r in records)
             return {r["row_id"]: r["bias"]["neutral_vector"] for r in records}
 
@@ -514,7 +514,7 @@ class TestRunRecords:
             mmd_calls.clear()
             outputs.clear()
             records = harness._run_single(graph, cfg, harness.ablation_rows(),
-                                          run_index, fold, None, None, "h")
+                                          run_index, 0, fold, None, None, "h")
             assert all(r["status"] == "ok" for r in records)
             assert all("mmd_prob_before" not in r["bias"]
                        for r in records if r["spec"]["variant"] == "none")
@@ -547,7 +547,7 @@ class TestRunRecords:
         rows = [r for r in harness.ablation_rows() if r.spec.variant == "none"]
         mmd_calls = []
         _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
-        records = harness._run_single(graph, cfg, rows, 0, fold, None, None, "h")
+        records = harness._run_single(graph, cfg, rows, 0, 0, fold, None, None, "h")
         assert records and all(r["status"] == "ok" for r in records)
         assert mmd_calls == []
 
@@ -566,7 +566,7 @@ class TestRunRecords:
 
         monkeypatch.setattr(harness, "mmd_rbf", fails_first)
         records = harness._run_single(graph, cfg, harness.ablation_rows(),
-                                      0, fold, None, None, "h")
+                                      0, 0, fold, None, None, "h")
         calibrated = [r for r in records if r["spec"]["variant"] != "none"]
         assert calibrated[0]["status"] == "failed"
         assert "NumericError" in calibrated[0]["error"]
@@ -580,7 +580,7 @@ class TestRunRecords:
         trained = []
         _spy(monkeypatch, harness, "train", trained)
         records = harness._run_single(graph, cfg, harness.default_rows(cfg),
-                                      0, fold, None, None, "h")
+                                      0, 0, fold, None, None, "h")
         (_, (_, report)), = trained
         assert len(report.val_metric_curve) == report.epochs_run + 1
         for r in records:
@@ -598,7 +598,7 @@ class TestRunRecords:
         built = []
         _spy(monkeypatch, harness, "construct_neutral", built)
         rows = harness.ablation_rows()
-        records = harness._run_single(graph, cfg, rows, 0, fold, None, None, "h")
+        records = harness._run_single(graph, cfg, rows, 0, 0, fold, None, None, "h")
         expected = {
             neutral.config.construction_variant: neutral_fidelity(neutral)
             for _, neutral in built

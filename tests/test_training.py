@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neubm.datasets import SbmConfig, generate_sbm, stratified_split
+import neubm.training as training
+from neubm.datasets import SbmConfig, SplitAssignment, generate_sbm, stratified_split
 from neubm.errors import ConfigError, DataError, NumericError
 from neubm.graph import Graph, compute_dataset_stats, csr_rows
 from neubm.harness import _make_refresh_hook
@@ -446,6 +447,27 @@ class TestTrainLoop:
         )
         assert report.epochs_run == 1
 
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_unlabeled_split_node_rejected(self, monkeypatch, name):
+        # node 3 is unlabeled; whichever part holds it, nothing is trained
+        g = Graph(num_nodes=4, features=np.zeros((4, 1)), edges=[],
+                  labels=[0, 1, 0, -1], num_classes=2)
+        parts = {"train": [0], "val": [1], "test": [2]}
+        parts[name] = parts[name] + [3]
+        monkeypatch.setattr(training, "prepare_operator", None)
+        with pytest.raises(DataError, match=f"{name} split holds unlabeled"):
+            train(g, SplitAssignment(**parts),
+                  ModelConfig("gcn", 1, 4, 2, dropout=0.0, seed=0),
+                  TrainConfig(max_epochs=2, patience=2, seed=0))
+
+    def test_unlabeled_node_outside_split_trains(self):
+        g = Graph(num_nodes=4, features=np.eye(4)[:, :2], edges=[(0, 3)],
+                  labels=[0, 1, 0, -1], num_classes=2)
+        _, report = train(g, SplitAssignment([0], [1], [2]),
+                          ModelConfig("gcn", 2, 4, 2, dropout=0.0, seed=0),
+                          TrainConfig(max_epochs=2, patience=2, seed=0))
+        assert report.epochs_run == 2
+
     def test_validation_label_outside_model_classes_rejected(self):
         g = easy_sbm()  # labels 0 and 1; the model knows class 0 only
         split = stratified_split(g, 0.3, 0.3, 2, seed=0)
@@ -536,8 +558,6 @@ class TestTrainLoop:
                                                      dropout, monkeypatch):
         # each step takes layer 1 from the previous validation forward; a
         # loop that recomputes it every step must agree bit for bit
-        import neubm.training as training
-
         g = easy_sbm(seed=9)
         split = stratified_split(g, 0.3, 0.3, 2, seed=6)
         mc = ModelConfig(architecture, 4, 8, 2, dropout=dropout, num_heads=2,
