@@ -141,10 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--train-frac", type=float, default=ProtocolConfig.train_frac)
-    p.add_argument("--val-frac", type=float, default=ProtocolConfig.val_frac)
-    p.add_argument("--min-per-class", type=int,
-                   default=ProtocolConfig.min_per_class)
+    # the split flags default to None: they apply to a drawn split only,
+    # and ProtocolConfig fills in what is not given
+    p.add_argument("--train-frac", type=float)
+    p.add_argument("--val-frac", type=float)
+    p.add_argument("--min-per-class", type=int)
     p.add_argument("--write-masks", action="store_true",
                    help="save the split into the dataset's masks.json")
     p.set_defaults(func=cmd_train)
@@ -161,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=POSITIONS)
     p.add_argument("--lam", type=float, help="scaling factor (scale variant)")
     p.add_argument("--neutral-dir", help="reuse a serialized neutral graph")
-    p.add_argument("--neutral-seed", type=int, default=NeutralConfig.seed)
-    p.add_argument("--neutral-variant", default=NeutralConfig.construction_variant,
-                   choices=CONSTRUCTION_VARIANTS)
+    # None when not given, so that a conflict with --neutral-dir shows;
+    # NeutralConfig fills in what is not given
+    p.add_argument("--neutral-seed", type=int)
+    p.add_argument("--neutral-variant", choices=CONSTRUCTION_VARIANTS)
     p.add_argument("--save-neutral", help="serialize the constructed neutral graph")
     p.set_defaults(func=cmd_calibrate)
 
@@ -172,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--mask", default="test",
-                   help="mask name, or 'all' for every labeled node")
+                   choices=("train", "val", "test", "all"),
+                   help="the stored split's part to score, or 'all' for "
+                        "every labeled node")
     p.set_defaults(func=cmd_eval)
 
     for name, runner, desc in (
@@ -218,8 +222,12 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     # every flag is checked before anything is trained or written
-    protocol = ProtocolConfig(train_frac=args.train_frac, val_frac=args.val_frac,
-                              min_per_class=args.min_per_class)
+    given = {name: getattr(args, name)
+             for name in ("train_frac", "val_frac", "min_per_class")
+             if getattr(args, name) is not None}
+    protocol = ProtocolConfig(**given)
+    split_flags = [f"--{name.replace('_', '-')}" for name in given]
+    split_flags += ["--write-masks"] if args.write_masks else []
     train_config = TrainConfig(
         learning_rate=args.lr, weight_decay=args.weight_decay,
         max_epochs=args.max_epochs, patience=args.patience, seed=args.seed,
@@ -232,7 +240,11 @@ def cmd_train(args) -> int:
         hidden_dim=args.hidden, num_classes=graph.num_classes,
         dropout=args.dropout, num_heads=args.heads, seed=args.seed,
     )
-    split = stored_split(graph, args.data)
+    split = stored_split(args.data, graph.num_nodes)
+    if split is not None and split_flags:
+        raise ConfigError(f"{', '.join(split_flags)} apply to a drawn split only, "
+                          "and the dataset stores one",
+                          file=Path(args.data) / "masks.json")
     if split is None:
         split = stratified_split(
             graph, protocol.train_frac, protocol.val_frac, protocol.min_per_class,
@@ -240,12 +252,11 @@ def cmd_train(args) -> int:
         )
         protocol.check_split(split)
         if args.write_masks:
-            save_masks(split.to_masks(graph.num_nodes), args.data)
+            save_masks(split, args.data)
     params, report = train(graph, split, model_config, train_config)
     save_checkpoint(params, args.out)
     pred = predict_logits(params, graph).argmax(axis=1)
-    masks = split.to_masks(graph.num_nodes)
-    test_f1 = evaluate(pred, graph.labels, mask=masks["test"],
+    test_f1 = evaluate(pred[split.test], graph.labels[split.test],
                        num_classes=graph.num_classes).f1_macro
     print(
         f"trained {args.arch}: epochs={report.epochs_run} "
@@ -258,6 +269,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # flags the chosen path would ignore are rejected before any file is read
+    neutral_flags = [flag for flag, value in (
+        ("--save-neutral", args.save_neutral), ("--neutral-seed", args.neutral_seed),
+        ("--neutral-variant", args.neutral_variant)) if value is not None]
+    if args.neutral_dir and neutral_flags:
+        raise ConfigError(f"{', '.join(neutral_flags)} cannot be used with "
+                          "--neutral-dir, which loads a built neutral graph")
+    if args.variant == "none" and args.save_neutral:
+        raise ConfigError("--save-neutral cannot be used with --variant none, "
+                          "which builds no neutral graph")
     params = load_checkpoint(args.model)
     graph = load_canonical(args.data)
     spec = CalibrationSpec(variant=args.variant, position=args.position,
@@ -269,21 +290,21 @@ def cmd_calibrate(args) -> int:
         neutral = load_neutral(args.neutral_dir)
         neutral_vec = neutral_logit_vector(params, neutral)
     else:
+        config = NeutralConfig(**{
+            field: value for field, value in (
+                ("construction_variant", args.neutral_variant),
+                ("seed", args.neutral_seed)) if value is not None})
         stats = compute_dataset_stats(graph)
         source = None
-        if args.neutral_variant != "mean_cov":
+        if config.construction_variant != "mean_cov":
             # copied rows come from the stored split's train part only
-            split = stored_split(graph, args.data)
+            split = stored_split(args.data, graph.num_nodes)
             if split is None:
-                raise DataError(f"neutral variant {args.neutral_variant!r} needs "
-                                "a stored split", file=Path(args.data) / "masks.json")
-            source = train_rows(graph, split.to_masks(graph.num_nodes)["train"])
-        neutral = construct_neutral(
-            stats,
-            NeutralConfig(construction_variant=args.neutral_variant,
-                          seed=args.neutral_seed),
-            labeled_source=source,
-        )
+                raise DataError(f"neutral variant {config.construction_variant!r} "
+                                "needs a stored split",
+                                file=Path(args.data) / "masks.json")
+            source = train_rows(graph, split.train)
+        neutral = construct_neutral(stats, config, labeled_source=source)
         if args.save_neutral:
             save_neutral(neutral, args.save_neutral)
         neutral_vec = neutral_logit_vector(params, neutral)
@@ -303,10 +324,14 @@ def cmd_eval(args) -> int:
             f"{pred.size} predictions for {graph.num_nodes} nodes", file=args.pred
         )
     if args.mask == "all":
-        mask = graph.labels >= 0
+        rows = np.flatnonzero(graph.labels >= 0)
     else:
-        mask = graph.mask(args.mask)
-    report = evaluate(pred, graph.labels, mask=mask,
+        split = stored_split(args.data, graph.num_nodes)
+        if split is None:
+            raise DataError(f"--mask {args.mask} needs a stored split",
+                            file=Path(args.data) / "masks.json")
+        rows = getattr(split, args.mask)
+    report = evaluate(pred[rows], graph.labels[rows],
                       num_classes=graph.num_classes)
     Path(args.out).write_text(report.to_json() + "\n")
     print(

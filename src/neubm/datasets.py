@@ -8,7 +8,8 @@ Canonical dataset directory layout::
     features.csv   one row per node, F comma-separated reals
     edges.csv      one "u,v" pair per line, 0-based, u < v, no duplicates
     labels.csv     one integer per line, -1 for unlabeled
-    masks.json     optional, {"train": [idx...], "val": [...], "test": [...]}
+    masks.json     optional, {"train": [idx...], "val": [...], "test": [...]};
+                   read by stored_split alone, never by load_canonical
 
 All generators and the noise injector are pure functions of their explicit
 seeds, so repeated calls are byte-reproducible.
@@ -18,15 +19,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, read_json, read_lines
-from .graph import MASK_NAMES, Graph, bernoulli_cells, check_disjoint
+from .graph import Graph, bernoulli_cells
 from .metrics import imbalance_ratio
 
 META_KEYS = ("num_nodes", "num_features", "num_classes", "directed")
+SPLIT_PARTS = ("train", "val", "test")
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +58,6 @@ def save_canonical(graph: Graph, path) -> None:
     with (out / "labels.csv").open("w") as fh:
         for lab in labels:
             fh.write(f"{lab}\n")
-    if graph.masks:
-        save_masks(graph.masks, out)
-
-
-def save_masks(masks: dict[str, np.ndarray], path) -> None:
-    """Write boolean node masks, by name, as ``path``/masks.json."""
-    payload = {name: np.flatnonzero(m).tolist() for name, m in sorted(masks.items())}
-    (Path(path) / "masks.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_canonical(path) -> Graph:
@@ -115,20 +110,6 @@ def load_canonical(path) -> Graph:
     if len(set(edges)) != len(edges):
         raise DataError("duplicate edges", file=root / "edges.csv")
     labels = np.asarray(_rows(root / "labels.csv", label, n), dtype=np.int64)
-    masks = {}
-    masks_file = root / "masks.json"
-    if masks_file.exists():
-        for name, idx in read_json(masks_file, "masks", DataError).items():
-            if not (isinstance(idx, list)
-                    and all(type(i) is int and 0 <= i < n for i in idx)):
-                raise DataError(
-                    f"mask {name!r} must list node indices in [0, {n})",
-                    file=masks_file,
-                )
-            masks[name] = np.zeros(n, dtype=bool)
-            masks[name][idx] = True
-        check_disjoint(masks, file=masks_file)
-
     labeled = bool(np.any(labels != -1))
     return Graph(
         num_nodes=n,
@@ -136,7 +117,6 @@ def load_canonical(path) -> Graph:
         edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
         labels=labels if labeled else None,
         num_classes=c if labeled else None,
-        masks=masks,
     )
 
 
@@ -307,31 +287,52 @@ def generate_sbm(config: SbmConfig) -> Graph:
 
 @dataclass(frozen=True)
 class SplitAssignment:
+    """A split as the sorted int64 node indices of each of its parts."""
+
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
 
-    def to_masks(self, num_nodes: int) -> dict[str, np.ndarray]:
-        masks = {}
-        for name in MASK_NAMES:
-            m = np.zeros(num_nodes, dtype=bool)
-            m[getattr(self, name)] = True
-            masks[name] = m
-        return masks
-
     def empty_parts(self) -> list[str]:
         """The names of the parts that hold no node."""
-        return [name for name in MASK_NAMES if not len(getattr(self, name))]
+        return [name for name in SPLIT_PARTS if not len(getattr(self, name))]
 
 
-def stored_split(graph: Graph, path) -> SplitAssignment | None:
-    """The split in the masks.json of ``path``, the dataset directory of
-    ``graph``, or None without one; a missing or empty part is a DataError."""
+def save_masks(split: SplitAssignment, path) -> None:
+    """Write ``split`` as ``path``/masks.json, the file :func:`stored_split`
+    reads."""
+    payload = {name: getattr(split, name).tolist() for name in sorted(SPLIT_PARTS)}
+    (Path(path) / "masks.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def stored_split(path, num_nodes: int) -> SplitAssignment | None:
+    """The split in the masks.json of the dataset directory ``path``, whose
+    graph has ``num_nodes`` nodes, or None without one.
+
+    Each part is read as a set: its indices, JSON ints in [0, num_nodes),
+    are sorted and repeats dropped. A key other than train/val/test, a
+    missing or empty part, or two parts that share a node is a DataError
+    naming the file.
+    """
     masks_file = Path(path) / "masks.json"
     if not masks_file.exists():
         return None
-    split = SplitAssignment(*(np.flatnonzero(graph.masks.get(name, ()))
-                              for name in MASK_NAMES))
+    parts = read_json(masks_file, "masks", DataError)
+    if unknown := sorted(set(parts) - set(SPLIT_PARTS)):
+        raise DataError(f"unknown split parts {unknown}", file=masks_file)
+    for name, idx in parts.items():
+        # type(i) is int: an int, never a bool, which would read as 0 or 1
+        if not (isinstance(idx, list)
+                and all(type(i) is int and 0 <= i < num_nodes for i in idx)):
+            raise DataError(
+                f"split part {name!r} must list node indices in [0, {num_nodes})",
+                file=masks_file,
+            )
+    split = SplitAssignment(*(np.unique(np.array(parts.get(name, []), dtype=np.int64))
+                              for name in SPLIT_PARTS))
+    for a, b in combinations(SPLIT_PARTS, 2):
+        if np.intersect1d(getattr(split, a), getattr(split, b)).size:
+            raise DataError(f"split parts {a!r} and {b!r} overlap", file=masks_file)
     if empty := split.empty_parts():
         raise DataError(f"the stored split has no {' or '.join(empty)} nodes",
                         file=masks_file)

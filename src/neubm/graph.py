@@ -7,16 +7,12 @@ operations here are pure functions, safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-
-MASK_NAMES = ("train", "val", "test")
-
 
 # endpoints below this bound pack into one int64 key lo * span + hi
 _MAX_ENDPOINT = 2**31
@@ -83,8 +79,7 @@ class Graph:
     """Undirected attributed graph.
 
     labels may contain -1 as the "unlabeled" sentinel; labeled entries must
-    lie in [0, num_classes). Masks, when present, are boolean per-node
-    vectors; "train"/"val"/"test" must be pairwise disjoint.
+    lie in [0, num_classes).
     """
 
     num_nodes: int
@@ -92,7 +87,6 @@ class Graph:
     edges: np.ndarray
     labels: np.ndarray | None = None
     num_classes: int | None = None
-    masks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -119,20 +113,12 @@ class Graph:
                 raise DataError(
                     f"labels must lie in [-1, {self.num_classes})"
                 )
-        masks = {}
-        for name, m in self.masks.items():
-            m = np.asarray(m, dtype=bool)
-            if m.shape != (self.num_nodes,):
-                raise DataError(f"mask {name!r} has wrong length")
-            masks[name] = m
-        check_disjoint(masks)
-        for arr in (feats, edges, labels, *masks.values()):
+        for arr in (feats, edges, labels):
             if arr is not None:
                 arr.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "masks", masks)
 
     @property
     def num_features(self) -> int:
@@ -141,19 +127,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def mask(self, name: str) -> np.ndarray:
-        if name not in self.masks:
-            raise DataError(f"graph has no {name!r} mask")
-        return self.masks[name]
-
-
-def check_disjoint(masks: dict[str, np.ndarray], file=None) -> None:
-    """Raise DataError (naming ``file``) if two of the train/val/test
-    boolean masks share a node."""
-    for a, b in combinations(MASK_NAMES, 2):
-        if a in masks and b in masks and np.any(masks[a] & masks[b]):
-            raise DataError(f"masks {a!r} and {b!r} overlap", file=file)
 
 
 def build_adjacency(graph: Graph, add_self_loops: bool = True) -> sp.csr_matrix:

@@ -317,9 +317,8 @@ def _run_single(
         }
 
     hook = None
-    masks = fold.to_masks(graph.num_nodes)
     stats = compute_dataset_stats(graph)
-    source = train_rows(graph, masks["train"])
+    source = train_rows(graph, fold.train)
     if config.neutral.refresh_every != "never":
         hook = _make_refresh_hook(source, stats, config.neutral, neutral_seed)
 
@@ -345,11 +344,12 @@ def _run_single(
         "wall_time_seconds": time.perf_counter() - start,
     }
 
-    logits = predict_logits(params, graph)
-    test_mask = masks["test"]
     labels = graph.labels
-    uncal_probs = softmax(logits)
     majority = int(np.bincount(labels[labels >= 0]).argmax())
+    # post hoc: every row below is scored on the test rows alone
+    logits = predict_logits(params, graph)[fold.test]
+    test_labels = labels[fold.test]
+    uncal_probs = softmax(logits)
 
     neutral_vectors: dict[str | None, np.ndarray] = {None: np.zeros(logits.shape[1])}
     fidelity: dict[str | None, dict | None] = {None: None}
@@ -370,14 +370,10 @@ def _run_single(
         try:
             vec = vector_for(row.neutral_variant)
             out = calibrate(logits, vec, row.spec)
-            metrics = evaluate(
-                out.predicted_labels, labels, mask=test_mask,
-                num_classes=graph.num_classes,
-            )
-            bias = _bias_diagnostics(
-                logits, uncal_probs, out, vec, labels, test_mask, majority,
-                row.spec, mmd_memo,
-            )
+            metrics = evaluate(out.predicted_labels, test_labels,
+                               num_classes=graph.num_classes)
+            bias = _bias_diagnostics(logits, uncal_probs, out, vec, test_labels,
+                                     majority, row.spec, mmd_memo)
             records.append(record(
                 row, "ok", train_summary, timestamp,
                 metrics=metrics.to_dict(), bias=bias,
@@ -389,16 +385,13 @@ def _run_single(
     return records
 
 
-def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority,
-                      spec, mmd_memo):
-    bias = check_bias_reduction(
-        uncal_probs[test_mask], out.probabilities[test_mask], majority, vec,
-        logits_before=logits[test_mask],
-        logits_after=(
-            out.corrected_logits[test_mask]
-            if out.corrected_logits is not None else None
-        ),
-    )
+def _bias_diagnostics(logits, uncal_probs, out, vec, labels, majority, spec,
+                      mmd_memo):
+    """The ``bias`` fields of one record; every array holds the test rows
+    only, ``labels`` their true classes."""
+    bias = check_bias_reduction(uncal_probs, out.probabilities, majority, vec,
+                                logits_before=logits,
+                                logits_after=out.corrected_logits)
     if bias["min_shift_exceeds_maj"] is False and spec.variant == "subtract":
         # corrected = L - v makes delta = -v, so for subtraction a violated
         # ordering means the implementation broke; other variants add
@@ -406,13 +399,14 @@ def _bias_diagnostics(logits, uncal_probs, out, vec, labels, test_mask, majority
         raise NumericError("per-class shift ordering violated")
     if spec.variant != "none":
         bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels,
-                                    test_mask, mmd_memo))
+                                    mmd_memo))
     return bias
 
 
-def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, memo):
+def _mmd_diagnostic(probs_before, probs_after, labels, memo):
     """Exploratory: probability-space distance between the two largest test
-    classes, before/after calibration. Not an invariant.
+    classes, before/after calibration. Not an invariant. The probability
+    rows are the test rows, ``labels`` their true classes.
 
     The rows of one (seed, fold) share `memo`, keyed by the bytes of the
     two compared sample sets: the pre-calibration distance, and every row
@@ -420,17 +414,14 @@ def _mmd_diagnostic(probs_before, probs_after, labels, test_mask, memo):
     subtraction, say), is computed once. A failed computation stores
     nothing, so every later row with the same samples fails the same way.
     """
-    test_labels = labels[test_mask]
-    counts = np.bincount(test_labels[test_labels >= 0])
+    counts = np.bincount(labels[labels >= 0])
     top = np.argsort(counts)[::-1]
     if len(top) < 2 or counts[top[1]] == 0:
         return {}
     c1, c2 = int(top[0]), int(top[1])
-    sel = np.flatnonzero(test_mask)
 
     def rows(probs, c):
-        idx = sel[test_labels == c][:MMD_DIAG_MAX_ROWS]
-        return probs[idx]
+        return probs[labels == c][:MMD_DIAG_MAX_ROWS]
 
     def mmd(probs):
         x, y = rows(probs, c1), rows(probs, c2)

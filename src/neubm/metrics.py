@@ -58,22 +58,16 @@ class MetricsReport:
 def confusion(
     pred: np.ndarray,
     truth: np.ndarray,
-    mask: np.ndarray | None = None,
     num_classes: int | None = None,
 ) -> np.ndarray:
-    """The (C, C) int64 count matrix: [t, p] counts the evaluated nodes of
-    true class t predicted p."""
+    """The (C, C) int64 count matrix: [t, p] counts the nodes of true class
+    t predicted p. Callers pass the evaluated rows only."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise DataError(
             f"pred has shape {pred.shape}, truth has shape {truth.shape}"
         )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != pred.shape:
-            raise DataError("mask length mismatch")
-        pred, truth = pred[mask], truth[mask]
     if num_classes is None:
         num_classes = int(max(pred.max(initial=-1), truth.max(initial=-1))) + 1
         num_classes = max(num_classes, 1)
@@ -130,20 +124,17 @@ def f1_scores(counts: np.ndarray, rho: float = float("nan")) -> MetricsReport:
 def evaluate(
     pred: np.ndarray,
     truth: np.ndarray,
-    mask: np.ndarray | None = None,
     num_classes: int | None = None,
 ) -> MetricsReport:
-    """confusion + f1_scores + imbalance ratio of the evaluated truth labels."""
-    counts = confusion(pred, truth, mask=mask, num_classes=num_classes)
-    truth_eval = np.asarray(truth)[np.asarray(mask, dtype=bool)] if mask is not None else truth
-    return f1_scores(counts, rho=imbalance_ratio(truth_eval))
+    """confusion + f1_scores + imbalance ratio of the truth labels, for the
+    evaluated rows the caller passes."""
+    counts = confusion(pred, truth, num_classes=num_classes)
+    return f1_scores(counts, rho=imbalance_ratio(truth))
 
 
-def imbalance_ratio(labels: np.ndarray, mask: np.ndarray | None = None) -> float:
+def imbalance_ratio(labels: np.ndarray) -> float:
     """Largest class count over smallest class count among labeled nodes."""
     labels = np.asarray(labels, dtype=np.int64)
-    if mask is not None:
-        labels = labels[np.asarray(mask, dtype=bool)]
     labels = labels[labels >= 0]
     if labels.size == 0:
         raise DataError("imbalance ratio needs at least one labeled node")

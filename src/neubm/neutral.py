@@ -133,21 +133,21 @@ def sample_mvn(
     return mu + z @ factor.T
 
 
-def train_rows(graph: Graph, train_mask: np.ndarray) -> Graph:
-    """The train-mask nodes of ``graph`` as an edgeless graph.
+def train_rows(graph: Graph, rows: np.ndarray) -> Graph:
+    """The nodes ``rows`` (a split's train indices) of ``graph`` as an
+    edgeless graph.
 
     This is the only source the random and class_balanced variants may copy
     rows from: the method is post hoc, so neither which rows a neutral graph
     holds nor what they contain may depend on a held-out label.
     """
-    idx = np.flatnonzero(train_mask)
-    if idx.size == 0:
-        raise DataError("the train mask selects no nodes")
+    if len(rows) == 0:
+        raise DataError("the train split holds no nodes")
     return Graph(
-        num_nodes=idx.size,
-        features=graph.features[idx],
+        num_nodes=len(rows),
+        features=graph.features[rows],
         edges=[],
-        labels=None if graph.labels is None else graph.labels[idx],
+        labels=None if graph.labels is None else graph.labels[rows],
         num_classes=graph.num_classes,
     )
 

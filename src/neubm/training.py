@@ -231,20 +231,19 @@ def train(
     if graph.labels is None:
         raise ConfigError("training requires labels")
     labels = graph.labels
-    masks = split.to_masks(graph.num_nodes)
-    for name, m in masks.items():
-        if np.any(labels[m] < 0):
+    for name in ("train", "val", "test"):
+        if np.any(labels[getattr(split, name)] < 0):
             raise DataError(f"{name} split holds unlabeled nodes (label -1)")
-    train_mask = masks["train"]
-    val_idx = np.flatnonzero(masks["val"])
+    train_mask = np.zeros(graph.num_nodes, dtype=bool)  # the loss's node mask
+    train_mask[split.train] = True
     num_classes = model_config.num_classes
-    val_labels = np.asarray(labels[val_idx], dtype=np.int64)
+    val_labels = np.asarray(labels[split.val], dtype=np.int64)
     check_classes("truth", val_labels, num_classes)
     val_codes = val_labels * num_classes  # confusion cell of (truth, pred 0)
 
     operator = prepare_operator(graph, model_config)
-    train_view = row_view(operator, np.flatnonzero(train_mask))
-    val_view = row_view(operator, val_idx)
+    train_view = row_view(operator, split.train)
+    val_view = row_view(operator, split.val)
     params = init_params(model_config)
     flat = params.flat()
     state = AdamState.zeros(flat.size)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -34,6 +35,9 @@ RECORD = {"group": "sweep", "row_id": "none@logits", "status": "ok",
           "bias": {"majority_prob_decreased": True}}
 GEN_CONFIG = {"num_classes": 3, "total_nodes": 60, "rho": 2, "p_intra": 0.2,
               "p_inter": 0.02, "feature_dim": 8}
+# a valid split of the 200-node dataset_dir, all three parts nonempty
+STORED_SPLIT = {"train": list(range(0, 60)), "val": list(range(60, 120)),
+                "test": list(range(120, 200))}
 # JSON nested deeper than the decoder's recursion limit
 DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -88,7 +92,10 @@ class TestTrainCalibrateEval:
             "--seed", 2, "--write-masks",
         )
         assert code == 0 and model.exists()
-        assert (dataset_dir / "masks.json").exists()
+        # pinned: neither the file format nor the drawn split may move
+        written = (dataset_dir / "masks.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == (
+            "54c8214a3d899df694918072ee3cd1e952b0bee3203cc98b4bec02af3ed71f71")
 
         preds = tmp_path / "preds.csv"
         code = run_cli(
@@ -145,31 +152,45 @@ class TestTrainCalibrateEval:
                        "--out", b, "--neutral-dir", tmp_path / "neutral") == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("flags, named", [
-        (("--train-frac", 0.5, "--val-frac", 0.5), "train_frac + val_frac"),
-        (("--lr", -1), "learning_rate"),
-        (("--lr", 0), "learning_rate"),
-        (("--weight-decay", -0.1), "weight_decay"),
+    @pytest.mark.parametrize("flags, named, stored", [
+        (("--train-frac", 0.5, "--val-frac", 0.5), "train_frac + val_frac", False),
+        (("--lr", -1), "learning_rate", False),
+        (("--lr", 0), "learning_rate", False),
+        (("--weight-decay", -0.1), "weight_decay", False),
         # fractions that pass the sum check but draw an empty part
         (("--train-frac", 0.5, "--val-frac", 0.499),
-         "test part empty (train_frac=0.5, val_frac=0.499)"),
-        (("--val-frac", 0), "val part empty"),
-        (("--val-frac", -0.1), "train_frac and val_frac must be >= 0"),
+         "test part empty (train_frac=0.5, val_frac=0.499)", False),
+        (("--val-frac", 0), "val part empty", False),
+        (("--val-frac", -0.1), "train_frac and val_frac must be >= 0", False),
+        # split flags apply to a drawn split only, never to a stored one
+        (("--train-frac", 0.6, "--val-frac", 0.3, "--write-masks"),
+         "--train-frac, --val-frac, --write-masks apply to a drawn split only",
+         True),
+        (("--min-per-class", 3), "--min-per-class apply", True),
+        (("--write-masks",), "--write-masks apply", True),
     ], ids=["split_leaves_no_test_nodes", "negative_lr", "zero_lr",
             "negative_weight_decay", "drawn_split_empty_test",
-            "drawn_split_empty_val", "negative_val_frac"])
+            "drawn_split_empty_val", "negative_val_frac",
+            "stored_split_with_fractions", "stored_split_with_min_per_class",
+            "stored_split_with_write_masks"])
     def test_train_flags_checked_before_training(self, dataset_dir, tmp_path,
-                                                 capsys, flags, named):
-        # a config error (exit 2) before anything is trained or written
+                                                 capsys, flags, named, stored):
+        # a config error (exit 2) before anything is trained or written;
+        # without a stored split, --write-masks would write one
+        masks = dataset_dir / "masks.json"
+        if stored:
+            masks.write_text(json.dumps(STORED_SPLIT))
+        written = masks.read_bytes() if stored else None
         model = tmp_path / "model.json"
         code = run_cli("train", "--data", dataset_dir, "--out", model,
                        "--hidden", 8, "--max-epochs", 5, "--patience", 5,
-                       "--write-masks", *flags)
+                       *(() if stored else ("--write-masks",)), *flags)
         assert code == 2
         captured = capsys.readouterr()
         assert named in captured.err and "trained" not in captured.out
+        assert "Traceback" not in captured.err
         assert not model.exists()
-        assert not (dataset_dir / "masks.json").exists()
+        assert (masks.read_bytes() if masks.exists() else None) == written
 
     def test_scale_variant_requires_lambda(self, dataset_dir, tmp_path):
         model = tmp_path / "model.json"
@@ -202,7 +223,9 @@ class TestUnlabeledSplitNodes:
         model = tmp_path / "model.json"
         assert self.train(dataset_dir, model, "--write-masks") == 0
         unlabel_split_node(dataset_dir, "train")
-        assert self.train(dataset_dir, tmp_path / "again.json") == 3  # data error
+        code = run_cli("train", "--data", dataset_dir, "--out", tmp_path / "again.json",
+                       "--hidden", 8, "--max-epochs", 5, "--patience", 5)
+        assert code == 3  # data error
 
     def test_eval_rejects_unlabeled_test_node(self, dataset_dir, tmp_path):
         model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
@@ -428,6 +451,7 @@ class TestExperimentCommands:
                    "test": []}, 3, "masks.json]"),
         ("calibrate_random", {"test": list(range(0, 200, 2))}, 3, "masks.json]"),
         ("calibrate_random", None, 3, "needs a stored split"),
+        ("eval_split", {"test": list(range(0, 200, 2))}, 3, "masks.json]"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
             "plot_without_records", "plot_record_missing_keys",
@@ -444,7 +468,7 @@ class TestExperimentCommands:
             "neutral_deeply_nested", "checkpoint_nan_param",
             "checkpoint_infinite_param", "stored_split_only_test",
             "stored_split_empty_test", "stored_split_only_test_random_neutral",
-            "random_neutral_without_stored_split"])
+            "random_neutral_without_stored_split", "eval_partial_stored_split"])
     def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,
                                          command, content, code, named):
         """A missing or malformed input file exits with its category's code,
@@ -455,7 +479,7 @@ class TestExperimentCommands:
         path = tmp_path / {"eval": "bad.csv", "plot": "records.jsonl"}.get(
             command, "bad.json")
         model, neutral = tmp_path / "model.json", tmp_path / "neutral"
-        if command in ("train", "calibrate_random"):
+        if command in ("train", "calibrate_random", "eval_split"):
             path = dataset_dir / "masks.json"
         if command in ("neutral", "calibrate_random"):
             save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])),
@@ -489,12 +513,49 @@ class TestExperimentCommands:
             "calibrate_random": ["calibrate", "--model", model, "--data",
                                  dataset_dir, "--out", tmp_path / "pred.csv",
                                  "--neutral-variant", "random"],
+            "eval_split": ["eval", "--pred", tmp_path / "pred.csv", "--data",
+                           dataset_dir, "--out", tmp_path / "metrics.json"],
         }[command]
+        if command == "eval_split":
+            rows = "".join(f"{i},0,1.0\n" for i in range(200))
+            (tmp_path / "pred.csv").write_text("node_id,predicted_label,prob_0\n" + rows)
         assert run_cli(*argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
         assert command != "train" or not model.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--neutral-dir", "NEUTRAL", "--save-neutral", "SAVED"), "--save-neutral"),
+        (("--neutral-dir", "NEUTRAL", "--neutral-seed", 5), "--neutral-seed"),
+        (("--neutral-dir", "NEUTRAL", "--neutral-variant", "random"),
+         "--neutral-variant"),
+        (("--neutral-dir", "NEUTRAL", "--save-neutral", "SAVED", "--neutral-seed",
+          5, "--neutral-variant", "random"),
+         "--save-neutral, --neutral-seed, --neutral-variant cannot be used with "
+         "--neutral-dir"),
+        (("--variant", "none", "--save-neutral", "SAVED"),
+         "--save-neutral cannot be used with --variant none"),
+    ], ids=["save_with_neutral_dir", "seed_with_neutral_dir",
+            "variant_with_neutral_dir", "all_with_neutral_dir",
+            "save_with_variant_none"])
+    def test_calibrate_flags_its_path_ignores(self, dataset_dir, tmp_path, capsys,
+                                              flags, named):
+        """A neutral-graph flag that the chosen calibration path would
+        ignore is a config error (exit 2), before any file is written."""
+        model, neutral = tmp_path / "model.json", tmp_path / "neutral"
+        saved, pred = tmp_path / "saved", tmp_path / "pred.csv"
+        save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])),
+                        model)
+        assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", tmp_path / "first.csv",
+                       "--save-neutral", neutral) == 0
+        paths = {"NEUTRAL": neutral, "SAVED": saved}
+        assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", pred, *(paths.get(f, f) for f in flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not saved.exists() and not pred.exists()
 
 
 HEAP_PROBE = """

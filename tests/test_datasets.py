@@ -17,7 +17,9 @@ from neubm.datasets import (
     largest_remainder,
     load_canonical,
     save_canonical,
+    save_masks,
     sbm_class_sizes,
+    stored_split,
     stratified_split,
 )
 from neubm.errors import ConfigError, DataError
@@ -44,15 +46,6 @@ class TestCanonicalFormat:
         np.testing.assert_array_equal(loaded.features, g.features)
         np.testing.assert_array_equal(loaded.edges, g.edges)
         np.testing.assert_array_equal(loaded.labels, g.labels)
-
-    def test_round_trip_with_masks(self, tmp_path):
-        g = dataclasses.replace(
-            small_graph(),
-            masks={"train": [True, False, False], "val": [False, True, False]},
-        )
-        save_canonical(g, tmp_path / "ds")
-        loaded = load_canonical(tmp_path / "ds")
-        np.testing.assert_array_equal(loaded.mask("train"), [True, False, False])
 
     def test_describe_format(self, tmp_path):
         g = small_graph()
@@ -113,9 +106,6 @@ class TestCanonicalFormat:
         ("meta.json", '{"num_nodes": "three", "num_features": 4, '
                       '"num_classes": 2, "directed": false}', "meta.json"),
         ("meta.json", '{"num_nodes": 3, "num_features": 4}', "meta.json"),
-        ("masks.json", '{"train": [0, 99]}', "masks.json"),
-        ("masks.json", '{"train": "0"}', "masks.json"),
-        ("masks.json", '{"train": [true, 2]}', "masks.json"),
         ("meta.json", '{"num_nodes": 3, "num_features": 4, '
                       '"num_classes": true, "directed": false}', "meta.json"),
         ("meta.json", '{"num_nodes": 3, "num_features": 4, '
@@ -125,16 +115,13 @@ class TestCanonicalFormat:
         ("labels.csv", "0\n1\n", "labels.csv"),
         ("labels.csv", None, "labels.csv"),
         ("meta.json", '{"a": ' * 100_000 + "1" + "}" * 100_000, "meta.json"),
-        ("masks.json", "[" * 100_000 + "]" * 100_000, "masks.json"),
         ("edges.csv", "0,1\n1,3\n", "edges.csv:2"),
         ("edges.csv", "-1,1\n", "edges.csv:1"),
-        ("masks.json", '{"train": [0], "val": [0, 1]}', "masks.json"),
     ], ids=["meta_not_object", "meta_count_not_integer", "meta_missing_keys",
-            "mask_out_of_range", "mask_not_list", "mask_bool_index",
             "meta_count_bool", "meta_directed_not_false", "edge_not_integer",
             "duplicate_edge", "labels_short", "labels_missing",
-            "meta_deeply_nested", "masks_deeply_nested", "edge_endpoint_too_large",
-            "edge_endpoint_negative", "masks_overlap"])
+            "meta_deeply_nested", "edge_endpoint_too_large",
+            "edge_endpoint_negative"])
     def test_malformed_file_names_it(self, tmp_path, name, content, named):
         save_canonical(small_graph(), tmp_path / "ds")
         path = tmp_path / "ds" / name
@@ -145,6 +132,51 @@ class TestCanonicalFormat:
         with pytest.raises(DataError) as exc:
             load_canonical(tmp_path / "ds")
         assert named in str(exc.value)
+
+    def test_masks_file_not_read(self, tmp_path):
+        save_canonical(small_graph(), tmp_path / "ds")
+        (tmp_path / "ds" / "masks.json").write_text("not json")
+        assert load_canonical(tmp_path / "ds").num_nodes == 3
+
+
+def split_parts(split):
+    """The train, val and test indices of ``split``, as lists."""
+    parts = [split.train, split.val, split.test]
+    assert all(part.dtype == np.int64 for part in parts)
+    return [part.tolist() for part in parts]
+
+
+class TestStoredSplit:
+    def test_save_masks_round_trip(self, tmp_path):
+        g = generate_sbm(SbmConfig(num_classes=3, total_nodes=90, rho=2,
+                                   p_intra=0.1, p_inter=0.01, feature_dim=4))
+        split = stratified_split(g, 0.2, 0.2, 3, seed=1)
+        save_masks(split, tmp_path)
+        assert split_parts(stored_split(tmp_path, g.num_nodes)) == split_parts(split)
+
+    def test_absent_file_is_no_split(self, tmp_path):
+        assert stored_split(tmp_path, 3) is None
+
+    def test_parts_read_as_sorted_sets(self, tmp_path):
+        (tmp_path / "masks.json").write_text(
+            '{"test": [4, 3, 3, 5], "train": [2, 0, 2], "val": [1, 1]}')
+        assert split_parts(stored_split(tmp_path, 6)) == [[0, 2], [1], [3, 4, 5]]
+
+    @pytest.mark.parametrize("content, named", [
+        ('{"train": [0, 99]}', "'train' must list node indices in [0, 3)"),
+        ('{"train": "0"}', "'train' must list node indices"),
+        ('{"train": [true, 2]}', "'train' must list node indices"),
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ('{"train": [0], "val": [0, 1]}', "'train' and 'val' overlap"),
+        ('{"train": [0], "val": [1], "test": [1, 2]}', "'val' and 'test' overlap"),
+        ('{"train": [0], "val": [1], "test": [2], "tset": []}', "['tset']"),
+    ], ids=["out_of_range", "not_list", "bool_index", "deeply_nested",
+            "overlap", "overlap_in_full_split", "unknown_key"])
+    def test_malformed_file_names_it(self, tmp_path, content, named):
+        (tmp_path / "masks.json").write_text(content)
+        with pytest.raises(DataError) as exc:
+            stored_split(tmp_path, 3)
+        assert named in str(exc.value) and "masks.json]" in str(exc.value)
 
 
 class TestSbm:

@@ -59,11 +59,6 @@ class TestGraphInvariants:
         g = make_graph(2, [], labels=[0, -1], num_classes=2)
         assert g.labels.tolist() == [0, -1]
 
-    def test_overlapping_split_masks_rejected(self):
-        masks = {"train": [True, False], "val": [True, False]}
-        with pytest.raises(DataError):
-            make_graph(2, [], masks=masks)
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         feats = np.zeros((3, 2))

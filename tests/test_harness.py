@@ -297,19 +297,18 @@ class TestBiasDiagnostics:
         logits = np.array([[5.0, 0.0]]) + 0.01 * rng.normal(size=(40, 2))
         vec = np.array([1.0, 0.0])
         labels = rng.integers(0, 2, size=40)
-        mask = np.ones(40, dtype=bool)
 
         spec = CalibrationSpec("normalize")
         out = calibrate(logits, vec, spec)
         bias = _bias_diagnostics(
-            logits, softmax(logits), out, vec, labels, mask, 0, spec, {}
+            logits, softmax(logits), out, vec, labels, 0, spec, {}
         )
         assert bias["min_shift_exceeds_maj"] is False  # informational only
 
         spec = CalibrationSpec("subtract")
         out = calibrate(logits, vec, spec)
         bias = _bias_diagnostics(
-            logits, softmax(logits), out, vec, labels, mask, 0, spec, {}
+            logits, softmax(logits), out, vec, labels, 0, spec, {}
         )
         assert bias["min_shift_exceeds_maj"] is True  # guaranteed by algebra
 
@@ -500,8 +499,8 @@ class TestRunRecords:
         from neubm.training import softmax
 
         cfg, graph, fold = self._graph_and_fold(tmp_path)
-        test_mask = fold.to_masks(graph.num_nodes)["test"]
-        counts = np.bincount(graph.labels[test_mask])
+        test_labels = graph.labels[fold.test]
+        counts = np.bincount(test_labels)
         mmd_calls, logits_seen, outputs = [], [], []
         _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
         _spy(monkeypatch, harness, "predict_logits", logits_seen)
@@ -525,11 +524,11 @@ class TestRunRecords:
             (c1, c2), = {tuple(r["bias"]["mmd_classes"]) for r, _ in calibrated}
             assert counts[c1] >= counts[c2] >= np.delete(counts, [c1, c2]).max()
 
-            def samples(probs):
-                return [probs[np.flatnonzero(test_mask & (graph.labels == c))
-                              [:harness.MMD_DIAG_MAX_ROWS]] for c in (c1, c2)]
+            def samples(probs):  # probabilities of the test rows
+                return [probs[test_labels == c][:harness.MMD_DIAG_MAX_ROWS]
+                        for c in (c1, c2)]
 
-            before = samples(softmax(logits_seen[-1][1]))
+            before = samples(softmax(logits_seen[-1][1][fold.test]))
             distinct = {key(before)}
             for r, out in calibrated:
                 after = samples(out.probabilities)

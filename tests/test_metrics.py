@@ -88,8 +88,9 @@ class TestConfusion:
         assert cm.tolist() == [[1, 0], [1, 2]]
 
     def test_empty_mask(self):
-        cm = confusion([0, 1], [1, 0], mask=[False, False], num_classes=2)
-        assert cm.sum() == 0
+        # no evaluated rows: the caller's selection is empty
+        cm = confusion([], [], num_classes=2)
+        assert cm.tolist() == [[0, 0], [0, 0]]
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -103,11 +104,6 @@ class TestConfusion:
     def test_prediction_outside_classes_rejected(self):
         with pytest.raises(DataError):
             confusion([0, 3], [0, 1], num_classes=3)
-
-    def test_masked_out_unlabeled_truth_ignored(self):
-        cm = confusion([0, 1, 2], [0, 1, -1], mask=[True, True, False],
-                       num_classes=3)
-        assert cm.sum() == 2
 
 
 class TestF1:
@@ -126,7 +122,7 @@ class TestF1:
         assert rep.f1_macro == rep.f1_weighted == rep.f1_micro == 1.0
 
     def test_empty_matrix_rejected(self):
-        cm = confusion([0], [0], mask=[False], num_classes=2)
+        cm = confusion([], [], num_classes=2)
         with pytest.raises(DataError):
             f1_scores(cm)
 

@@ -567,8 +567,8 @@ def test_transposed_row_product_matches_a_stored_transpose(graph):
     cfg = ModelConfig("gcn", input_dim=g.features.shape[1], hidden_dim=8,
                       num_classes=5)
     operator = prepare_operator(g, cfg)
-    masks = stratified_split(g, 0.1, 0.1, 1, seed=0).to_masks(g.num_nodes)
-    views = [row_view(operator, np.flatnonzero(masks[k])) for k in ("train", "val")]
+    split = stratified_split(g, 0.1, 0.1, 1, seed=0)
+    views = [row_view(operator, rows) for rows in (split.train, split.val)]
     for op in [operator, *views]:
         d = rng.normal(size=(op.row_adj.shape[0], 5))
         d[rng.random(d.shape) < 0.2] = -0.0

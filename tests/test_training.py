@@ -206,11 +206,13 @@ class TestGradients:
             p_inter=0.006, feature_dim=16, class_mean_separation=0.8,
             seed=2024,
         ))
-        mask = stratified_split(g, 0.1, 0.1, 5, seed=0).to_masks(2000)["train"]
+        rows = stratified_split(g, 0.1, 0.1, 5, seed=0).train
+        mask = np.zeros(2000, bool)
+        mask[rows] = True
         cfg = ModelConfig("gat", input_dim=16, hidden_dim=32, num_classes=5,
                           dropout=0.5, seed=0)
         params = init_params(cfg)
-        view = row_view(prepare_operator(g, cfg), np.flatnonzero(mask))
+        view = row_view(prepare_operator(g, cfg), rows)
         tracemalloc.start()
         try:
             loss_and_gradients(params, g, g.labels, mask, weight_decay=5e-4,
@@ -486,8 +488,7 @@ class TestTrainLoop:
         from neubm.models import predict_logits
 
         pred = predict_logits(params, g).argmax(axis=1)
-        train_mask = split.to_masks(g.num_nodes)["train"]
-        assert np.mean(pred[train_mask] == g.labels[train_mask]) == 1.0
+        assert np.mean(pred[split.train] == g.labels[split.train]) == 1.0
 
     def test_bit_deterministic(self):
         g = easy_sbm(seed=3)
@@ -586,9 +587,8 @@ class TestTrainLoop:
         # parameters on full-width logits must give the same curve
         g = easy_sbm(seed=8)
         split = stratified_split(g, 0.3, 0.3, 2, seed=5)
-        masks = split.to_masks(g.num_nodes)
         stats = compute_dataset_stats(g)
-        source = train_rows(g, masks["train"])
+        source = train_rows(g, split.train)
         neutral = NeutralConfig(node_count_override=40, refresh_every=3)
         hook = _make_refresh_hook(source, stats, neutral, neutral_seed=11)
         seen = []
@@ -609,7 +609,7 @@ class TestTrainLoop:
         for epoch, params in seen:
             logits, _ = forward_with_operator(params, operator)
             pred = full_hook(epoch, params, logits).argmax(axis=1)
-            curve.append(evaluate(pred, g.labels, mask=masks["val"],
+            curve.append(evaluate(pred[split.val], g.labels[split.val],
                                   num_classes=2).f1_macro)
         assert tuple(curve) == report.val_metric_curve
         assert report.best_epoch == int(np.argmax(curve))
