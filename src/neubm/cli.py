@@ -273,12 +273,13 @@ def cmd_calibrate(args) -> int:
     neutral_flags = [flag for flag, value in (
         ("--save-neutral", args.save_neutral), ("--neutral-seed", args.neutral_seed),
         ("--neutral-variant", args.neutral_variant)) if value is not None]
+    if args.variant == "none" and (args.neutral_dir or neutral_flags):
+        flags = (["--neutral-dir"] if args.neutral_dir else []) + neutral_flags
+        raise ConfigError(f"{', '.join(flags)} cannot be used with --variant "
+                          "none, which uses no neutral graph")
     if args.neutral_dir and neutral_flags:
         raise ConfigError(f"{', '.join(neutral_flags)} cannot be used with "
                           "--neutral-dir, which loads a built neutral graph")
-    if args.variant == "none" and args.save_neutral:
-        raise ConfigError("--save-neutral cannot be used with --variant none, "
-                          "which builds no neutral graph")
     params = load_checkpoint(args.model)
     graph = load_canonical(args.data)
     spec = CalibrationSpec(variant=args.variant, position=args.position,

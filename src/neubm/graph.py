@@ -39,7 +39,8 @@ def bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarra
         skips = rng.geometric(p, size=int(w + 6.0 * np.sqrt(w) + 16))
         # any skip over cells + 1 passes the end from every last >= -1;
         # capping it there keeps the running sum from overflowing at tiny p
-        hits = last + np.cumsum(np.minimum(skips, cells + 1, out=skips))
+        hits = np.cumsum(np.minimum(skips, cells + 1, out=skips), out=skips)
+        hits += last
         if hits[-1] >= cells:
             chunks.append(hits[: np.searchsorted(hits, cells)])
             return np.concatenate(chunks)

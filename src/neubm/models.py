@@ -135,8 +135,9 @@ def _relu_dropout(z1, config, mode, dropout_seed):
 
 
 def _gate_grad(dh1, z1, gate):
-    """dz1 from dh1 through the ReLU and dropout of :func:`_relu_dropout`."""
-    return dh1 * (gate if gate is not None else z1 > 0.0)
+    """dz1, in place in dh1, through the ReLU and dropout of :func:`_relu_dropout`."""
+    dh1 *= gate if gate is not None else z1 > 0.0
+    return dh1
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +221,23 @@ def _row_spans(adj):
     return adj.indptr[:-1], np.diff(adj.indptr)
 
 
-def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
+def _slopes(pos):
+    """LeakyReLU's slopes, exactly 1.0 where ``pos`` (score > 0) and
+    LEAKY_SLOPE elsewhere; several times cheaper than np.where here."""
+    return pos * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+
+
+def _attention_layer(h, w, a_src, a_dst, adj, rows=None, out=None):
     """Single attention head: softmax-normalized neighbor aggregation.
 
     ``adj`` holds the self-looped CSR rows of the output nodes ``rows`` (an
     index array or slice) over all n columns, or every node's row when
     ``rows`` is None. Scores are LeakyReLU(a_src . Wh_i + a_dst . Wh_j),
     one per stored entry (i, j); the softmax runs over each row's stored
-    entries. Self-loops keep every row nonempty. Returns the output rows and
-    a cache (side, per-entry LeakyReLU slopes, the attention CSR A_alpha,
-    output, per-row softmax sums) for the backward pass.
+    entries. Self-loops keep every row nonempty. Returns the output rows,
+    written into ``out`` when given, and a cache (side, each entry's
+    LeakyReLU sign e > 0 as a bool, the attention CSR A_alpha, output,
+    per-row softmax sums) for the backward pass.
 
     A head over every node (layer 1) runs its sparse products on the
     narrower side: when h is strictly narrower than its projection it takes
@@ -249,25 +257,31 @@ def _attention_layer(h, w, a_src, a_dst, adj, rows=None):
         s_src, s_dst = g @ a_src, g @ a_dst
     if rows is not None:
         s_src = s_src[rows]
-    e = np.repeat(s_src, sizes) + s_dst.take(adj.indices)
-    # exactly 1.0 where e > 0 and LEAKY_SLOPE elsewhere, so e * slope is
-    # LeakyReLU(e) bit for bit; several times cheaper than np.where here
-    slope = (e > 0.0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
-    e_act = e * slope
-    exps = np.exp(e_act - np.repeat(np.maximum.reduceat(e_act, starts), sizes))
+    # one edge buffer takes the scores, LeakyReLU, the row-max shift, the
+    # exponential and the normalisation in turn
+    e = np.repeat(s_src, sizes)
+    e += s_dst[adj.indices]
+    pos = e > 0.0
+    e *= _slopes(pos)
+    e -= np.repeat(np.maximum.reduceat(e, starts), sizes)
+    np.exp(e, out=e)
     # each row's top entry gives exp(0) = 1, so a sum is >= 1 unless a score
     # of the row overflowed (inf - inf) and every coefficient of it is NaN
-    sums = np.add.reduceat(exps, starts)
+    sums = np.add.reduceat(e, starts)
     if not np.all(np.isfinite(sums)):
         raise NumericError("non-finite attention coefficients")
-    att = with_values(adj, exps / np.repeat(sums, sizes))
+    e /= np.repeat(sums, sizes)
+    att = with_values(adj, e)
     if narrow:
         side = att @ h
-        out = side @ w
+        out = np.matmul(side, w, out=out)
     else:
         side = g
-        out = att @ g
-    return out, (side, slope, att, out, sums)
+        if out is None:
+            out = att @ g
+        else:
+            out[...] = att @ g
+    return out, (side, pos, att, out, sums)
 
 
 def _rowdot(a, b):
@@ -297,7 +311,7 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, adj, rows=None,
     apart as B_ij* u_i, u_i = dalpha_ij* - r_i = dP_i . sum_{k != j*}
     alpha_ik (P_j* - P_k): on a peaked row the two terms nearly cancel.
     """
-    side, slope, att, out, sums = cache
+    side, pos, att, out, sums = cache
     starts, sizes = _row_spans(adj)
     narrow = side.shape[1] < w.shape[1]  # side is A_alpha . h, not g
     rows = slice(None) if rows is None else rows
@@ -307,12 +321,14 @@ def _attention_backward(dout, h, w, a_src, a_dst, cache, adj, rows=None,
     # is monotone, so 1 / sum is its largest coefficient bit for bit
     top = _first_row_max(alpha, 1.0 / sums, starts, sizes)
     top_col = att.indices[top]
-    rest = with_values(att, alpha.copy())  # A_alpha without the top entries
-    rest.data[top] = 0.0
-    b = with_values(att, rest.data * slope)
-    u = _rowdot(dp, np.add.reduceat(rest.data, starts)[:, None] * p[top_col]
-                - rest @ p)
-    top_de = alpha[top] * slope[top] * u
+    b = with_values(att, alpha.copy())  # A_alpha without the top entries, for u
+    b.data[top] = 0.0
+    u = p[top_col]
+    u *= np.add.reduceat(b.data, starts)[:, None]
+    u -= b @ p
+    u = _rowdot(dp, u)
+    b.data *= _slopes(pos)  # now B
+    top_de = alpha[top] * _slopes(pos[top]) * u
     r = _rowdot(dp, agg)
     ds_src = _rowdot(dp, b @ p) - r * np.add.reduceat(b.data, starts) + top_de
     ds_dst = (_rowdot(p, b.T @ dp) - b.T @ r
@@ -337,28 +353,29 @@ def _gat_pass(params, operator, mode, dropout_seed, hidden):
     """Layer 1 on every node, since attention reads all hidden states; the
     output layer on the operator's rows, which it is always given (a slice
     of all of them for the full operator), so it aggregates its projection.
-    ``hidden`` is the list of layer-1 head caches of an earlier pass with
-    the same params, or None."""
+    ``hidden`` is the layer-1 state of an earlier pass with the same
+    params, or None: (head caches, z1), where each head's output is a view
+    into z1, the concatenated head outputs."""
     cfg = params.config
-    k = cfg.num_heads
+    k, width = cfg.num_heads, cfg.hidden_dim
     if hidden is None:
-        hidden = [
+        z1 = np.empty((operator.x.shape[0], k * width))
+        hidden = ([
             _attention_layer(operator.x, *params.arrays[3 * i : 3 * i + 3],
-                             operator.adj)[1]
+                             operator.adj, out=z1[:, i * width : (i + 1) * width])[1]
             for i in range(k)
-        ]
-    z1 = np.concatenate([cache[3] for cache in hidden], axis=1)  # head outputs
-    h1, gate = _relu_dropout(z1, cfg, mode, dropout_seed)
+        ], z1)
+    h1, gate = _relu_dropout(hidden[1], cfg, mode, dropout_seed)
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     logits, out_cache = _attention_layer(h1, w1, a1_s, a1_d, operator.row_adj,
                                          operator.rows)
-    return logits, (hidden, z1, gate, h1, out_cache)
+    return logits, (hidden, gate, h1, out_cache)
 
 
 def _gat_backward(params, operator, dlogits, cache):
     cfg = params.config
     k = cfg.num_heads
-    head_caches, z1, gate, h1, out_cache = cache
+    (head_caches, z1), gate, h1, out_cache = cache
     w1, a1_s, a1_d = params.arrays[3 * k : 3 * k + 3]
     dh1, dw1, da1_s, da1_d = _attention_backward(
         dlogits, h1, w1, a1_s, a1_d, out_cache, operator.row_adj, operator.rows
@@ -388,10 +405,10 @@ def forward_with_operator(params, operator: Operator, mode="eval", dropout_seed=
 
     Layer 1 runs on every node and does not depend on the rows, the mode or
     the dropout seed. ``cache[0]`` is its state (GCN: z1 = A_hat . X . W0;
-    GAT: the per-head caches, whose outputs concatenate to z1). Passing that
-    state as ``hidden`` to a later call with the same params and an
-    operator of the same graph skips layer 1 and gives bit-identical
-    results; None recomputes it.
+    GAT: the per-head caches and z1, of which each head's output is a
+    view). Passing that state as ``hidden`` to a later call with the same
+    params and an operator of the same graph skips layer 1 and gives
+    bit-identical results; None recomputes it.
     """
     width, expected = operator.x.shape[1], params.config.input_dim
     if width != expected:

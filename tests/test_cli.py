@@ -536,9 +536,16 @@ class TestExperimentCommands:
          "--neutral-dir"),
         (("--variant", "none", "--save-neutral", "SAVED"),
          "--save-neutral cannot be used with --variant none"),
+        # --variant none reads no neutral graph: a missing directory is
+        # named as an ignored flag, not looked up
+        (("--variant", "none", "--neutral-dir", "MISSING"),
+         "--neutral-dir cannot be used with --variant none"),
+        (("--variant", "none", "--neutral-seed", 5, "--neutral-variant", "random"),
+         "--neutral-seed, --neutral-variant cannot be used with --variant none"),
     ], ids=["save_with_neutral_dir", "seed_with_neutral_dir",
             "variant_with_neutral_dir", "all_with_neutral_dir",
-            "save_with_variant_none"])
+            "save_with_variant_none", "dir_with_variant_none",
+            "seed_and_variant_with_variant_none"])
     def test_calibrate_flags_its_path_ignores(self, dataset_dir, tmp_path, capsys,
                                               flags, named):
         """A neutral-graph flag that the chosen calibration path would
@@ -550,7 +557,7 @@ class TestExperimentCommands:
         assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
                        "--out", tmp_path / "first.csv",
                        "--save-neutral", neutral) == 0
-        paths = {"NEUTRAL": neutral, "SAVED": saved}
+        paths = {"NEUTRAL": neutral, "SAVED": saved, "MISSING": tmp_path / "missing"}
         assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
                        "--out", pred, *(paths.get(f, f) for f in flags)) == 2
         err = capsys.readouterr().err

@@ -21,6 +21,7 @@ from neubm.models import (
     _attention_layer,
     _dropout_mask,
     _first_row_max,
+    _slopes,
     backward_with_operator,
     forward_with_operator,
     init_params,
@@ -254,9 +255,10 @@ class TestGatForward:
         cfg = ModelConfig("gat", input_dim=d_in, hidden_dim=hidden,
                           num_classes=3, dropout=0.0, num_heads=2, seed=1)
         params = init_params(cfg)
-        _, (heads, *_) = forward_with_operator(params, prepare_operator(g, cfg))
+        _, ((heads, z1), *_) = forward_with_operator(params, prepare_operator(g, cfg))
         for i, (side, _, att, out, _) in enumerate(heads):
             w = params.arrays[3 * i]
+            assert np.shares_memory(out, z1)  # each head's output is held once
             if d_in < hidden:
                 np.testing.assert_array_equal(side, att @ g.features)
                 np.testing.assert_array_equal(out, side @ w)
@@ -434,15 +436,18 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
 
 @pytest.mark.parametrize("seed", range(4))
 def test_head_cache_slopes_are_the_leaky_relu_branches(seed):
-    # the cache holds exactly 1.0 where the score is positive and
-    # LEAKY_SLOPE elsewhere, as np.where gives them; scores recomputed here
+    # the cache holds each score's sign as a bool, from which the slopes
+    # are exactly 1.0 where the score is positive and LEAKY_SLOPE elsewhere,
+    # as np.where gives them; scores recomputed here
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n=30, d=4, p=0.3)
     adj = build_adjacency(g, add_self_loops=True)
     w = rng.normal(size=(4, 3))
     a_s, a_d = rng.normal(size=(2, 3))
-    _, (_, slope, att, _, _) = _attention_layer(g.features, w, a_s, a_d,
-                                                adj, slice(None))
+    _, (_, pos, att, _, _) = _attention_layer(g.features, w, a_s, a_d,
+                                              adj, slice(None))
+    assert pos.dtype == bool
+    slope = _slopes(pos)
     proj = g.features @ w
     e = (proj @ a_s)[csr_rows(adj)] + (proj @ a_d)[adj.indices]
     assert (e > 0.0).any() and (e < 0.0).any()

@@ -169,7 +169,7 @@ class TestGradients:
                               dropout=0.0, num_heads=2, seed=trial)
             params = init_params(cfg)
             _, cache = forward_with_operator(params, prepare_operator(g, cfg))
-            head_caches, _, _, h1, out_cache = cache
+            (head_caches, _), _, h1, out_cache = cache
             heads = [(g.features, *params.arrays[3 * i : 3 * i + 3], c[2])
                      for i, c in enumerate(head_caches)]
             heads.append((h1, *params.arrays[-3:], out_cache[2]))
@@ -256,7 +256,7 @@ def reference_gat_backward(params, adj, features, dlogits, cache):
     """The former GAT backward: full-width dlogits, per-edge heads, each
     recomputing g = h . W from the weights."""
     k, h = params.config.num_heads, params.config.hidden_dim
-    head_caches, z1, drop, h1, out_cache = cache
+    (head_caches, z1), drop, h1, out_cache = cache
     w1, a1_s, a1_d = params.arrays[3 * k :]
     dh1, *out_grads = reference_attention_backward(
         dlogits, h1, w1, a1_s, a1_d, adj, out_cache
