@@ -295,12 +295,13 @@ def _run_single(
     """Train one model for (run, fold) and evaluate every row post hoc; one
     records.jsonl row per row."""
     base_seed = config.train.seed
-    split_seed = base_seed + run_index + 1000 * fold_id
-    model_config = _resolve_model_config(config, graph, seed=split_seed + 17)
-    train_config = replace(config.train, seed=split_seed + 29)
-    neutral_seed = config.neutral.seed + split_seed
+    run_seed = base_seed + run_index + 1000 * fold_id
+    model_config = _resolve_model_config(config, graph, seed=run_seed + 17)
+    train_config = replace(config.train, seed=run_seed + 29)
+    neutral_seed = config.neutral.seed + run_seed
     derived_seeds = {
-        "split": split_seed, "model": model_config.seed,
+        "split": base_seed + fold_id,  # the seed kfold_splits drew the fold with
+        "run": run_seed, "model": model_config.seed,
         "dropout": train_config.seed, "neutral": neutral_seed,
     }
 

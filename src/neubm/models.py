@@ -111,6 +111,16 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(config=config, arrays=arrays)
 
 
+def array_names(config: ModelConfig) -> list[str]:
+    """Names of the arrays :func:`init_params` makes, in their order."""
+    if config.architecture == "gcn":
+        return ["W0", "W1"]
+    names = []
+    for i in range(config.num_heads):
+        names += [f"head{i}.W", f"head{i}.a_src", f"head{i}.a_dst"]
+    return names + ["out.W", "out.a_src", "out.a_dst"]
+
+
 def _dropout_mask(rng, shape, rate, active=True):
     """Inverted dropout: kept entries scaled by 1/keep so eval needs no
     rescaling. Entries where ``active`` is False are dropped as well,

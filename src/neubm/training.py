@@ -19,6 +19,8 @@ from .metrics import check_classes, class_scores
 from .models import (
     ModelConfig,
     ModelParams,
+    Operator,
+    array_names,
     backward_with_operator,
     forward_with_operator,
     init_params,
@@ -67,22 +69,20 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def cross_entropy_loss(
     logits: np.ndarray,
     labels: np.ndarray,
-    mask: np.ndarray,
     weight_decay: float = 0.0,
     params: ModelParams | None = None,
 ) -> float:
-    """Mean negative log-likelihood over masked nodes + L2 penalty.
+    """Mean negative log-likelihood of the rows given + L2 penalty.
 
+    ``logits`` and ``labels`` hold the scored rows only, one label per row.
     The penalty is weight_decay * |params|^2 / 2 over the flat parameter
     vector; log-probabilities go through a shifted log-sum-exp so huge
     logits cannot overflow.
     """
-    mask = np.asarray(mask, dtype=bool)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise DataError("loss needs a nonempty mask")
-    lp = log_softmax(logits[idx])
-    nll = -lp[np.arange(idx.size), np.asarray(labels)[idx]].mean()
+    labels = np.asarray(labels)
+    _check_rows(len(logits), labels)
+    lp = log_softmax(logits)
+    nll = -lp[np.arange(labels.size), labels].mean()
     if weight_decay != 0.0:
         if params is None:
             raise ConfigError("weight_decay > 0 requires params")
@@ -91,43 +91,40 @@ def cross_entropy_loss(
     return float(nll)
 
 
+def _check_rows(num_rows: int, labels: np.ndarray) -> None:
+    if labels.shape != (num_rows,):
+        raise DataError(f"{num_rows} rows scored against labels of shape "
+                        f"{labels.shape}")
+    if num_rows == 0:
+        raise DataError("loss needs at least one row")
+
+
 def loss_and_gradients(
     params: ModelParams,
-    graph: Graph,
+    view: Operator,
     labels: np.ndarray,
-    mask: np.ndarray,
     weight_decay: float = 0.0,
     mode: str = "eval",
     dropout_seed: int = 0,
-    operator=None,
     hidden=None,
 ) -> tuple[float, np.ndarray]:
     """One forward/backward pass; returns (loss, flat gradient).
 
-    ``operator`` is the row view (:func:`neubm.models.row_view`) of the
-    mask's nodes, built from ``graph`` when omitted: only the logits the
-    loss reads are computed. A given operator carries the features of the
-    graph it was built from, so ``graph`` is then not read. ``hidden`` is
-    the layer-1 state of an earlier forward with the same params on the
-    same graph (see :func:`neubm.models.forward_with_operator`); None
-    recomputes it. The loss equals :func:`cross_entropy_loss` and dlogits
-    ``softmax`` minus the one-hot labels, from one shifted exponential.
+    ``view`` is the operator whose rows the loss scores: a row view
+    (:func:`neubm.models.row_view`), so only the logits the loss reads are
+    computed, or a full operator for every node. ``labels`` holds one
+    label per row of the view. ``hidden`` is the layer-1 state of an
+    earlier forward with the same params on the same graph (see
+    :func:`neubm.models.forward_with_operator`); None recomputes it. The
+    loss equals :func:`cross_entropy_loss` and dlogits ``softmax`` minus
+    the one-hot labels, from one shifted exponential.
     """
-    mask = np.asarray(mask, dtype=bool)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise DataError("loss needs a nonempty mask")
-    if operator is None:
-        operator = row_view(prepare_operator(graph, params.config), idx)
-
+    labels = np.asarray(labels)
+    _check_rows(view.row_adj.shape[0], labels)
     logits, cache = forward_with_operator(
-        params, operator, mode=mode, dropout_seed=dropout_seed, hidden=hidden
+        params, view, mode=mode, dropout_seed=dropout_seed, hidden=hidden
     )
-    if logits.shape[0] != idx.size:
-        raise DataError(
-            f"operator gives {logits.shape[0]} rows, the mask selects {idx.size}"
-        )
-    picked = np.arange(idx.size), np.asarray(labels)[idx]
+    picked = np.arange(labels.size), labels
     shifted = logits - logits.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1, keepdims=True)
@@ -139,27 +136,17 @@ def loss_and_gradients(
     dlogits = exps
     dlogits /= sums
     dlogits[picked] -= 1.0
-    dlogits /= idx.size
+    dlogits /= labels.size
 
-    grads = backward_with_operator(params, operator, dlogits, cache)
+    grads = backward_with_operator(params, view, dlogits, cache)
     grad = np.concatenate([g.ravel() for g in grads])
     if not np.all(np.isfinite(grad)):
-        name = next(name for name, g in zip(_array_names(params), grads)
+        name = next(name for name, g in zip(array_names(params.config), grads)
                     if not np.all(np.isfinite(g)))
         raise NumericError(f"non-finite gradient in {name}")
     if weight_decay != 0.0:
         grad += weight_decay * flat
     return float(loss), grad
-
-
-def _array_names(params: ModelParams):
-    if params.config.architecture == "gcn":
-        return ["W0", "W1"]
-    names = []
-    for i in range(params.config.num_heads):
-        names += [f"head{i}.W", f"head{i}.a_src", f"head{i}.a_dst"]
-    names += ["out.W", "out.a_src", "out.a_dst"]
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +221,6 @@ def train(
     for name in ("train", "val", "test"):
         if np.any(labels[getattr(split, name)] < 0):
             raise DataError(f"{name} split holds unlabeled nodes (label -1)")
-    train_mask = np.zeros(graph.num_nodes, dtype=bool)  # the loss's node mask
-    train_mask[split.train] = True
     num_classes = model_config.num_classes
     val_labels = np.asarray(labels[split.val], dtype=np.int64)
     check_classes("truth", val_labels, num_classes)
@@ -243,6 +228,7 @@ def train(
 
     operator = prepare_operator(graph, model_config)
     train_view = row_view(operator, split.train)
+    train_labels = labels[split.train]
     val_view = row_view(operator, split.val)
     params = init_params(model_config)
     flat = params.flat()
@@ -269,11 +255,10 @@ def train(
     for epoch in range(1, train_config.max_epochs + 1):
         try:
             loss, grad = loss_and_gradients(
-                current, graph, labels, train_mask,
+                current, train_view, train_labels,
                 weight_decay=train_config.weight_decay,
                 mode="train",
                 dropout_seed=train_config.seed * 1_000_003 + epoch,
-                operator=train_view,
                 hidden=hidden,
             )
             if not np.isfinite(loss):

@@ -25,7 +25,13 @@ from neubm.harness import (
     run_experiment,
 )
 from neubm.metrics import confusion, f1_scores, mmd_rbf
-from neubm.models import ModelConfig, init_params, predict_logits
+from neubm.models import (
+    ModelConfig,
+    init_params,
+    predict_logits,
+    prepare_operator,
+    row_view,
+)
 from neubm.neutral import NeutralConfig, construct_neutral, neutral_logit_vector
 from neubm.training import TrainConfig, cross_entropy_loss, loss_and_gradients, train
 
@@ -99,9 +105,10 @@ def test_criterion_02_gradient_correctness():
                 dropout=0.0, num_heads=2, seed=trial,
             )
             params = init_params(cfg)
-            mask = np.ones(12, dtype=bool)
+            rows = np.arange(12)
+            view = row_view(prepare_operator(g, cfg), rows)
             _, grad = loss_and_gradients(
-                params, g, g.labels, mask, weight_decay=0.01
+                params, view, g.labels[rows], weight_decay=0.01
             )
             flat = params.flat()
             fd = np.zeros_like(flat)
@@ -111,7 +118,8 @@ def test_criterion_02_gradient_correctness():
                         flat + sign * step * (np.arange(flat.size) == i)
                     )
                     fd[i] += sign * cross_entropy_loss(
-                        predict_logits(bumped, g), g.labels, mask, 0.01, bumped
+                        predict_logits(bumped, g)[rows], g.labels[rows], 0.01,
+                        bumped,
                     )
                 fd[i] /= 2 * step
             rel = np.abs(grad - fd) / np.maximum(

@@ -112,6 +112,36 @@ class TestRunExperiment:
         ]
         assert len(set(keys)) == len(keys)
 
+    def test_recorded_split_seed_redraws_the_fold(self, tmp_path, monkeypatch):
+        # 2 seeds x 2 folds: every run of fold f trains on the split drawn
+        # with train.seed + f, and its records must name that seed
+        import neubm.harness as harness
+
+        cfg = small_config(
+            tmp_path,
+            train=TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=5),
+            protocol=ProtocolConfig(num_seeds=2, k_folds=2, train_frac=0.15,
+                                    val_frac=0.15, min_per_class=3),
+        )
+        runs = []
+        _spy(monkeypatch, harness, "_run_single", runs)
+        run_experiment(cfg)
+        folds = {(args[3], args[4]): args[5] for args, _ in runs}
+        assert len(folds) == 4
+        graph = generate_sbm(cfg.dataset)
+        records = read_records(tmp_path / "exp" / "records.jsonl")
+        for r in records:
+            seed = r["derived_seeds"]["split"]
+            drawn = stratified_split(graph, 0.15, 0.15, 3, seed=seed)
+            fold = folds[(r["seed"], r["fold_id"])]
+            for part in ("train", "val", "test"):
+                np.testing.assert_array_equal(getattr(drawn, part),
+                                              getattr(fold, part))
+        for r in records:
+            seeds = r["derived_seeds"]
+            assert seeds["run"] == 5 + r["seed"] + 1000 * r["fold_id"]
+            assert seeds["model"] == seeds["run"] + 17
+
     def test_idempotent_rerun(self, tmp_path):
         cfg = small_config(tmp_path)
         run_experiment(cfg)

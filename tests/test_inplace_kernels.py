@@ -384,13 +384,11 @@ def test_gat_training_step_holds_each_array_once():
     g, cfg, operator, u = criterion_5_gat()
     params = init_params(cfg)
     split = stratified_split(g, 0.1, 0.1, 5, seed=0)
-    mask = np.zeros(g.num_nodes, bool)
-    mask[split.train] = True
     hidden = forward_with_operator(params, row_view(operator, split.val))[1][0]
     view = row_view(operator, split.train)
     peak = traced_peak(lambda: loss_and_gradients(
-        params, g, g.labels, mask, weight_decay=5e-4, mode="train",
-        dropout_seed=1, operator=view, hidden=hidden))
+        params, view, g.labels[split.train], weight_decay=5e-4, mode="train",
+        dropout_seed=1, hidden=hidden))
     bound = (3 * u["nw"] + u["edge"] + 3 * u["nd"] + u["nc"]
              + 8 * view.row_adj.nnz)
     bound += u["edge"] + u["nw"]

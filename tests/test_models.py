@@ -217,8 +217,8 @@ class TestGatForward:
         params = ModelParams(params.config, tuple(a * 1e150 for a in params.arrays))
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError, match="attention"):
-                loss_and_gradients(params, g, g.labels, np.ones(6, dtype=bool),
-                                   mode=mode)
+                loss_and_gradients(params, prepare_operator(g, params.config),
+                                   g.labels, mode=mode)
 
     def test_identical_neighbors_equal_attention(self):
         # symmetric scores: the two identical neighbors share one alpha value

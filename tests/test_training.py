@@ -44,8 +44,15 @@ def random_graph(rng, n=12, d=4, p=0.35, num_classes=3):
     )
 
 
-def finite_difference(params, graph, labels, mask, weight_decay, step=1e-5):
-    """Central-difference gradient of the eval-mode loss, component by component."""
+def loss_on_rows(params, graph, rows, **kwargs):
+    """loss_and_gradients on the row view of ``rows`` and their labels."""
+    view = row_view(prepare_operator(graph, params.config), rows)
+    return loss_and_gradients(params, view, graph.labels[rows], **kwargs)
+
+
+def finite_difference(params, graph, labels, rows, weight_decay, step=1e-5):
+    """Central-difference gradient of the eval-mode loss on ``rows``,
+    component by component."""
     flat = params.flat()
     fd = np.zeros_like(flat)
     for i in range(flat.size):
@@ -53,8 +60,8 @@ def finite_difference(params, graph, labels, mask, weight_decay, step=1e-5):
             bumped = flat.copy()
             bumped[i] += sign * step
             loss = cross_entropy_loss(
-                _eval_logits(params.from_flat(bumped), graph),
-                labels, mask, weight_decay, params.from_flat(bumped),
+                _eval_logits(params.from_flat(bumped), graph)[rows],
+                labels[rows], weight_decay, params.from_flat(bumped),
             )
             fd[i] += sign * loss
         fd[i] /= 2 * step
@@ -75,16 +82,12 @@ def max_rel_err(a, b):
 
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        loss = cross_entropy_loss(
-            np.array([[0.0, 0.0]]), np.array([0]), np.array([True])
-        )
+        loss = cross_entropy_loss(np.array([[0.0, 0.0]]), np.array([0]))
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_extreme_logits_stable(self):
         # log-sum-exp must not overflow; exact value is log(1 + e^-1000) ~ 0
-        loss = cross_entropy_loss(
-            np.array([[1000.0, 0.0]]), np.array([0]), np.array([True])
-        )
+        loss = cross_entropy_loss(np.array([[1000.0, 0.0]]), np.array([0]))
         assert np.isfinite(loss)
         assert loss == pytest.approx(0.0, abs=1e-300)
 
@@ -93,38 +96,40 @@ class TestCrossEntropy:
         params = init_params(cfg).from_flat(np.zeros(init_params(cfg).size))
         logits = np.array([[3.0, -1.0], [0.5, 2.0]])
         labels = np.array([0, 1])
-        mask = np.array([True, True])
-        with_decay = cross_entropy_loss(logits, labels, mask, 1.0, params)
-        without = cross_entropy_loss(logits, labels, mask, 0.0)
+        with_decay = cross_entropy_loss(logits, labels, 1.0, params)
+        without = cross_entropy_loss(logits, labels, 0.0)
         assert with_decay == pytest.approx(without, abs=1e-15)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DataError):
-            cross_entropy_loss(np.zeros((2, 2)), np.zeros(2, int), [False, False])
+            cross_entropy_loss(np.zeros((0, 2)), np.zeros(0, int))
+
+    @pytest.mark.parametrize("logit_rows, label_rows", [(3, 2), (2, 3)])
+    def test_rows_and_labels_must_match(self, logit_rows, label_rows):
+        # longer logits would otherwise be scored on their first rows only
+        with pytest.raises(DataError, match="rows scored against labels"):
+            cross_entropy_loss(np.zeros((logit_rows, 2)), np.zeros(label_rows, int))
 
     def test_row_shift_invariance(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(10, 4))
         labels = rng.integers(0, 4, 10)
-        mask = np.ones(10, bool)
-        base = cross_entropy_loss(logits, labels, mask)
+        base = cross_entropy_loss(logits, labels)
         shifted = logits + rng.normal(size=(10, 1))  # per-node constant
-        assert cross_entropy_loss(shifted, labels, mask) == pytest.approx(
+        assert cross_entropy_loss(shifted, labels) == pytest.approx(
             base, abs=1e-12
         )
 
     def test_mean_semantics(self):
-        # masked mean loss equals the average of single-node losses
+        # the mean loss over rows equals the average of single-row losses
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 3))
         labels = rng.integers(0, 3, 6)
-        mask = np.array([True, True, False, True, False, False])
-        total = cross_entropy_loss(logits, labels, mask)
+        rows = np.array([0, 1, 3])
+        total = cross_entropy_loss(logits[rows], labels[rows])
         singles = []
-        for i in np.flatnonzero(mask):
-            m = np.zeros(6, bool)
-            m[i] = True
-            singles.append(cross_entropy_loss(logits, labels, m))
+        for i in rows:
+            singles.append(cross_entropy_loss(logits[i : i + 1], labels[i : i + 1]))
         assert total == pytest.approx(np.mean(singles), abs=1e-12)
 
 
@@ -136,9 +141,9 @@ class TestGradients:
             cfg = ModelConfig("gcn", input_dim=4, hidden_dim=5, num_classes=3,
                               dropout=0.0, seed=trial)
             params = init_params(cfg)
-            mask = np.ones(12, bool)
-            _, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay=0.01)
-            fd = finite_difference(params, g, g.labels, mask, weight_decay=0.01)
+            rows = np.arange(12)
+            _, grad = loss_on_rows(params, g, rows, weight_decay=0.01)
+            fd = finite_difference(params, g, g.labels, rows, weight_decay=0.01)
             assert max_rel_err(grad, fd) <= 1e-4
 
     def test_gat_matches_finite_differences(self):
@@ -148,18 +153,17 @@ class TestGradients:
             cfg = ModelConfig("gat", input_dim=4, hidden_dim=3, num_classes=3,
                               dropout=0.0, num_heads=2, seed=trial)
             params = init_params(cfg)
-            mask = np.ones(12, bool)
-            _, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay=0.01)
-            fd = finite_difference(params, g, g.labels, mask, weight_decay=0.01)
+            rows = np.arange(12)
+            _, grad = loss_on_rows(params, g, rows, weight_decay=0.01)
+            fd = finite_difference(params, g, g.labels, rows, weight_decay=0.01)
             assert max_rel_err(grad, fd) <= 1e-4
 
     def test_gat_row_view_matches_finite_differences(self):
-        # criterion 2's step and tolerance on a strict-subset mask, so the
-        # output layer runs on the view's rows only; nodes 10 and 11 are
-        # isolated, one inside the mask and one outside
+        # criterion 2's step and tolerance on a strict subset of the rows,
+        # so the output layer runs on the view's rows only; nodes 10 and 11
+        # are isolated, one inside the rows and one outside
         rng = np.random.default_rng(40)
-        mask = np.zeros(12, bool)
-        mask[[0, 2, 3, 5, 8, 10]] = True
+        rows = np.array([0, 2, 3, 5, 8, 10])
         for trial in range(3):
             g = random_graph(rng)
             g = Graph(num_nodes=12, features=g.features, labels=g.labels,
@@ -177,8 +181,8 @@ class TestGradients:
                 proj = h @ w
                 e = (proj @ a_s)[csr_rows(att)] + (proj @ a_d)[att.indices]
                 assert (e > 0.0).any() and (e < 0.0).any()  # both LeakyReLU branches
-            _, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay=0.01)
-            fd = finite_difference(params, g, g.labels, mask, weight_decay=0.01,
+            _, grad = loss_on_rows(params, g, rows, weight_decay=0.01)
+            fd = finite_difference(params, g, g.labels, rows, weight_decay=0.01,
                                    step=1e-5)
             assert max_rel_err(grad, fd) <= 1e-4
 
@@ -186,15 +190,14 @@ class TestGradients:
         # input_dim < hidden_dim: layer-1 heads aggregate the features and
         # project after; criterion 2's step and tolerance on a row view
         rng = np.random.default_rng(50)
-        mask = np.zeros(12, bool)
-        mask[[1, 2, 4, 7, 9, 11]] = True
+        rows = np.array([1, 2, 4, 7, 9, 11])
         for trial in range(3):
             g = random_graph(rng, d=3)
             cfg = ModelConfig("gat", input_dim=3, hidden_dim=5, num_classes=3,
                               dropout=0.0, num_heads=2, seed=trial)
             params = init_params(cfg)
-            _, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay=0.01)
-            fd = finite_difference(params, g, g.labels, mask, weight_decay=0.01,
+            _, grad = loss_on_rows(params, g, rows, weight_decay=0.01)
+            fd = finite_difference(params, g, g.labels, rows, weight_decay=0.01,
                                    step=1e-5)
             assert max_rel_err(grad, fd) <= 1e-4
 
@@ -207,16 +210,14 @@ class TestGradients:
             seed=2024,
         ))
         rows = stratified_split(g, 0.1, 0.1, 5, seed=0).train
-        mask = np.zeros(2000, bool)
-        mask[rows] = True
         cfg = ModelConfig("gat", input_dim=16, hidden_dim=32, num_classes=5,
                           dropout=0.5, seed=0)
         params = init_params(cfg)
         view = row_view(prepare_operator(g, cfg), rows)
         tracemalloc.start()
         try:
-            loss_and_gradients(params, g, g.labels, mask, weight_decay=5e-4,
-                               mode="train", dropout_seed=1, operator=view)
+            loss_and_gradients(params, view, g.labels[rows], weight_decay=5e-4,
+                               mode="train", dropout_seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,7 +230,7 @@ class TestGradients:
         )
         cfg = ModelConfig("gcn", input_dim=3, hidden_dim=4, num_classes=2, dropout=0.0)
         params = init_params(cfg)
-        _, grad = loss_and_gradients(params, g, g.labels, np.ones(4, bool))
+        _, grad = loss_on_rows(params, g, np.arange(4))
         w0_size = params.arrays[0].size
         np.testing.assert_array_equal(grad[:w0_size], np.zeros(w0_size))
 
@@ -240,16 +241,60 @@ class TestGradients:
         cfg = ModelConfig("gcn", input_dim=4, hidden_dim=3, num_classes=3,
                           dropout=0.0, seed=0)
         params = init_params(cfg)
-        mask = np.zeros(8, bool)
-        mask[[1, 4, 6]] = True
-        _, grad = loss_and_gradients(params, g, g.labels, mask)
+        _, grad = loss_on_rows(params, g, np.array([1, 4, 6]))
         singles = []
         for i in [1, 4, 6]:
-            m = np.zeros(8, bool)
-            m[i] = True
-            _, gi = loss_and_gradients(params, g, g.labels, m)
+            _, gi = loss_on_rows(params, g, np.array([i]))
             singles.append(gi)
         np.testing.assert_allclose(grad, np.mean(singles, axis=0), atol=1e-12)
+
+
+class TestLossRows:
+    def _gcn(self):
+        g = random_graph(np.random.default_rng(60))
+        cfg = ModelConfig("gcn", input_dim=4, hidden_dim=5, num_classes=3,
+                          dropout=0.0, seed=0)
+        return g, init_params(cfg), prepare_operator(g, cfg)
+
+    @pytest.mark.parametrize("num_labels", [3, 5])
+    def test_labels_must_match_view_rows(self, num_labels):
+        g, params, operator = self._gcn()
+        view = row_view(operator, np.array([0, 4, 7, 9]))
+        with pytest.raises(DataError, match="4 rows scored against labels"):
+            loss_and_gradients(params, view, g.labels[:num_labels])
+
+    def test_labels_must_match_full_operator_rows(self):
+        g, params, operator = self._gcn()
+        with pytest.raises(DataError, match="12 rows scored"):
+            loss_and_gradients(params, operator, g.labels[1:])
+
+    def test_empty_view_rejected(self):
+        g, params, operator = self._gcn()
+        view = row_view(operator, np.array([], dtype=np.int64))
+        with pytest.raises(DataError, match="at least one row"):
+            loss_and_gradients(params, view, g.labels[:0])
+
+    @pytest.mark.parametrize("architecture, index, name", [
+        ("gcn", 0, "W0"), ("gcn", 1, "W1"), ("gat", 0, "head0.W"),
+        ("gat", 4, "head1.a_src"), ("gat", 8, "out.a_dst"),
+    ])
+    def test_non_finite_gradient_names_its_array(self, monkeypatch,
+                                                 architecture, index, name):
+        g = random_graph(np.random.default_rng(61))
+        cfg = ModelConfig(architecture, input_dim=4, hidden_dim=3,
+                          num_classes=3, dropout=0.0, num_heads=2, seed=0)
+        params = init_params(cfg)
+        original = training.backward_with_operator
+
+        def poisoned(*args):
+            grads = list(original(*args))
+            grads[index] = grads[index].copy()
+            grads[index].flat[-1] = np.nan
+            return tuple(grads)
+
+        monkeypatch.setattr(training, "backward_with_operator", poisoned)
+        with pytest.raises(NumericError, match=rf"non-finite gradient in {name}$"):
+            loss_on_rows(params, g, np.arange(12))
 
 
 def reference_gat_backward(params, adj, features, dlogits, cache):
@@ -273,23 +318,22 @@ def reference_gat_backward(params, adj, features, dlogits, cache):
     return tuple(grads + out_grads)
 
 
-def reference_loss_and_gradients(params, graph, labels, mask, weight_decay,
+def reference_loss_and_gradients(params, graph, labels, rows, weight_decay,
                                  mode, dropout_seed):
     """The former full-width loss_and_gradients: logits for every node,
     dlogits scattered into an n x C zero array, the GCN backward's
     A_hat . dlogits as the CSR product of the full adjacency, and GAT's
     per-edge attention backward."""
     operator = prepare_operator(graph, params.config)
-    idx = np.flatnonzero(mask)
     logits, cache = forward_with_operator(
         params, operator, mode=mode, dropout_seed=dropout_seed
     )
-    loss = cross_entropy_loss(logits, labels, mask, weight_decay, params)
-    probs = softmax(logits[idx])
+    loss = cross_entropy_loss(logits[rows], labels[rows], weight_decay, params)
+    probs = softmax(logits[rows])
     dlogits = np.zeros_like(logits)
-    dlogits[idx] = probs
-    dlogits[idx, labels[idx]] -= 1.0
-    dlogits[idx] /= idx.size
+    dlogits[rows] = probs
+    dlogits[rows, labels[rows]] -= 1.0
+    dlogits[rows] /= rows.size
     if params.config.architecture == "gcn":
         w0, w1 = params.arrays
         z1, drop, h1 = cache
@@ -334,10 +378,11 @@ def test_loss_and_gradients_match_full_width_reference(
     cfg = ModelConfig(architecture, input_dim=4, hidden_dim=5, num_classes=3,
                       dropout=0.5, num_heads=2, seed=int(rng.integers(100)))
     params = init_params(cfg)
-    loss, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay,
-                                    mode=mode, dropout_seed=seed)
+    rows = np.flatnonzero(mask)
+    loss, grad = loss_on_rows(params, g, rows, weight_decay=weight_decay,
+                              mode=mode, dropout_seed=seed)
     ref_loss, ref_grad = reference_loss_and_gradients(
-        params, g, g.labels, mask, weight_decay, mode, seed
+        params, g, g.labels, rows, weight_decay, mode, seed
     )
     assert loss == ref_loss
     if architecture == "gcn":
@@ -370,14 +415,13 @@ def test_fused_loss_and_gradients_match_separate_softmax(
     params = init_params(cfg)
     params = params.from_flat(rng.normal(scale=2.0, size=params.size))
     view = row_view(prepare_operator(g, cfg), idx)
-    loss, grad = loss_and_gradients(params, g, g.labels, mask, weight_decay,
-                                    mode=mode, dropout_seed=seed, operator=view)
+    loss, grad = loss_and_gradients(params, view, g.labels[idx], weight_decay,
+                                    mode=mode, dropout_seed=seed)
 
     logits, cache = forward_with_operator(params, view, mode=mode,
                                           dropout_seed=seed)
     y = g.labels[idx]
-    ref_loss = cross_entropy_loss(logits, y, np.ones(idx.size, bool),
-                                  weight_decay, params)
+    ref_loss = cross_entropy_loss(logits, y, weight_decay, params)
     dlogits = softmax(logits)
     dlogits[np.arange(idx.size), y] -= 1.0
     dlogits /= idx.size
