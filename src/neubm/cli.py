@@ -285,12 +285,8 @@ def cmd_calibrate(args) -> int:
     spec = CalibrationSpec(variant=args.variant, position=args.position,
                            lam=args.lam)
     logits = predict_logits(params, graph)
-    if spec.variant == "none":
-        neutral_vec = np.zeros(logits.shape[1])
-    elif args.neutral_dir:
-        neutral = load_neutral(args.neutral_dir)
-        neutral_vec = neutral_logit_vector(params, neutral)
-    else:
+    neutral = load_neutral(args.neutral_dir) if args.neutral_dir else None
+    if neutral is None and spec.variant != "none":
         config = NeutralConfig(**{
             field: value for field, value in (
                 ("construction_variant", args.neutral_variant),
@@ -308,7 +304,8 @@ def cmd_calibrate(args) -> int:
         neutral = construct_neutral(stats, config, labeled_source=source)
         if args.save_neutral:
             save_neutral(neutral, args.save_neutral)
-        neutral_vec = neutral_logit_vector(params, neutral)
+    neutral_vec = (np.zeros(logits.shape[1]) if neutral is None
+                   else neutral_logit_vector(params, neutral))
     out = calibrate(logits, neutral_vec, spec)
     write_predictions_csv(out, args.out)
     print(f"wrote {graph.num_nodes} calibrated predictions -> {args.out}")

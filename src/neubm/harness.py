@@ -16,6 +16,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -263,20 +264,14 @@ def ablation_rows() -> list[AblationRow]:
     return rows
 
 
-def _make_refresh_hook(source, stats, neutral_config, neutral_seed):
-    """Validation-selection hook: rebuild the reference every k epochs and
-    score validation on subtraction-calibrated logits."""
-    k = neutral_config.refresh_every
-    state: dict = {}
+def _make_refresh_hook(neutral_for, k):
+    """Validation-selection hook: score validation on logits calibrated by
+    subtraction against ``neutral_for(epoch // k)``, one reference per block
+    of k epochs. Only the current block's graph, and its operator, is kept."""
+    block_neutral = lru_cache(maxsize=1)(neutral_for)
 
     def hook(epoch, params, logits):
-        block = epoch // k
-        if state.get("block") != block:
-            cfg = replace(neutral_config, seed=neutral_seed + block)
-            state["neutral"] = construct_neutral(stats, cfg, labeled_source=source)
-            state["block"] = block
-        vec = neutral_logit_vector(params, state["neutral"])
-        return logits - vec[None, :]
+        return logits - neutral_logit_vector(params, block_neutral(epoch // k))
 
     return hook
 
@@ -317,16 +312,21 @@ def _run_single(
             "derived_seeds": derived_seeds, "neutral_fidelity": neutral_fidelity,
         }
 
-    hook = None
     stats = compute_dataset_stats(graph)
     source = train_rows(graph, fold.train)
-    if config.neutral.refresh_every != "never":
-        hook = _make_refresh_hook(source, stats, config.neutral, neutral_seed)
 
+    def neutral_for(offset, variant=config.neutral.construction_variant):
+        # the post-hoc rows' reference at offset 0, refresh block b's at b
+        cfg = replace(config.neutral, construction_variant=variant,
+                      seed=neutral_seed + offset)
+        return construct_neutral(stats, cfg, labeled_source=source)
+
+    k = config.neutral.refresh_every
     start = time.perf_counter()
     try:
         params, report = train(graph, fold, model_config, train_config,
-                               val_logits_transform=hook)
+                               val_logits_transform=None if k == "never"
+                               else _make_refresh_hook(neutral_for, k))
     except NeubmError as exc:
         # training failed: every row of this (seed, fold) becomes a failed
         # record so the sweep continues and aggregates mark the gap
@@ -352,24 +352,20 @@ def _run_single(
     test_labels = labels[fold.test]
     uncal_probs = softmax(logits)
 
-    neutral_vectors: dict[str | None, np.ndarray] = {None: np.zeros(logits.shape[1])}
-    fidelity: dict[str | None, dict | None] = {None: None}
-
-    def vector_for(variant):
-        if variant not in neutral_vectors:
-            cfg = replace(config.neutral, construction_variant=variant,
-                          seed=neutral_seed)
-            neutral = construct_neutral(stats, cfg, labeled_source=source)
-            fidelity[variant] = neutral_fidelity(neutral)
-            neutral_vectors[variant] = neutral_logit_vector(params, neutral)
-        return neutral_vectors[variant]
+    @lru_cache(maxsize=None)
+    def reference_for(variant):
+        """(neutral logit vector, fidelity); None is the zero reference."""
+        if variant is None:
+            return np.zeros(logits.shape[1]), None
+        neutral = neutral_for(0, variant)
+        return neutral_logit_vector(params, neutral), neutral_fidelity(neutral)
 
     mmd_memo: dict = {}  # MMD per pair of compared sample sets
     records = []
     for row in rows:
         timestamp = _now()
         try:
-            vec = vector_for(row.neutral_variant)
+            vec, fidelity = reference_for(row.neutral_variant)
             out = calibrate(logits, vec, row.spec)
             metrics = evaluate(out.predicted_labels, test_labels,
                                num_classes=graph.num_classes)
@@ -378,7 +374,7 @@ def _run_single(
             records.append(record(
                 row, "ok", train_summary, timestamp,
                 metrics=metrics.to_dict(), bias=bias,
-                neutral_fidelity=fidelity[row.neutral_variant],
+                neutral_fidelity=fidelity,
             ))
         except NeubmError as exc:
             records.append(record(row, "failed", train_summary, timestamp,

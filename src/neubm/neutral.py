@@ -9,7 +9,7 @@ that estimates the model's class-agnostic output bias.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, build, read_json
 from .datasets import load_canonical, save_canonical
 from .graph import DatasetStats, Graph, bernoulli_cells
-from .models import ModelParams, predict_logits
+from .models import ModelParams, forward_with_operator, prepare_operator
 
 CONSTRUCTION_VARIANTS = ("mean_cov", "random", "class_balanced")
 # "stats" keys of older neutral_meta.json files: the covariance mode is the
@@ -58,6 +58,8 @@ class NeutralGraph:
     graph: Graph
     stats_used: DatasetStats
     config: NeutralConfig
+    # architecture -> the graph's operator, prepared by its first probe
+    operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def regularized_covariance_factor(
@@ -258,8 +260,12 @@ def neutral_fidelity(neutral: NeutralGraph) -> dict:
 def neutral_logit_vector(params: ModelParams, neutral: NeutralGraph) -> np.ndarray:
     """Eval-mode forward pass on the neutral graph, mean-pooled to one
     per-class vector. A model whose input_dim differs from the neutral
-    feature width raises DataError."""
-    return predict_logits(params, neutral.graph).mean(axis=0)
+    feature width raises DataError. Later probes of ``neutral`` by the same
+    architecture reuse its operator and run the forward only."""
+    arch = params.config.architecture
+    if arch not in neutral.operators:
+        neutral.operators[arch] = prepare_operator(neutral.graph, params.config)
+    return forward_with_operator(params, neutral.operators[arch])[0].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,36 @@ class TestRefreshHook:
         agg2 = run_experiment(cfg2)
         assert agg1 == agg2
 
+    def test_one_neutral_graph_and_operator_per_block(self, tmp_path, monkeypatch):
+        # 21 validation forwards (epochs 0..20) in blocks of 3 epochs: 7
+        # neutral graphs, each prepared once, whatever the forwards
+        import neubm.harness as harness
+        import neubm.neutral as neutral_module
+        from neubm.models import prepare_operator
+
+        cfg = small_config(
+            tmp_path,
+            train=TrainConfig(learning_rate=0.01, max_epochs=20, patience=20, seed=1),
+            neutral=NeutralConfig(refresh_every=3, seed=2),
+        )
+        graph = generate_sbm(cfg.dataset)
+        fold = stratified_split(graph, 0.15, 0.15, 3, seed=0)
+        built, prepared = [], []
+        _spy(monkeypatch, harness, "construct_neutral", built)
+
+        def counting(g, config):
+            prepared.append(g)
+            return prepare_operator(g, config)
+
+        monkeypatch.setattr(neutral_module, "prepare_operator", counting)
+        rows = [harness.AblationRow("default", "none", CalibrationSpec("none"), None)]
+        record, = harness._run_single(graph, cfg, rows, 0, 0, fold, None, None, "h")
+        assert record["train_summary"]["epochs_run"] == 20
+        assert len(prepared) == 7
+        assert [id(g) for g in prepared] == [id(n.graph) for _, n in built]
+        neutral_seed = record["derived_seeds"]["neutral"]
+        assert [n.config.seed for _, n in built] == [neutral_seed + b for b in range(7)]
+
 
 class TestPostHocLeakage:
     def test_test_labels_leave_neutral_vectors_unchanged(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from scipy import stats as sps
 from neubm.datasets import SbmConfig, generate_sbm
 from neubm.errors import ConfigError, DataError
 from neubm.graph import DatasetStats, Graph, compute_dataset_stats
-from neubm.models import ModelConfig, init_params
+import neubm.neutral as neutral_module
+from neubm.models import ModelConfig, init_params, predict_logits, prepare_operator
 from neubm.neutral import (
     NeutralConfig,
     _bernoulli_pairs,
@@ -470,6 +472,70 @@ class TestNeutralLogits:
             (rows[0] + rows[1] + rows[2]) / 3.0,
             atol=1e-12,
         )
+
+
+class TestNeutralOperatorReuse:
+    """A NeutralGraph prepares its operator once per architecture, on its
+    first probe; later probes run only the eval forward."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+
+        def counting(graph, config):
+            built.append(config.architecture)
+            return prepare_operator(graph, config)
+
+        monkeypatch.setattr(neutral_module, "prepare_operator", counting)
+        return built
+
+    @staticmethod
+    def params(architecture):
+        return init_params(ModelConfig(architecture, 3, 4, 3, dropout=0.0,
+                                       num_heads=2, seed=6))
+
+    @pytest.mark.parametrize("architecture", ["gcn", "gat"])
+    def test_two_probes_build_one_operator(self, architecture, builds):
+        neutral = construct_neutral(stats_for(n_bar=30.0), NeutralConfig(seed=4))
+        params = self.params(architecture)
+        want = predict_logits(params, neutral.graph).mean(axis=0)
+        first = neutral_logit_vector(params, neutral)
+        second = neutral_logit_vector(params, neutral)
+        assert builds == [architecture]
+        np.testing.assert_array_equal(first, want)
+        np.testing.assert_array_equal(second, want)
+
+    def test_each_architecture_gets_its_own_operator(self, builds):
+        neutral = construct_neutral(stats_for(n_bar=30.0), NeutralConfig(seed=4))
+        for architecture in ("gcn", "gat", "gcn", "gat"):
+            params = self.params(architecture)
+            np.testing.assert_array_equal(
+                neutral_logit_vector(params, neutral),
+                predict_logits(params, neutral.graph).mean(axis=0))
+        assert builds == ["gcn", "gat"]
+        assert sorted(neutral.operators) == ["gat", "gcn"]
+
+    def test_operators_leave_equality_and_round_trip_alone(self, tmp_path, builds):
+        neutral = construct_neutral(stats_for(n_bar=30.0), NeutralConfig(seed=4))
+        params = self.params("gcn")
+        vec = neutral_logit_vector(params, neutral)
+        twin = replace(neutral)  # the same graph, stats and config
+        assert twin.operators == {} and neutral.operators
+        assert twin == neutral
+        assert repr(twin) == repr(neutral)
+        assert "operators" not in repr(neutral)
+        # a probed graph saves the same files as its unprobed twin
+        save_neutral(neutral, tmp_path / "neutral")
+        save_neutral(twin, tmp_path / "twin")
+        files = sorted(p.name for p in (tmp_path / "twin").iterdir())
+        assert sorted(p.name for p in (tmp_path / "neutral").iterdir()) == files
+        for name in files:
+            assert ((tmp_path / "neutral" / name).read_bytes()
+                    == (tmp_path / "twin" / name).read_bytes())
+        loaded = load_neutral(tmp_path / "neutral")
+        assert loaded.operators == {}
+        np.testing.assert_array_equal(neutral_logit_vector(params, loaded), vec)
+        assert builds == ["gcn", "gcn"]  # the loaded graph builds its own
 
 
 class TestNeutralSerialization:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from neubm.models import (
     prepare_operator,
     row_view,
 )
-from neubm.neutral import NeutralConfig, train_rows
+from neubm.neutral import NeutralConfig, construct_neutral, train_rows
 from neubm.training import (
     AdamState,
     TrainConfig,
@@ -634,7 +635,12 @@ class TestTrainLoop:
         stats = compute_dataset_stats(g)
         source = train_rows(g, split.train)
         neutral = NeutralConfig(node_count_override=40, refresh_every=3)
-        hook = _make_refresh_hook(source, stats, neutral, neutral_seed=11)
+
+        def neutral_for(block):
+            return construct_neutral(stats, replace(neutral, seed=11 + block),
+                                     labeled_source=source)
+
+        hook = _make_refresh_hook(neutral_for, 3)
         seen = []
 
         def recording_hook(epoch, params, logits):
@@ -647,7 +653,7 @@ class TestTrainLoop:
             TrainConfig(max_epochs=20, patience=8, seed=3),
             val_logits_transform=recording_hook,
         )
-        full_hook = _make_refresh_hook(source, stats, neutral, neutral_seed=11)
+        full_hook = _make_refresh_hook(neutral_for, 3)
         operator = prepare_operator(g, seen[0][1].config)
         curve = []
         for epoch, params in seen:
