@@ -64,8 +64,9 @@ RUN_METADATA = {
     "aggregate_std": "population (divide by n)",
     "selection_metric": "validation f1_macro",
     "weight_init": "seeded Glorot uniform",
-    "seed_derivation": "split=base+run+1000*fold; model=split+17; "
-                       "dropout=split+29; neutral=neutral.seed+split",
+    "seed_derivation": "fold f, run index i, refresh block b: split=train.seed+f; "
+                       "run=train.seed+i+1000*f; model=run+17; dropout=run+29; "
+                       "neutral=neutral.seed+run; refresh=neutral+b",
     "kernels": "float64 numpy/scipy.sparse, sequential (bit-deterministic)",
 }
 

@@ -112,6 +112,50 @@ class TestRunExperiment:
         ]
         assert len(set(keys)) == len(keys)
 
+    def test_seed_derivation_states_the_seeds_drawn(self, tmp_path, monkeypatch):
+        # the rule every aggregate.json states, read from the text and
+        # evaluated for each record of a 2-seed x 2-fold refresh experiment
+        from types import SimpleNamespace
+
+        import neubm.harness as harness
+
+        cfg = small_config(
+            tmp_path,
+            train=TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=5),
+            neutral=NeutralConfig(refresh_every=2, seed=3),
+            protocol=ProtocolConfig(num_seeds=2, k_folds=2, train_frac=0.15,
+                                    val_frac=0.15, min_per_class=3),
+        )
+        built = []
+        _spy(monkeypatch, harness, "construct_neutral", built)
+        run_experiment(cfg)
+        aggregate = json.loads((tmp_path / "exp" / "aggregate.json").read_text())
+        text = aggregate["metadata"]["decisions"]["seed_derivation"]
+        rules = [rule.split("=") for rule in text.split(": ", 1)[1].split("; ")]
+        assert [name for name, _ in rules] == [
+            "split", "run", "model", "dropout", "neutral", "refresh"]
+
+        def derive(record, block):
+            names = {"train": SimpleNamespace(seed=5),
+                     "neutral": SimpleNamespace(seed=3),
+                     "f": record["fold_id"], "i": record["seed"], "b": block}
+            for name, expr in rules:
+                names[name] = eval(expr, {"__builtins__": {}}, names)
+            return {name: names[name] for name, _ in rules}
+
+        records = read_records(tmp_path / "exp" / "records.jsonl")
+        assert len(records) == 8
+        drawn = []  # every neutral seed the rule gives, per (run, fold)
+        for r in records:
+            derived = derive(r, 0)
+            assert r["derived_seeds"] == {k: derived[k] for k in r["derived_seeds"]}
+            assert sorted(r["derived_seeds"]) == sorted(set(derived) - {"refresh"})
+            if r["row_id"] == "subtract@logits":
+                blocks = r["train_summary"]["epochs_run"] // 2 + 1
+                drawn += [derive(r, b)["refresh"] for b in range(blocks)]
+                drawn.append(derived["neutral"])  # the post-hoc reference
+        assert sorted(n.config.seed for _, n in built) == sorted(drawn)
+
     def test_recorded_split_seed_redraws_the_fold(self, tmp_path, monkeypatch):
         # 2 seeds x 2 folds: every run of fold f trains on the split drawn
         # with train.seed + f, and its records must name that seed
