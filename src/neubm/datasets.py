@@ -462,10 +462,8 @@ def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
     if total_pairs - m < k:
         raise ConfigError("not enough absent pairs to rewire into")
     chosen = rng.choice(m, size=k, replace=False)
-    original = {(int(u), int(v)) for u, v in graph.edges}
-    keep_mask = np.ones(m, dtype=bool)
-    keep_mask[chosen] = False
-    current = {(int(u), int(v)) for u, v in graph.edges[keep_mask]}
+    # the kept edges are original ones: one set holds every taken pair
+    taken = {(int(u), int(v)) for u, v in graph.edges}
     added = []
     while len(added) < k:
         u = int(rng.integers(0, n))
@@ -473,9 +471,10 @@ def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
         if u == v:
             continue
         pair = (min(u, v), max(u, v))
-        if pair in original or pair in current:
+        if pair in taken:
             continue
-        current.add(pair)
+        taken.add(pair)
         added.append(pair)
-    edges = np.array(sorted(current), dtype=np.int64)
-    return replace(graph, edges=edges)
+    kept = np.delete(graph.edges, chosen, axis=0)
+    added = np.array(added, dtype=np.int64).reshape(-1, 2)
+    return replace(graph, edges=np.concatenate([kept, added]))

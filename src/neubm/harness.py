@@ -43,6 +43,7 @@ from .graph import Graph, compute_dataset_stats
 from .metrics import evaluate, mmd_rbf
 from .models import ModelConfig, predict_logits
 from .neutral import (
+    RETIRED_CONFIG_KEYS,
     NeutralConfig,
     construct_neutral,
     neutral_fidelity,
@@ -148,10 +149,11 @@ class ExperimentConfig:
         not change what it computes."""
         d = self.to_dict()
         del d["output_dir"]
-        # selection by validation f1_macro was once a TrainConfig field;
-        # hashing it keeps every config's hash, and so aggregate.json and
-        # the completed-run check, as they were
+        # retired fields are hashed at the one value each ever had, which
+        # keeps every config's hash, and so aggregate.json and the
+        # completed-run check, as they were
         d["train"]["selection_metric"] = "f1_macro"
+        d["neutral"].update(RETIRED_CONFIG_KEYS)
         payload = json.dumps(d, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -612,26 +614,27 @@ def _record(line: str) -> dict:
     return r
 
 
+def _run_identity(config: ExperimentConfig, command: str) -> dict:
+    """The command, config hash and report conventions config.json records."""
+    return {"command": command, "config_hash": config.config_hash(),
+            "decisions": RUN_METADATA}
+
+
 def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:
-    payload = {
-        "command": command,
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "decisions": RUN_METADATA,
-    }
+    payload = {**_run_identity(config, command), "config": config.to_dict()}
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _saved_aggregates(out: Path, config: ExperimentConfig, command: str):
-    """The aggregate rows of a run of ``command`` on a config with this hash
-    completed in ``out``, or None when there is none to reuse."""
+    """The aggregate rows of a run completed in ``out`` whose recorded
+    identity matches this one's, or None when there is none to reuse."""
     try:
         saved = read_json(out / "config.json", "run config", ConfigError)
         aggregate = read_json(out / "aggregate.json", "aggregate", ConfigError)
     except ConfigError:  # missing or unreadable: run afresh
         return None
-    if (saved.get("config_hash"), saved.get("command")) != (
-            config.config_hash(), command):
+    identity = _run_identity(config, command)
+    if {key: saved.get(key) for key in identity} != identity:
         return None
     return aggregate.get("aggregates")
 
@@ -650,10 +653,10 @@ def _run(
     """Train and evaluate every (sweep point, seed, fold), then write
     records.jsonl, the reports and config.json. Returns the aggregate rows.
 
-    Idempotent: an output dir completed by the same command on a config with
-    the same hash is not recomputed unless force=True. `sweep_points()`
-    yields (sweep_variable, sweep_value, graph) and is called only when the
-    run goes ahead, so a completed run loads no data.
+    Idempotent: an output dir completed with this run's `_run_identity` is
+    not recomputed unless force=True. `sweep_points()` yields
+    (sweep_variable, sweep_value, graph) and is called only when the run
+    goes ahead, so a completed run loads no data.
     """
     out = resolve_output_dir(config.output_dir)
     saved = None if force else _saved_aggregates(out, config, command)

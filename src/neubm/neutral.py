@@ -23,26 +23,22 @@ CONSTRUCTION_VARIANTS = ("mean_cov", "random", "class_balanced")
 # "stats" keys of older neutral_meta.json files: the covariance mode is the
 # config's alone, and the source node count always equalled n_bar
 RETIRED_STATS_KEYS = ("covariance_mode", "source_node_count")
+# former NeutralConfig fields, each with the only value a run ever gave it
+RETIRED_CONFIG_KEYS = {"node_count_override": None, "regularization_eps_scale": 1e-6}
 
 
 @dataclass(frozen=True)
 class NeutralConfig:
-    node_count_override: int | None = None
     covariance_mode: str = "full"  # "full" | "diagonal"
-    regularization_eps_scale: float = 1e-6  # eps = scale * trace(Sigma) / d
     construction_variant: str = "mean_cov"
     refresh_every: int | str = "never"  # epochs in [1, 10] or "never"
     seed: int = 0
 
     def __post_init__(self):
-        if self.node_count_override is not None and self.node_count_override < 1:
-            raise ConfigError("neutral node count must be >= 1")
         if self.covariance_mode not in ("full", "diagonal"):
             raise ConfigError(
                 f"unknown covariance mode {self.covariance_mode!r}"
             )
-        if self.regularization_eps_scale <= 0:
-            raise ConfigError("regularization_eps_scale must be positive")
         if self.construction_variant not in CONSTRUCTION_VARIANTS:
             raise ConfigError(
                 f"unknown construction variant {self.construction_variant!r}"
@@ -180,7 +176,7 @@ def construct_neutral(
     uniformly chosen rows from the source graph; class_balanced draws a
     class uniformly, then a uniform row within that class.
     """
-    n = config.node_count_override or int(np.floor(stats.n_bar))
+    n = int(np.floor(stats.n_bar))
     if n < 1:
         raise ConfigError("neutral graph needs at least one node")
     edges = _bernoulli_pairs(
@@ -197,7 +193,6 @@ def construct_neutral(
         features = sample_mvn(
             stats.mu_node, stats.sigma_node, n,
             mode=config.covariance_mode,
-            eps_scale=config.regularization_eps_scale,
             seed=int(rng.integers(2**32)),
         )
     elif variant == "random":
@@ -287,16 +282,17 @@ def save_neutral(neutral: NeutralGraph, path) -> None:
 
 def load_neutral(path) -> NeutralGraph:
     """Read a directory written by :func:`save_neutral`; a fault in its
-    neutral_meta.json raises DataError naming the file. The
-    RETIRED_STATS_KEYS and the top-level seed of older files are ignored."""
+    neutral_meta.json raises DataError naming the file. The retired keys and
+    the top-level seed of older files are ignored."""
     root = Path(path)
     graph = load_canonical(root)
     meta_file = root / "neutral_meta.json"
     meta = read_json(meta_file, "neutral metadata", DataError)
-    stats = meta.get("stats")
+    stats, config = meta.get("stats"), meta.get("config")
     if isinstance(stats, dict):
         stats = {k: v for k, v in stats.items() if k not in RETIRED_STATS_KEYS}
+    if isinstance(config, dict):
+        config = {k: v for k, v in config.items() if k not in RETIRED_CONFIG_KEYS}
     stats = build("stats", DatasetStats, stats, DataError, meta_file)
-    config = build("config", NeutralConfig, meta.get("config"),
-                   DataError, meta_file)
+    config = build("config", NeutralConfig, config, DataError, meta_file)
     return NeutralGraph(graph=graph, stats_used=stats, config=config)

@@ -134,8 +134,9 @@ class TestTrainCalibrateEval:
 
     def test_older_neutral_layout_gives_the_same_predictions(self, dataset_dir,
                                                              tmp_path):
-        # a neutral_meta.json that still holds the retired stats keys and a
-        # top-level seed loads, and calibrates as the current layout does
+        # a neutral_meta.json that still holds the retired stats and config
+        # keys and a top-level seed loads, and calibrates as the current
+        # layout does, whatever node count the retired override named
         model = tmp_path / "model.json"
         run_cli("train", "--data", dataset_dir, "--out", model, "--hidden", 8,
                 "--max-epochs", 10, "--patience", 10, "--train-frac", 0.2,
@@ -146,6 +147,8 @@ class TestTrainCalibrateEval:
         meta_file = tmp_path / "neutral" / "neutral_meta.json"
         meta = json.loads(meta_file.read_text())
         meta["stats"].update(source_node_count=200, covariance_mode="full")
+        meta["config"].update(node_count_override=25,
+                              regularization_eps_scale=1e-3)
         meta["seed"] = meta["config"]["seed"]
         meta_file.write_text(json.dumps(meta, indent=2) + "\n")
         assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
@@ -334,8 +337,9 @@ class TestExperimentCommands:
                       "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6}},
          ("'total_nodes' must be int", "exp.json")),
         ({"neutral": {"seed": "a"}}, ("'seed' must be int", "exp.json")),
-        ({"neutral": {"node_count_override": 10.5}},
-         ("'node_count_override' must be int or null", "exp.json")),
+        # a retired key is an unknown one
+        ({"neutral": {"node_count_override": 25}},
+         ("['node_count_override']", "exp.json")),
         ({"neutral": {"refresh_every": True}},
          ("'refresh_every' must be int or str, got True", "exp.json")),
         # keys the graph and the split seed set
@@ -373,7 +377,7 @@ class TestExperimentCommands:
             "protocol_min_per_class_type", "train_learning_rate_type",
             "train_max_epochs_type", "train_seed_type", "model_hidden_dim_type",
             "model_dropout_type", "dataset_total_nodes_type", "neutral_seed_type",
-            "neutral_node_count_override_type", "neutral_refresh_every_bool",
+            "neutral_node_count_override_retired", "neutral_refresh_every_bool",
             "model_seed_derived", "model_input_dim_derived",
             "model_num_classes_derived", "rho_sweep_point_below_one",
             "noise_level_above_one", "noise_kind_unknown",

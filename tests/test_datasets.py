@@ -460,7 +460,64 @@ class TestKfold:
             np.testing.assert_array_equal(fa.train, fb.train)
 
 
+def former_structural_noise(graph, spec):
+    """inject_noise's structural kind as it was before it kept one edge set:
+    two sets of edge tuples, the original and the current, and the current
+    one sorted into the result."""
+    rng = np.random.default_rng(spec.seed)
+    m = graph.num_edges
+    k = int(round(spec.level * m))
+    n = graph.num_nodes
+    total_pairs = n * (n - 1) // 2
+    if total_pairs - m < k:
+        raise ConfigError("not enough absent pairs to rewire into")
+    chosen = rng.choice(m, size=k, replace=False)
+    original = {(int(u), int(v)) for u, v in graph.edges}
+    keep_mask = np.ones(m, dtype=bool)
+    keep_mask[chosen] = False
+    current = {(int(u), int(v)) for u, v in graph.edges[keep_mask]}
+    added = []
+    while len(added) < k:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        if pair in original or pair in current:
+            continue
+        current.add(pair)
+        added.append(pair)
+    edges = np.array(sorted(current), dtype=np.int64)
+    return dataclasses.replace(graph, edges=edges)
+
+
 class TestNoise:
+    def test_structural_matches_former_rewiring(self):
+        # same draws, so bit-identical edges, and the same error where the
+        # near-complete graph has too few absent pairs to rewire into
+        graphs = [
+            generate_sbm(SbmConfig(num_classes=2, total_nodes=n, rho=1,
+                                   p_intra=p, p_inter=p, feature_dim=2, seed=s))
+            for n, p, s in ((50, 0.16, 6), (40, 0.05, 1), (20, 0.9, 2))
+        ]
+        outcomes = set()
+        for g in graphs:
+            for level in (0.05, 0.2, 0.5, 0.8, 1.0):
+                for seed in range(5):
+                    spec = NoiseSpec("structural", level, seed=seed)
+                    try:
+                        expected = former_structural_noise(g, spec)
+                    except ConfigError as exc:
+                        with pytest.raises(ConfigError, match=str(exc)):
+                            inject_noise(g, spec)
+                        outcomes.add("error")
+                        continue
+                    got = inject_noise(g, spec)
+                    assert got.edges.dtype == expected.edges.dtype
+                    np.testing.assert_array_equal(got.edges, expected.edges)
+                    outcomes.add("rewired")
+        assert outcomes == {"error", "rewired"}
+
     def test_zero_level_identity(self):
         g = small_graph()
         assert inject_noise(g, NoiseSpec("feature", 0.0, seed=1)) is g

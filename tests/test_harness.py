@@ -193,6 +193,27 @@ class TestRunExperiment:
         run_experiment(cfg)  # completed: must not recompute
         assert (tmp_path / "exp" / "records.jsonl").read_bytes() == before
 
+    def test_rerun_under_changed_conventions_runs_afresh(self, tmp_path,
+                                                         monkeypatch):
+        # the conventions aggregate.json states are part of what a completed
+        # directory recorded: a rerun without force must not keep stale text
+        import neubm.harness as harness
+
+        cfg = small_config(
+            tmp_path,
+            train=TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=1),
+            protocol=ProtocolConfig(num_seeds=1, k_folds=1, train_frac=0.15,
+                                    val_frac=0.15, min_per_class=3),
+        )
+        run_experiment(cfg)
+        decisions = {**harness.RUN_METADATA, "seed_derivation": "changed"}
+        monkeypatch.setattr(harness, "RUN_METADATA", decisions)
+        run_experiment(cfg)
+        aggregate = json.loads((tmp_path / "exp" / "aggregate.json").read_text())
+        assert aggregate["metadata"]["decisions"] == decisions
+        saved = json.loads((tmp_path / "exp" / "config.json").read_text())
+        assert saved["decisions"] == decisions
+
     def test_reports_byte_identical_across_dirs(self, tmp_path):
         cfg_a = small_config(tmp_path, name="a")
         cfg_b = small_config(tmp_path, name="b")

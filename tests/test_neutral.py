@@ -139,12 +139,6 @@ class TestConstructNeutral:
         neutral = construct_neutral(stats_for(n_bar=10.9), NeutralConfig(seed=0))
         assert neutral.graph.num_nodes == 10
 
-    def test_node_count_override(self):
-        neutral = construct_neutral(
-            stats_for(), NeutralConfig(node_count_override=25, seed=0)
-        )
-        assert neutral.graph.num_nodes == 25
-
     def test_zero_density_edgeless(self):
         neutral = construct_neutral(stats_for(d_bar=0.0), NeutralConfig(seed=1))
         assert neutral.graph.num_edges == 0
@@ -236,14 +230,14 @@ class TestConstructNeutral:
 def reference_neutral_features(stats, config, labeled_source=None):
     """Features of the dense pair sampler, which spent one uniform per
     unordered pair from the main stream before drawing them."""
-    n = config.node_count_override or int(np.floor(stats.n_bar))
+    n = int(np.floor(stats.n_bar))
     rng = np.random.default_rng(config.seed)
     rng.random(n * (n - 1) // 2)
     variant = config.construction_variant
     if variant == "mean_cov":
         return sample_mvn(stats.mu_node, stats.sigma_node, n,
                           mode=config.covariance_mode,
-                          eps_scale=config.regularization_eps_scale,
+                          eps_scale=1e-6,
                           seed=int(rng.integers(2**32)))
     if variant == "random":
         rows = rng.integers(0, labeled_source.num_nodes, size=n)

@@ -634,7 +634,7 @@ class TestTrainLoop:
         split = stratified_split(g, 0.3, 0.3, 2, seed=5)
         stats = compute_dataset_stats(g)
         source = train_rows(g, split.train)
-        neutral = NeutralConfig(node_count_override=40, refresh_every=3)
+        neutral = NeutralConfig(refresh_every=3)
 
         def neutral_for(block):
             return construct_neutral(stats, replace(neutral, seed=11 + block),
