@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--force", action="store_true",
-                       help="recompute even if the output dir is complete")
         p.set_defaults(func=_make_runner(runner))
 
     p = sub.add_parser("plot", help="regenerate SVG charts from saved records")
@@ -342,7 +340,7 @@ def cmd_eval(args) -> int:
 def _make_runner(runner):
     def cmd(args) -> int:
         config = load_experiment_config(args.config)
-        aggregates = runner(config, force=args.force)
+        aggregates = runner(config)
         out = resolve_output_dir(config.output_dir)
         for row in aggregates:
             m = row["metrics"]["f1_macro"]

@@ -355,8 +355,8 @@ def stratified_split(
     node absent top-ups); val takes what remains. Unlabeled nodes (label
     -1) are excluded from all three sets.
     """
-    if graph.labels is None:
-        raise DataError("stratified split needs labels")
+    if graph.labels is None or not np.any(graph.labels >= 0):
+        raise DataError("stratified split needs labeled nodes")
     if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1:
         raise ConfigError("fractions must be nonnegative and sum to <= 1")
     labels = graph.labels

@@ -150,8 +150,7 @@ class ExperimentConfig:
         d = self.to_dict()
         del d["output_dir"]
         # retired fields are hashed at the one value each ever had, which
-        # keeps every config's hash, and so aggregate.json and the
-        # completed-run check, as they were
+        # keeps every config's hash, and so aggregate.json, as it was
         d["train"]["selection_metric"] = "f1_macro"
         d["neutral"].update(RETIRED_CONFIG_KEYS)
         payload = json.dumps(d, sort_keys=True)
@@ -614,29 +613,10 @@ def _record(line: str) -> dict:
     return r
 
 
-def _run_identity(config: ExperimentConfig, command: str) -> dict:
-    """The command, config hash and report conventions config.json records."""
-    return {"command": command, "config_hash": config.config_hash(),
-            "decisions": RUN_METADATA}
-
-
 def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:
-    payload = {**_run_identity(config, command), "config": config.to_dict()}
+    payload = {"command": command, "config_hash": config.config_hash(),
+               "decisions": RUN_METADATA, "config": config.to_dict()}
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _saved_aggregates(out: Path, config: ExperimentConfig, command: str):
-    """The aggregate rows of a run completed in ``out`` whose recorded
-    identity matches this one's, or None when there is none to reuse."""
-    try:
-        saved = read_json(out / "config.json", "run config", ConfigError)
-        aggregate = read_json(out / "aggregate.json", "aggregate", ConfigError)
-    except ConfigError:  # missing or unreadable: run afresh
-        return None
-    identity = _run_identity(config, command)
-    if {key: saved.get(key) for key in identity} != identity:
-        return None
-    return aggregate.get("aggregates")
 
 
 # ---------------------------------------------------------------------------
@@ -648,24 +628,19 @@ def _run(
     config: ExperimentConfig,
     rows: list[AblationRow],
     sweep_points,
-    force: bool,
 ) -> list[dict]:
     """Train and evaluate every (sweep point, seed, fold), then write
     records.jsonl, the reports and config.json. Returns the aggregate rows.
 
-    Idempotent: an output dir completed with this run's `_run_identity` is
-    not recomputed unless force=True. `sweep_points()` yields
-    (sweep_variable, sweep_value, graph) and is called only when the run
-    goes ahead, so a completed run loads no data.
+    `sweep_points` yields (sweep_variable, sweep_value, graph). Every call
+    computes and overwrites the output dir; identical configs give
+    byte-identical reports.
     """
     out = resolve_output_dir(config.output_dir)
-    saved = None if force else _saved_aggregates(out, config, command)
-    if saved is not None:
-        return saved
     config_hash = config.config_hash()
     protocol = config.protocol
     records = []
-    for sweep_variable, sweep_value, graph in sweep_points():
+    for sweep_variable, sweep_value, graph in sweep_points:
         # one fold family per sweep point: the splits are a property of the
         # data; repeated runs vary the training randomness on top of them
         folds = kfold_splits(
@@ -686,20 +661,20 @@ def _run(
     return aggregate_records(records)
 
 
-def run_experiment(config: ExperimentConfig, force: bool = False) -> list[dict]:
+def run_experiment(config: ExperimentConfig) -> list[dict]:
     """seeds x folds x calibration specs on the configured dataset."""
     return _run("experiment", config, default_rows(config),
-                lambda: [(None, None, _load_base_dataset(config))], force)
+                [(None, None, _load_base_dataset(config))])
 
 
-def run_ablations(config: ExperimentConfig, force: bool = False) -> list[dict]:
+def run_ablations(config: ExperimentConfig) -> list[dict]:
     """Neutral-construction, calibration-variant, and position ablations,
     all evaluated post hoc on the same trained models."""
     return _run("ablate", config, ablation_rows(),
-                lambda: [(None, None, _load_base_dataset(config))], force)
+                [(None, None, _load_base_dataset(config))])
 
 
-def run_sensitivity(config: ExperimentConfig, force: bool = False) -> list[dict]:
+def run_sensitivity(config: ExperimentConfig) -> list[dict]:
     """Noise and/or imbalance-ratio sweeps; one aggregate per sweep point."""
     if config.noise is None and config.rho_sweep is None:
         raise ConfigError("sensitivity run needs a noise sweep or rho_sweep")
@@ -715,4 +690,4 @@ def run_sensitivity(config: ExperimentConfig, force: bool = False) -> list[dict]
             regenerated = generate_sbm(replace(config.dataset, rho=float(rho)))
             yield "rho", float(rho), regenerated
 
-    return _run("sweep", config, default_rows(config), sweep_points, force)
+    return _run("sweep", config, default_rows(config), sweep_points())

@@ -23,8 +23,11 @@ CONSTRUCTION_VARIANTS = ("mean_cov", "random", "class_balanced")
 # "stats" keys of older neutral_meta.json files: the covariance mode is the
 # config's alone, and the source node count always equalled n_bar
 RETIRED_STATS_KEYS = ("covariance_mode", "source_node_count")
+# the full-covariance sampler factors Sigma + eps*I, eps = this * trace / d
+REGULARIZATION_EPS_SCALE = 1e-6
 # former NeutralConfig fields, each with the only value a run ever gave it
-RETIRED_CONFIG_KEYS = {"node_count_override": None, "regularization_eps_scale": 1e-6}
+RETIRED_CONFIG_KEYS = {"node_count_override": None,
+                       "regularization_eps_scale": REGULARIZATION_EPS_SCALE}
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,7 @@ class NeutralGraph:
     operators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def regularized_covariance_factor(
-    sigma: np.ndarray, eps_scale: float
-) -> np.ndarray:
+def regularized_covariance_factor(sigma: np.ndarray) -> np.ndarray:
     """Factor A with A A^T = Sigma' where Sigma' = Sigma + eps*I, eigenvalues
     clipped at zero.
 
@@ -68,7 +69,7 @@ def regularized_covariance_factor(
     eigendecomposition with clipping keeps the factor well defined.
     """
     d = sigma.shape[0]
-    eps = eps_scale * float(np.trace(sigma)) / d
+    eps = REGULARIZATION_EPS_SCALE * float(np.trace(sigma)) / d
     sigma_reg = sigma + eps * np.eye(d)
     eigvals, eigvecs = np.linalg.eigh(sigma_reg)
     eigvals = np.clip(eigvals, 0.0, None)
@@ -98,7 +99,6 @@ def sample_mvn(
     sigma: np.ndarray,
     count: int,
     mode: str = "full",
-    eps_scale: float = 1e-6,
     seed: int = 0,
 ) -> np.ndarray:
     """Draw ``count`` rows from N(mu, Sigma), deterministically per seed.
@@ -127,7 +127,7 @@ def sample_mvn(
         raise DataError(
             f"sigma asymmetry {asymmetry:.3g} exceeds 1e-8"
         )
-    factor = regularized_covariance_factor(sigma, eps_scale)
+    factor = regularized_covariance_factor(sigma)
     return mu + z @ factor.T
 
 

@@ -436,6 +436,18 @@ class TestStratifiedSplit:
                 te = np.count_nonzero(g.labels[s.test] == c)
                 assert abs(te - len(s.test) * size / n) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("split", [
+        lambda g: stratified_split(g, 0.5, 0.25, 0, 0),
+        lambda g: kfold_splits(g, 2, 0.5, 0.25, 0, 0),
+    ], ids=["stratified_split", "kfold_splits"])
+    def test_no_labeled_node_is_a_data_error(self, split):
+        # labels present but all -1: a data error, not a division by zero
+        unlabeled = dataclasses.replace(small_graph(), labels=np.full(3, -1))
+        with pytest.raises(DataError, match="needs labeled nodes"):
+            split(unlabeled)
+        with pytest.raises(DataError, match="needs labeled nodes"):
+            split(small_graph(labeled=False))
+
 
 class TestKfold:
     def test_five_folds_ratio(self):

@@ -186,12 +186,26 @@ class TestRunExperiment:
             assert seeds["run"] == 5 + r["seed"] + 1000 * r["fold_id"]
             assert seeds["model"] == seeds["run"] + 17
 
-    def test_idempotent_rerun(self, tmp_path):
+    def test_rerun_recomputes(self, tmp_path, monkeypatch):
+        # a rerun into a completed directory computes afresh: the same code
+        # rewrites the same reports byte for byte, and a change that moves
+        # the numbers shows in them, never the saved aggregates
+        import neubm.harness as harness
+
         cfg = small_config(tmp_path)
-        run_experiment(cfg)
-        before = (tmp_path / "exp" / "records.jsonl").read_bytes()
-        run_experiment(cfg)  # completed: must not recompute
-        assert (tmp_path / "exp" / "records.jsonl").read_bytes() == before
+        reports = [tmp_path / "exp" / f for f in ("aggregate.json", "results.csv")]
+        agg = run_experiment(cfg)
+        before = [path.read_bytes() for path in reports]
+        assert run_experiment(cfg) == agg
+        assert [path.read_bytes() for path in reports] == before
+        calibrate = harness.calibrate
+        monkeypatch.setattr(harness, "calibrate", lambda logits, vec, spec:
+                            calibrate(logits, 2 * vec, spec))
+        moved = run_experiment(cfg)
+        f1 = {r["row_id"]: r["metrics"]["f1_macro"]["mean"] for r in agg}
+        assert {r["row_id"]: r["metrics"]["f1_macro"]["mean"]
+                for r in moved} != f1
+        assert [path.read_bytes() for path in reports] != before
 
     def test_rerun_under_changed_conventions_runs_afresh(self, tmp_path,
                                                          monkeypatch):
@@ -321,10 +335,7 @@ class TestAblations:
         }
         saved = json.loads((tmp_path / "exp" / "config.json").read_text())
         assert saved["command"] == "ablate"
-        records = tmp_path / "exp" / "records.jsonl"
-        before = records.read_bytes()
-        assert run_ablations(cfg) == agg  # completed by ablate: a no-op
-        assert records.read_bytes() == before
+        assert run_ablations(cfg) == agg  # a rerun recomputes the same rows
 
 
 class TestSensitivity:

@@ -74,8 +74,8 @@ class TestSampleMvn:
         sigma = base @ base.T + np.diag([0.0, 0.5, 1.0, 2.0])
         mu = rng.normal(size=4) * 3
         for seed in range(5):
-            out = sample_mvn(mu, sigma, count=count, seed=seed, eps_scale=1e-6)
-            factor = regularized_covariance_factor(sigma, 1e-6)
+            out = sample_mvn(mu, sigma, count=count, seed=seed)
+            factor = regularized_covariance_factor(sigma)
             centered = out - out.mean(axis=0)
             np.testing.assert_allclose(out.mean(axis=0), mu, rtol=0, atol=1e-10)
             np.testing.assert_allclose(centered.T @ centered / count,
@@ -116,7 +116,7 @@ class TestRegularizedFactor:
         rng = np.random.default_rng(4)
         base = rng.normal(size=(5, 5))
         sigma = (base + base.T) / 2  # symmetric, generally indefinite
-        factor = regularized_covariance_factor(sigma, eps_scale=1e-6)
+        factor = regularized_covariance_factor(sigma)
         recon = factor @ factor.T
         # PSD check: Cholesky succeeds with a tiny jitter
         np.linalg.cholesky(recon + 1e-12 * np.eye(5))
@@ -128,7 +128,7 @@ class TestRegularizedFactor:
     def test_rank_deficient_ok(self):
         v = np.array([1.0, 2.0, 3.0])
         sigma = np.outer(v, v)  # rank one
-        factor = regularized_covariance_factor(sigma, eps_scale=1e-6)
+        factor = regularized_covariance_factor(sigma)
         recon = factor @ factor.T
         np.testing.assert_allclose(recon, sigma, atol=1e-4)
         np.linalg.cholesky(recon + 1e-10 * np.eye(3))
@@ -237,7 +237,6 @@ def reference_neutral_features(stats, config, labeled_source=None):
     if variant == "mean_cov":
         return sample_mvn(stats.mu_node, stats.sigma_node, n,
                           mode=config.covariance_mode,
-                          eps_scale=1e-6,
                           seed=int(rng.integers(2**32)))
     if variant == "random":
         rows = rng.integers(0, labeled_source.num_nodes, size=n)
