@@ -185,4 +185,7 @@ def _prediction_row(line):
     node_id, label, *probs = line.split(",")
     if node_id == "node_id":
         return None  # the header
-    return int(label), [float(p) for p in probs]
+    probs = [float(p) for p in probs]
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite probability (NaN or inf)")
+    return int(label), probs

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import sys
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .graph import compute_dataset_stats
 from .harness import (
     MODEL_DEFAULTS,
     ProtocolConfig,
-    emit_report,
+    aggregate_records,
     load_dataset_config,
     load_experiment_config,
     read_records,
@@ -46,6 +47,7 @@ from .harness import (
     run_ablations,
     run_experiment,
     run_sensitivity,
+    write_sweep_charts,
 )
 from .metrics import evaluate
 from .models import (
@@ -89,13 +91,21 @@ def keep_heap_resident() -> None:
 
 def main(argv=None) -> int:
     keep_heap_resident()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args) or 0
     except NeubmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+
+
+class FiniteFloat(argparse.Action):
+    """A float flag's action: nan or inf is a config error naming the flag."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not math.isfinite(value):
+            raise ConfigError(f"{option_string} must be a finite number, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 # `gen`'s generator flags: flag -> (SbmConfig field, type, default)
@@ -121,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="canonical dataset directory")
     p.add_argument("--config", help="JSON generator settings, instead of the flags")
     for flag, (field, kind, default) in GEN_FLAGS.items():
-        p.add_argument(flag, dest=field, type=kind, help=f"default {default}")
+        p.add_argument(flag, dest=field, type=kind, help=f"default {default}",
+                       action=FiniteFloat if kind is float else None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("stats", help="print dataset summary")
@@ -134,17 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=ARCHITECTURES,
                    default=MODEL_DEFAULTS["architecture"])
     p.add_argument("--hidden", type=int, default=MODEL_DEFAULTS["hidden_dim"])
-    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--dropout", type=float, action=FiniteFloat,
+                   default=ModelConfig.dropout)
     p.add_argument("--heads", type=int, default=ModelConfig.num_heads)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--lr", type=float, action=FiniteFloat,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, action=FiniteFloat,
+                   default=TrainConfig.weight_decay)
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     # the split flags default to None: they apply to a drawn split only,
     # and ProtocolConfig fills in what is not given
-    p.add_argument("--train-frac", type=float)
-    p.add_argument("--val-frac", type=float)
+    p.add_argument("--train-frac", type=float, action=FiniteFloat)
+    p.add_argument("--val-frac", type=float, action=FiniteFloat)
     p.add_argument("--min-per-class", type=int)
     p.add_argument("--write-masks", action="store_true",
                    help="save the split into the dataset's masks.json")
@@ -160,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default=CalibrationSpec.variant, choices=VARIANTS)
     p.add_argument("--position", default=CalibrationSpec.position,
                    choices=POSITIONS)
-    p.add_argument("--lam", type=float, help="scaling factor (scale variant)")
+    p.add_argument("--lam", type=float, action=FiniteFloat,
+                   help="scaling factor (scale variant)")
     p.add_argument("--neutral-dir", help="reuse a serialized neutral graph")
     # None when not given, so that a conflict with --neutral-dir shows;
     # NeutralConfig fills in what is not given
@@ -359,11 +374,8 @@ def _make_runner(runner):
 def cmd_plot(args) -> int:
     out = Path(args.results)
     records = read_records(out / "records.jsonl")
-    written = emit_report(records, out, formats=("svg",))
-    for path in written.values():
-        print(f"wrote {path}")
-    if not written:
-        print("no sweep data to plot")
+    written = write_sweep_charts(aggregate_records(records), out)
+    print("\n".join(f"wrote {path}" for path in written) or "no sweep data to plot")
     return 0
 
 

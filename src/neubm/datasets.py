@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, read_json, read_lines
-from .graph import Graph, bernoulli_cells
+from .graph import Graph, bernoulli_cells, bernoulli_pairs
 from .metrics import imbalance_ratio
 
 META_KEYS = ("num_nodes", "num_features", "num_classes", "directed")
@@ -245,9 +245,10 @@ def generate_sbm(config: SbmConfig) -> Graph:
 
     Each class-pair block draws its hits with :func:`bernoulli_cells` over
     its rows x cols grid, row-major, so time and memory are O(n + |E|); a
-    diagonal block keeps the hits above its diagonal. Each edge (lo, hi),
-    lo < hi, is packed as the key lo * n + hi, and one sort of all keys
-    leaves the edges canonical.
+    diagonal block keeps the hits above its diagonal
+    (:func:`bernoulli_pairs`). Each edge (lo, hi), lo < hi, is packed as
+    the key lo * n + hi, and one sort of all keys leaves the edges
+    canonical.
     """
     sizes = sbm_class_sizes(config)
     n = config.total_nodes
@@ -260,10 +261,10 @@ def generate_sbm(config: SbmConfig) -> Graph:
         for cj in range(ci, config.num_classes):
             p = config.p_intra if ci == cj else config.p_inter
             rows, cols = int(sizes[ci]), int(sizes[cj])
-            iu, ju = np.divmod(bernoulli_cells(rng, rows * cols, p), cols)
             if ci == cj:
-                upper = iu < ju
-                iu, ju = iu[upper], ju[upper]
+                iu, ju = bernoulli_pairs(rng, rows, p).T
+            else:
+                iu, ju = np.divmod(bernoulli_cells(rng, rows * cols, p), cols)
             key_chunks.append((offsets[ci] + iu) * n + (offsets[cj] + ju))
     keys = np.sort(np.concatenate(key_chunks))
     edges = np.stack(np.divmod(keys, n), axis=1)

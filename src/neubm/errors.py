@@ -15,6 +15,7 @@ DataError.
 """
 
 import json
+import math
 from contextlib import suppress
 from dataclasses import is_dataclass
 from pathlib import Path
@@ -101,8 +102,8 @@ def read_lines(path, what, error, parse) -> list:
 
 def build(name, cls, values, error, file=None):
     """``cls(**values)``, each value checked first against the annotation of
-    its field: a ``float`` takes an int or a float, kept as given; an ``int``
-    an int, never a bool; a ``tuple[X, ...]`` a list of X; an ``np.ndarray``
+    its field: a ``float`` takes an int or a finite float, kept as given; an
+    ``int`` an int, never a bool; a ``tuple[X, ...]`` a list of X; an ``np.ndarray``
     a (nested) list of finite numbers; a dataclass, alone or in a union, a
     mapping, built the same way. Values that are not a mapping, an unknown or
     missing key, a value of the wrong type, or a value ``cls`` rejects raise
@@ -115,8 +116,10 @@ def build(name, cls, values, error, file=None):
     typed = {key: _typed(key, types[key], v, error, file) for key, v in values.items()}
     for key, value in typed.items():
         if value is _WRONG:
+            got = values[key]
+            note = " (not finite)" if isinstance(got, float) and not finite(got) else ""
             raise error(f"section {name!r}: {key!r} must be {_describe(types[key])}, "
-                        f"got {values[key]!r}", file=file)
+                        f"got {got!r}{note}", file=file)
     try:
         return cls(**typed)
     except (TypeError, NeubmError) as exc:
@@ -147,8 +150,17 @@ def _typed(key, tp, value, error, file):
         return build(key, tp, value, error, file)
     elif not isinstance(value, bool) and (
             isinstance(value, tp) or tp is float and isinstance(value, int)):
-        return value
+        if tp is not float or finite(value):
+            return value
     return _WRONG
+
+
+def finite(number) -> bool:
+    """Whether ``number`` is a finite float or an int in float's range, never
+    a bool: JSON's NaN, Infinity, 1e999 and 400-digit ints all parse."""
+    with suppress(TypeError, OverflowError):  # not a number, or past the range
+        return not isinstance(number, bool) and math.isfinite(number)
+    return False
 
 
 def _describe(tp) -> str:

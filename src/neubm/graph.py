@@ -48,6 +48,15 @@ def bernoulli_cells(rng: np.random.Generator, cells: int, p: float) -> np.ndarra
         last = int(hits[-1])
 
 
+def bernoulli_pairs(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Each pair i < j of ``n`` nodes wired with probability ``p``: the hits
+    above the diagonal of :func:`bernoulli_cells` over the n x n grid, as
+    canonical edges (sorted, no duplicates), in O(n + edges) time and memory."""
+    i, j = np.divmod(bernoulli_cells(rng, n * n, p), n)
+    upper = i < j
+    return np.stack([i[upper], j[upper]], axis=1)
+
+
 def canonical_edges(edges) -> np.ndarray:
     """Return edges as an (m, 2) int64 array with u < v, sorted, deduplicated.
 

@@ -36,6 +36,7 @@ from .errors import (
     NeubmError,
     NumericError,
     build,
+    finite,
     read_json,
     read_lines,
 )
@@ -97,6 +98,12 @@ class ProtocolConfig:
                 f"(train_frac={self.train_frac}, val_frac={self.val_frac})")
 
 
+def _check_distinct(name, points) -> None:
+    """Points compare as floats: a repeat would merge into one aggregate cell."""
+    if len({float(p) for p in points}) < len(points):
+        raise ConfigError(f"{name} repeats a point: {list(points)}")
+
+
 @dataclass(frozen=True)
 class NoiseSweep:
     kind: str
@@ -107,6 +114,7 @@ class NoiseSweep:
         # every sweep point, checked before any data is made or model trained
         if not self.levels:
             raise ConfigError("levels must list at least one noise level")
+        _check_distinct("levels", self.levels)
         for level in self.levels:
             NoiseSpec(self.kind, level, self.seed)
 
@@ -132,6 +140,7 @@ class ExperimentConfig:
         dims = {"input_dim": 1, "num_classes": 1}  # the graph's, at run time
         build("model", ModelConfig, {**MODEL_DEFAULTS, **self.model, **dims}, ConfigError)
         # every rho point, checked before any data is made or model trained
+        _check_distinct("rho_sweep", self.rho_sweep or ())
         for rho in self.rho_sweep or ():
             if not isinstance(self.dataset, SbmConfig):
                 raise ConfigError("rho_sweep requires a generated dataset")
@@ -494,101 +503,73 @@ def aggregate_records(records: list[dict]) -> list[dict]:
 # reports
 
 
-def emit_report(
-    records: list[dict],
-    output_dir,
-    config: ExperimentConfig | None = None,
-    formats: tuple[str, ...] = ("json", "csv", "svg"),
-) -> dict[str, Path]:
-    """Write aggregate.json / results.csv / sweep SVG charts.
+def write_run(out: Path, command: str, config: ExperimentConfig,
+              records: list[dict]) -> list[dict]:
+    """Write a run's directory from one aggregation of ``records``:
+    records.jsonl, aggregate.json, results.csv, the sweep charts and
+    config.json. Returns the aggregate rows.
 
-    Byte-deterministic given identical records: no wall-clock values are
-    included (those stay in records.jsonl).
+    Only records.jsonl holds wall-clock values, so identical records give
+    byte-identical reports.
     """
-    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     aggregates = aggregate_records(records)
-    written: dict[str, Path] = {}
+    config_hash = config.config_hash()
 
-    if "json" in formats:
-        payload = {
-            "metadata": {
-                "config_hash": config.config_hash() if config else None,
-                "decisions": RUN_METADATA,
-            },
-            "aggregates": aggregates,
-        }
-        path = out / "aggregate.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        written["json"] = path
+    def write_json(name, payload):
+        (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    if "csv" in formats:
-        path = out / "results.csv"
-        header = [
-            "group", "sweep_variable", "sweep_value", "row_id",
-            "n_runs", "n_completed",
+    (out / "records.jsonl").write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    write_json("aggregate.json", {
+        "metadata": {"config_hash": config_hash, "decisions": RUN_METADATA},
+        "aggregates": aggregates,
+    })
+    header = ["group", "sweep_variable", "sweep_value", "row_id", "n_runs",
+              "n_completed"]
+    header += [f"{f}_{part}" for f in METRIC_FIELDS for part in ("mean", "std", "fmt")]
+    lines = [",".join(header)]
+    for row in aggregates:
+        cells = [
+            str(row["group"]),
+            str(row["sweep_variable"] or ""),
+            "" if row["sweep_value"] is None else f"{row['sweep_value']:g}",
+            str(row["row_id"]),
+            str(row["n_runs"]), str(row["n_completed"]),
         ]
         for fieldname in METRIC_FIELDS:
-            header += [f"{fieldname}_mean", f"{fieldname}_std", f"{fieldname}_fmt"]
-        lines = [",".join(header)]
-        for row in aggregates:
-            cells = [
-                str(row["group"]),
-                str(row["sweep_variable"] or ""),
-                "" if row["sweep_value"] is None else f"{row['sweep_value']:g}",
-                str(row["row_id"]),
-                str(row["n_runs"]), str(row["n_completed"]),
-            ]
-            for fieldname in METRIC_FIELDS:
-                m = row["metrics"][fieldname]
-                if m is None:
-                    cells += ["", "", ""]
-                else:
-                    cells += [
-                        f"{m['mean']:.17g}", f"{m['std']:.17g}",
-                        f"\"{m['formatted']}\"",
-                    ]
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
-        written["csv"] = path
+            m = row["metrics"][fieldname]
+            cells += ["", "", ""] if m is None else [
+                f"{m['mean']:.17g}", f"{m['std']:.17g}", f"\"{m['formatted']}\""]
+        lines.append(",".join(cells))
+    (out / "results.csv").write_text("\n".join(lines) + "\n")
+    write_sweep_charts(aggregates, out)
+    write_json("config.json", {"command": command, "config_hash": config_hash,
+                               "decisions": RUN_METADATA,
+                               "config": config.to_dict()})
+    return aggregates
 
-    if "svg" in formats:
-        from .plotting import line_chart_svg
 
-        sweeps = sorted({
-            row["sweep_variable"] for row in aggregates if row["sweep_variable"]
-        })
-        for sweep_variable in sweeps:
-            rows = [r for r in aggregates if r["sweep_variable"] == sweep_variable]
-            xs = sorted({r["sweep_value"] for r in rows})
-            series: dict[str, list] = {}
-            for row_id in sorted({r["row_id"] for r in rows}):
-                by_x = {
-                    r["sweep_value"]: (
-                        r["metrics"]["f1_macro"]["mean"]
-                        if r["metrics"]["f1_macro"] else None
-                    )
-                    for r in rows if r["row_id"] == row_id
-                }
-                series[row_id] = [by_x.get(x) for x in xs]
-            path = out / f"sweep_{sweep_variable}.svg"
-            line_chart_svg(
-                path, xs, series,
-                title=f"f1_macro vs {sweep_variable}",
-                xlabel=sweep_variable, ylabel="f1_macro",
-            )
-            written[f"svg:{sweep_variable}"] = path
+def write_sweep_charts(aggregates: list[dict], out: Path) -> list[Path]:
+    """Draw sweep_<variable>.svg, f1_macro against the sweep value with one
+    line per row, for each sweep variable of ``aggregates``; byte-identical
+    for identical aggregates. Returns the files written."""
+    from .plotting import line_chart_svg
+
+    written = []
+    for variable in sorted({row["sweep_variable"] for row in aggregates} - {None}):
+        rows = [r for r in aggregates if r["sweep_variable"] == variable]
+        xs = sorted({r["sweep_value"] for r in rows})
+        series = {row_id: [None] * len(xs)
+                  for row_id in sorted({r["row_id"] for r in rows})}
+        for r in rows:
+            f1 = r["metrics"]["f1_macro"]
+            series[r["row_id"]][xs.index(r["sweep_value"])] = f1 and f1["mean"]
+        path = out / f"sweep_{variable}.svg"
+        line_chart_svg(path, xs, series, title=f"f1_macro vs {variable}",
+                       xlabel=variable, ylabel="f1_macro")
+        written.append(path)
     return written
-
-
-def write_records(records: list[dict], output_dir) -> Path:
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "records.jsonl"
-    with path.open("w") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
-    return path
 
 
 def read_records(path) -> list[dict]:
@@ -597,26 +578,21 @@ def read_records(path) -> list[dict]:
 
 def _record(line: str) -> dict:
     """A records.jsonl row; ValueError unless it holds, with their JSON
-    types, the keys that aggregate_records and the sweep charts read."""
+    types, the keys that aggregate_records and the sweep charts read, each
+    number among them finite."""
     r = json.loads(line)
     get = r.get if isinstance(r, dict) else {}.get
     sweep, value = get("sweep_variable", 0), get("sweep_value", "")
     metrics, bias = get("metrics"), get("bias", 0)
     if not (all(type(get(key)) is str for key in ("group", "row_id", "status"))
             and (sweep is value is None or type(sweep) is str
-                 and sweep.isidentifier() and type(value) in (int, float))
+                 and sweep.isidentifier() and finite(value))
             and (get("status") != "ok" or isinstance(metrics, dict)
-                 and all(type(metrics.get(f)) in (int, float) for f in METRIC_FIELDS)
+                 and all(finite(metrics.get(f)) for f in METRIC_FIELDS)
                  and (bias is None or type(getattr(bias, "get", {}.get)(
                      "majority_prob_decreased")) is bool))):
         raise ValueError(f"not a neubm record: {line[:60]}")
     return r
-
-
-def _write_config(config: ExperimentConfig, command: str, out: Path) -> None:
-    payload = {"command": command, "config_hash": config.config_hash(),
-               "decisions": RUN_METADATA, "config": config.to_dict()}
-    (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +612,6 @@ def _run(
     computes and overwrites the output dir; identical configs give
     byte-identical reports.
     """
-    out = resolve_output_dir(config.output_dir)
     config_hash = config.config_hash()
     protocol = config.protocol
     records = []
@@ -655,10 +630,8 @@ def _run(
                     graph, config, rows, run_index, fold_id, fold,
                     sweep_variable, sweep_value, config_hash,
                 ))
-    write_records(records, out)
-    emit_report(records, out, config=config)
-    _write_config(config, command, out)
-    return aggregate_records(records)
+    return write_run(resolve_output_dir(config.output_dir), command, config,
+                     records)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

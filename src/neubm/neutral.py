@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, build, read_json
 from .datasets import load_canonical, save_canonical
-from .graph import DatasetStats, Graph, bernoulli_cells
+from .graph import DatasetStats, Graph, bernoulli_pairs
 from .models import ModelParams, forward_with_operator, prepare_operator
 
 CONSTRUCTION_VARIANTS = ("mean_cov", "random", "class_balanced")
@@ -150,20 +150,6 @@ def train_rows(graph: Graph, rows: np.ndarray) -> Graph:
     )
 
 
-def _bernoulli_pairs(n: int, p: float, seed) -> np.ndarray:
-    """Wire each unordered pair of ``n`` nodes independently with
-    probability ``p``, in time and memory O(n + edges drawn).
-
-    :func:`bernoulli_cells` hits each cell of the n x n grid with
-    probability p by geometric skips; the hits above the diagonal are the
-    edges, so each pair i < j is wired with probability p, independently of
-    the rest. Edges come back canonical: i < j, sorted, no duplicates.
-    """
-    i, j = np.divmod(bernoulli_cells(np.random.default_rng(seed), n * n, p), n)
-    upper = i < j
-    return np.stack([i[upper], j[upper]], axis=1)
-
-
 def construct_neutral(
     stats: DatasetStats,
     config: NeutralConfig,
@@ -179,9 +165,9 @@ def construct_neutral(
     n = int(np.floor(stats.n_bar))
     if n < 1:
         raise ConfigError("neutral graph needs at least one node")
-    edges = _bernoulli_pairs(
-        n, stats.d_bar, np.random.SeedSequence(config.seed).spawn(1)[0]
-    )
+    edges = bernoulli_pairs(
+        np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0]),
+        n, stats.d_bar)
     rng = np.random.default_rng(config.seed)
     # the feature and row draws start where a dense sampler spending one
     # uniform per pair would have left the stream, so they depend on the

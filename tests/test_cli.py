@@ -6,19 +6,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import neubm
 from neubm import cli
+from neubm.calibrate import CalibrationSpec, calibrate, write_predictions_csv
 from neubm.cli import main
-from neubm.datasets import load_canonical
+from neubm.datasets import load_canonical, stored_split
 from neubm.errors import ConfigError, DataError, NeubmError, NumericError
+from neubm.graph import compute_dataset_stats
+from neubm.metrics import evaluate
 from neubm.models import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
     ModelConfig,
     init_params,
+    load_checkpoint,
+    predict_logits,
     save_checkpoint,
+)
+from neubm.neutral import (
+    NeutralConfig,
+    construct_neutral,
+    neutral_logit_vector,
+    train_rows,
 )
 
 
@@ -118,6 +130,41 @@ class TestTrainCalibrateEval:
         }
         assert 0.0 <= payload["f1_macro"] <= 1.0
 
+    def test_eval_mask_all_scores_every_labeled_node(self, dataset_dir, tmp_path):
+        labels_file = dataset_dir / "labels.csv"
+        labels = labels_file.read_text().splitlines()
+        labels[7] = "-1"  # one unlabeled node, which no score may count
+        labels_file.write_text("\n".join(labels) + "\n")
+        graph = load_canonical(dataset_dir)
+        predicted = np.arange(graph.num_nodes) % 3
+        preds, metrics = tmp_path / "preds.csv", tmp_path / "metrics.json"
+        preds.write_text("node_id,predicted_label,prob_0\n" + "".join(
+            f"{node},{label},1.0\n" for node, label in enumerate(predicted)))
+        assert run_cli("eval", "--pred", preds, "--data", dataset_dir,
+                       "--out", metrics, "--mask", "all") == 0
+        labeled = graph.labels >= 0
+        expected = evaluate(predicted[labeled], graph.labels[labeled],
+                            num_classes=graph.num_classes)
+        assert json.loads(metrics.read_text()) == json.loads(expected.to_json())
+
+    def test_calibrate_random_neutral_copies_stored_train_rows(self, dataset_dir,
+                                                                tmp_path):
+        (dataset_dir / "masks.json").write_text(json.dumps(STORED_SPLIT))
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+        save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])), model)
+        assert run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", preds, "--neutral-variant", "random") == 0
+        # the same composition through the library
+        params, graph = load_checkpoint(model), load_canonical(dataset_dir)
+        split = stored_split(dataset_dir, graph.num_nodes)
+        neutral = construct_neutral(
+            compute_dataset_stats(graph), NeutralConfig(construction_variant="random"),
+            labeled_source=train_rows(graph, split.train))
+        out = calibrate(predict_logits(params, graph),
+                        neutral_logit_vector(params, neutral), CalibrationSpec())
+        write_predictions_csv(out, tmp_path / "expected.csv")
+        assert preds.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     def test_calibrate_with_saved_neutral_reproducible(self, dataset_dir, tmp_path):
         model = tmp_path / "model.json"
         run_cli(
@@ -171,11 +218,14 @@ class TestTrainCalibrateEval:
          True),
         (("--min-per-class", 3), "--min-per-class apply", True),
         (("--write-masks",), "--write-masks apply", True),
+        # argparse's float takes nan; a float flag does not
+        (("--train-frac", "nan"), "--train-frac must be a finite number, got nan",
+         False),
     ], ids=["split_leaves_no_test_nodes", "negative_lr", "zero_lr",
             "negative_weight_decay", "drawn_split_empty_test",
             "drawn_split_empty_val", "negative_val_frac",
             "stored_split_with_fractions", "stored_split_with_min_per_class",
-            "stored_split_with_write_masks"])
+            "stored_split_with_write_masks", "nan_train_frac"])
     def test_train_flags_checked_before_training(self, dataset_dir, tmp_path,
                                                  capsys, flags, named, stored):
         # a config error (exit 2) before anything is trained or written;
@@ -203,6 +253,15 @@ class TestTrainCalibrateEval:
         code = run_cli("calibrate", "--model", model, "--data", dataset_dir,
                        "--out", tmp_path / "p.csv", "--variant", "scale")
         assert code == 2  # config error
+
+    def test_scale_variant_rejects_nan_lambda(self, dataset_dir, tmp_path, capsys):
+        model, preds = tmp_path / "model.json", tmp_path / "p.csv"
+        save_checkpoint(init_params(ModelConfig(**CHECKPOINT["model_config"])), model)
+        code = run_cli("calibrate", "--model", model, "--data", dataset_dir,
+                       "--out", preds, "--variant", "scale", "--lam", "nan")
+        assert code == 2  # config error, before anything is written
+        assert "--lam must be a finite number" in capsys.readouterr().err
+        assert not preds.exists()
 
 
 def unlabel_split_node(dataset_dir, name):
@@ -365,6 +424,21 @@ class TestExperimentCommands:
         # a sweep with no points, like an empty rho_sweep, is an error
         ({"noise": {"kind": "feature", "levels": []}},
          ("section 'noise': levels must list at least one", "exp.json")),
+        # JSON's NaN and Infinity parse; a float field takes finite numbers only
+        ({"protocol": {"num_seeds": 1, "k_folds": 1, "train_frac": float("nan"),
+                       "val_frac": 0.15, "min_per_class": 3}},
+         ("section 'protocol': 'train_frac' must be float, got nan", "exp.json")),
+        ({"calibration": [{"variant": "scale", "lambda": float("inf")}]},
+         ("section 'calibration': 'lam' must be float or null, got inf",
+          "exp.json")),
+        ({"dataset": {"num_classes": 3, "total_nodes": 200, "rho": 4,
+                      "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6,
+                      "feature_std": float("nan")}},
+         ("section 'dataset': 'feature_std' must be float, got nan", "exp.json")),
+        # a repeated sweep point would merge into one aggregate cell
+        ({"rho_sweep": [2, 2.0]}, ("rho_sweep repeats a point", "exp.json")),
+        ({"noise": {"kind": "feature", "levels": [0.1, 0.1]}},
+         ("section 'noise': levels repeats a point", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
@@ -382,7 +456,9 @@ class TestExperimentCommands:
             "model_num_classes_derived", "rho_sweep_point_below_one",
             "noise_level_above_one", "noise_kind_unknown",
             "drawn_split_empty_test", "protocol_negative_train_frac",
-            "noise_levels_empty"])
+            "noise_levels_empty", "protocol_nan_train_frac",
+            "calibration_infinite_lambda", "dataset_nan_feature_std",
+            "rho_sweep_repeated_point", "noise_levels_repeated_point"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback, and is rejected before anything runs."""
@@ -456,6 +532,14 @@ class TestExperimentCommands:
         ("calibrate_random", {"test": list(range(0, 200, 2))}, 3, "masks.json]"),
         ("calibrate_random", None, 3, "needs a stored split"),
         ("eval_split", {"test": list(range(0, 200, 2))}, 3, "masks.json]"),
+        # the numbers a report or a score reads must be finite
+        ("plot", json.dumps({**RECORD, "sweep_value": float("nan")}) + "\n", 2,
+         "records.jsonl:1"),
+        ("plot", json.dumps(RECORD) + "\n" + json.dumps(
+            {**RECORD, "metrics": {**RECORD["metrics"], "accuracy": float("inf")}})
+         + "\n", 2, "records.jsonl:2"),
+        ("eval", "node_id,predicted_label,prob_0,prob_1,prob_2\n"
+                 "0,1,0.2,0.5,0.3\n1,1,0.2,nan,0.3\n", 3, "bad.csv:3"),
     ], ids=["gen_unknown_key", "gen_malformed_json", "gen_not_an_object",
             "calibrate_missing_model", "calibrate_non_json_model",
             "plot_without_records", "plot_record_missing_keys",
@@ -472,7 +556,9 @@ class TestExperimentCommands:
             "neutral_deeply_nested", "checkpoint_nan_param",
             "checkpoint_infinite_param", "stored_split_only_test",
             "stored_split_empty_test", "stored_split_only_test_random_neutral",
-            "random_neutral_without_stored_split", "eval_partial_stored_split"])
+            "random_neutral_without_stored_split", "eval_partial_stored_split",
+            "plot_record_nan_sweep_value", "plot_record_infinite_metric",
+            "eval_nan_probability"])
     def test_input_file_errors_exit_code(self, dataset_dir, tmp_path, capsys,
                                          command, content, code, named):
         """A missing or malformed input file exits with its category's code,

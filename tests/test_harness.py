@@ -1,22 +1,24 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neubm.calibrate import CalibrationSpec
-from neubm.datasets import SbmConfig, generate_sbm, stratified_split
+from neubm.datasets import SbmConfig, generate_sbm, save_canonical, stratified_split
 from neubm.errors import ConfigError, NumericError
 from neubm.harness import (
     ExperimentConfig,
     NoiseSweep,
     ProtocolConfig,
     aggregate_records,
-    emit_report,
+    load_dataset_config,
     load_experiment_config,
     read_records,
     run_ablations,
     run_experiment,
     run_sensitivity,
+    write_run,
 )
 from neubm.models import ModelConfig
 from neubm.neutral import NeutralConfig
@@ -88,6 +90,27 @@ class TestRunExperiment:
         assert len(agg) == 1
         assert agg[0]["n_runs"] == 1
         assert agg[0]["metrics"]["f1_macro"]["std"] == 0.0
+
+    def test_canonical_directory_gives_the_generator_aggregates(self, tmp_path):
+        # a generated graph saved as a canonical directory, named by its
+        # path, runs as the generator config it came from
+        generated = small_config(
+            tmp_path, name="generated",
+            dataset=SbmConfig(num_classes=3, total_nodes=120, rho=2, p_intra=0.2,
+                              p_inter=0.02, feature_dim=4, seed=1),
+            train=TrainConfig(max_epochs=10, patience=10, seed=1),
+            protocol=ProtocolConfig(num_seeds=2, k_folds=2, train_frac=0.15,
+                                    val_frac=0.15, min_per_class=3),
+        )
+        save_canonical(generate_sbm(generated.dataset), tmp_path / "data")
+        loaded = replace(generated, dataset=str(tmp_path / "data"),
+                         output_dir=str(tmp_path / "loaded"))
+        assert run_experiment(loaded) == run_experiment(generated)
+        reports = [json.loads((tmp_path / name / "aggregate.json").read_text())
+                   for name in ("generated", "loaded")]
+        for report in reports:  # the hash covers the dataset field as given
+            del report["metadata"]["config_hash"]
+        assert reports[0] == reports[1]
 
     def test_specs_share_training(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -421,10 +444,11 @@ class TestBiasDiagnostics:
 
 class TestEmitReport:
     def test_empty_results_valid_files(self, tmp_path):
-        written = emit_report([], tmp_path / "empty")
-        payload = json.loads(written["json"].read_text())
+        out = tmp_path / "empty"
+        assert write_run(out, "experiment", small_config(tmp_path), []) == []
+        payload = json.loads((out / "aggregate.json").read_text())
         assert payload["aggregates"] == []
-        lines = written["csv"].read_text().splitlines()
+        lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("group,")
 
     def test_training_failure_recorded_not_fatal(self, tmp_path):
@@ -482,6 +506,14 @@ class TestConfigLoading:
     def test_empty_rho_sweep_means_no_sweep(self, empty):
         cfg = load_experiment_config({"dataset": "data", "rho_sweep": empty})
         assert cfg.rho_sweep is None
+
+    def test_nan_rho_rejected_at_load(self):
+        # generating from a NaN rho never returns, so it must never load
+        dataset = {**README_CONFIG["dataset"], "rho": float("nan")}
+        with pytest.raises(ConfigError, match="'rho' must be float, got nan"):
+            load_dataset_config(dataset)
+        with pytest.raises(ConfigError, match="'rho' must be float, got nan"):
+            load_experiment_config({**README_CONFIG, "dataset": dataset})
 
     def test_missing_dataset_rejected(self):
         with pytest.raises(ConfigError):

@@ -8,12 +8,11 @@ from scipy import stats as sps
 
 from neubm.datasets import SbmConfig, generate_sbm
 from neubm.errors import ConfigError, DataError
-from neubm.graph import DatasetStats, Graph, compute_dataset_stats
+from neubm.graph import DatasetStats, Graph, bernoulli_pairs, compute_dataset_stats
 import neubm.neutral as neutral_module
 from neubm.models import ModelConfig, init_params, predict_logits, prepare_operator
 from neubm.neutral import (
     NeutralConfig,
-    _bernoulli_pairs,
     construct_neutral,
     load_neutral,
     neutral_fidelity,
@@ -291,7 +290,7 @@ class TestEdgeSampler:
     @pytest.mark.parametrize("n,p", [(1, 0.5), (2, 0.5), (9, 0.3), (200, 0.05)])
     def test_edges_canonical(self, n, p):
         for seed in range(5):
-            edges = _bernoulli_pairs(n, p, seed)
+            edges = bernoulli_pairs(np.random.default_rng(seed), n, p)
             assert edges.dtype == np.int64 and edges.shape[1] == 2
             assert np.all(edges[:, 0] < edges[:, 1])
             assert np.all(edges >= 0) and np.all(edges < n)
