@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, read_lines
+from .errors import ConfigError, DataError, NumericError, check_finite, read_lines
 from .training import softmax
 
 VARIANTS = ("none", "subtract", "scale", "normalize")
@@ -36,6 +36,8 @@ class CalibrationSpec:
             raise ConfigError(f"unknown calibration position {self.position!r}")
         if (self.lam is not None) != (self.variant == "scale"):
             raise ConfigError("lambda is required iff variant is 'scale'")
+        if self.lam is not None:
+            check_finite(self, "lam")
 
     @property
     def spec_id(self) -> str:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_json, read_lines
+from .errors import ConfigError, DataError, check_finite, read_json, read_lines
 from .graph import Graph, bernoulli_cells, bernoulli_pairs
 from .metrics import imbalance_ratio
 
@@ -169,6 +169,8 @@ class SbmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN passes every range check below, and a NaN rho never generates
+        check_finite(self, "rho", "class_mean_separation", "feature_std")
         if self.num_classes < 1:
             raise ConfigError("need at least one class")
         if self.total_nodes < self.num_classes:

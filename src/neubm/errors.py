@@ -163,6 +163,14 @@ def finite(number) -> bool:
     return False
 
 
+def check_finite(config, *names) -> None:
+    """Raise ConfigError naming the first field of ``names`` whose value in
+    ``config`` is not a finite number."""
+    for name in names:
+        if not finite(value := getattr(config, name)):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
+
+
 def _describe(tp) -> str:
     if get_origin(tp) is tuple:
         return f"a list of {_describe(get_args(tp)[0])}"

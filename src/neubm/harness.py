@@ -36,6 +36,7 @@ from .errors import (
     NeubmError,
     NumericError,
     build,
+    check_finite,
     finite,
     read_json,
     read_lines,
@@ -82,6 +83,7 @@ class ProtocolConfig:
     min_per_class: int = 5
 
     def __post_init__(self):
+        check_finite(self, "train_frac", "val_frac")
         if self.num_seeds < 1 or self.k_folds < 1:
             raise ConfigError("num_seeds and k_folds must be >= 1")
         if min(self.train_frac, self.val_frac) < 0:
@@ -371,7 +373,8 @@ def _run_single(
         neutral = neutral_for(0, variant)
         return neutral_logit_vector(params, neutral), neutral_fidelity(neutral)
 
-    mmd_memo: dict = {}  # MMD per pair of compared sample sets
+    method = (CalibrationSpec("subtract"), config.neutral.construction_variant)
+    method_mmd: dict = {}  # the MMD fields of the method's rows
     records = []
     for row in rows:
         timestamp = _now()
@@ -380,8 +383,10 @@ def _run_single(
             out = calibrate(logits, vec, row.spec)
             metrics = evaluate(out.predicted_labels, test_labels,
                                num_classes=graph.num_classes)
+            is_method = (row.spec, row.neutral_variant) == method
             bias = _bias_diagnostics(logits, uncal_probs, out, vec, test_labels,
-                                     majority, row.spec, mmd_memo)
+                                     majority, row.spec,
+                                     method_mmd if is_method else None)
             records.append(record(
                 row, "ok", train_summary, timestamp,
                 metrics=metrics.to_dict(), bias=bias,
@@ -394,9 +399,11 @@ def _run_single(
 
 
 def _bias_diagnostics(logits, uncal_probs, out, vec, labels, majority, spec,
-                      mmd_memo):
+                      mmd):
     """The ``bias`` fields of one record; every array holds the test rows
-    only, ``labels`` their true classes."""
+    only, ``labels`` their true classes. ``mmd`` is None but on the
+    method's rows, which share one output and so one dict of MMD fields:
+    the first to succeed fills it, the rest copy it."""
     bias = check_bias_reduction(uncal_probs, out.probabilities, majority, vec,
                                 logits_before=logits,
                                 logits_after=out.corrected_logits)
@@ -405,22 +412,19 @@ def _bias_diagnostics(logits, uncal_probs, out, vec, labels, majority, spec,
         # ordering means the implementation broke; other variants add
         # data-dependent terms and carry no such guarantee
         raise NumericError("per-class shift ordering violated")
-    if spec.variant != "none":
-        bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels,
-                                    mmd_memo))
+    if mmd is not None:
+        if not mmd:
+            mmd.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels))
+        bias.update(mmd)
     return bias
 
 
-def _mmd_diagnostic(probs_before, probs_after, labels, memo):
+def _mmd_diagnostic(probs_before, probs_after, labels):
     """Exploratory: probability-space distance between the two largest test
-    classes, before/after calibration. Not an invariant. The probability
-    rows are the test rows, ``labels`` their true classes.
-
-    The rows of one (seed, fold) share `memo`, keyed by the bytes of the
-    two compared sample sets: the pre-calibration distance, and every row
-    whose probabilities equal another's bit for bit (scale(1) and
-    subtraction, say), is computed once. A failed computation stores
-    nothing, so every later row with the same samples fails the same way.
+    classes, before/after calibration. Not an invariant, and read by no
+    report, so only the method's rows (subtraction at the logits against
+    the configured neutral variant) carry it. The probability rows are the
+    test rows, ``labels`` their true classes.
     """
     counts = np.bincount(labels[labels >= 0])
     top = np.argsort(counts)[::-1]
@@ -428,15 +432,8 @@ def _mmd_diagnostic(probs_before, probs_after, labels, memo):
         return {}
     c1, c2 = int(top[0]), int(top[1])
 
-    def rows(probs, c):
-        return probs[labels == c][:MMD_DIAG_MAX_ROWS]
-
     def mmd(probs):
-        x, y = rows(probs, c1), rows(probs, c2)
-        key = (x.tobytes(), y.tobytes())
-        if key not in memo:
-            memo[key] = mmd_rbf(x, y)
-        return memo[key]
+        return mmd_rbf(*(probs[labels == c][:MMD_DIAG_MAX_ROWS] for c in (c1, c2)))
 
     return {
         "mmd_classes": [c1, c2],

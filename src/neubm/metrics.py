@@ -87,18 +87,23 @@ def check_classes(name: str, labels: np.ndarray, num_classes: int) -> None:
 
 
 def class_scores(counts: np.ndarray):
-    """Per-class (precision, recall, F1) vectors of a confusion count matrix."""
-    if counts.sum() == 0:
+    """Per-class (precision, recall, F1) vectors of a confusion count
+    matrix: the one F1 formula. Python floats, class by class, since
+    numpy's per-call cost dominates a handful of classes; each score takes
+    the float64 operations of the vectorised form, in the same order."""
+    rows = counts.tolist()
+    support = [sum(row) for row in rows]
+    if sum(support) == 0:
         raise DataError("metrics undefined for an empty confusion matrix")
-    tp = np.diag(counts).astype(np.float64)
-    support = counts.sum(axis=1).astype(np.float64)
-    predicted = counts.sum(axis=0).astype(np.float64)
-    zeros = np.zeros_like(tp)
-    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
-    recall = np.divide(tp, support, out=zeros.copy(), where=support > 0)
-    denom = precision + recall
-    f1 = np.divide(2 * precision * recall, denom, out=zeros, where=denom > 0)
-    return precision, recall, f1
+    precision, recall, f1 = [], [], []
+    for c, predicted in enumerate(map(sum, zip(*rows))):
+        tp = float(rows[c][c])
+        p = tp / float(predicted) if predicted > 0 else 0.0
+        r = tp / float(support[c]) if support[c] > 0 else 0.0
+        precision.append(p)
+        recall.append(r)
+        f1.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
+    return np.array(precision), np.array(recall), np.array(f1)
 
 
 def f1_scores(counts: np.ndarray, rho: float = float("nan")) -> MetricsReport:

@@ -17,7 +17,7 @@ the explicit dropout seed, so training trajectories are bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,12 +163,15 @@ class Operator:
     (GCN: A_hat . X; GAT: X), so the operator carries its graph's features.
     The output layer runs on the CSR rows ``rows`` of ``adj``, held as
     ``row_adj``. The full operator has every row: ``row_adj`` is ``adj``.
+    ``cache`` holds a GCN row view's ``row_adj`` transpose as a CSR, stored
+    by its first backward (see :func:`_row_adj_t`).
     """
 
     adj: sp.csr_matrix
     x: np.ndarray
     rows: np.ndarray | slice
     row_adj: sp.csr_matrix
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def prepare_operator(graph: Graph, config: ModelConfig) -> Operator:
@@ -211,10 +214,22 @@ def _gcn_pass(params, operator, mode, dropout_seed, hidden):
     return logits, (z1, gate, h1)
 
 
+def _row_adj_t(operator):
+    """row_adj^T for the GCN backward. ``row_adj.T`` wraps row_adj as a new
+    CSC object on every call, so a row view stores the transpose as a CSR
+    on first use; the product is bit-identical. The full operator's is that
+    CSC wrapper of adj, so it holds no second copy of the graph."""
+    if isinstance(operator.rows, slice):
+        return operator.row_adj.T
+    if "row_adj_t" not in operator.cache:
+        operator.cache["row_adj_t"] = operator.row_adj.T.tocsr()
+    return operator.cache["row_adj_t"]
+
+
 def _gcn_backward(params, operator, dlogits, cache):
     w0, w1 = params.arrays
     z1, gate, h1 = cache
-    adl = operator.row_adj.T @ dlogits
+    adl = _row_adj_t(operator) @ dlogits
     dw1 = h1.T @ adl
     dz1 = _gate_grad(adl @ w1.T, z1, gate)
     dw0 = operator.x.T @ dz1

@@ -30,6 +30,11 @@ class TestSpec:
         with pytest.raises(ConfigError):
             CalibrationSpec("subtract", lam=1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="lam must be a finite number"):
+            CalibrationSpec("scale", lam=lam)
+
     def test_spec_ids(self):
         assert SUBTRACT.spec_id == "subtract@logits"
         assert CalibrationSpec("scale", "post_softmax", lam=0.5).spec_id == (

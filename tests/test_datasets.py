@@ -264,6 +264,17 @@ class TestSbm:
             SbmConfig(num_classes=2, total_nodes=10, rho=2, p_intra=0.1,
                       p_inter=0.5, feature_dim=2)
 
+    # a NaN passes every range check, and generate_sbm never returns on a
+    # NaN rho, so each is rejected when the config is built
+    @pytest.mark.parametrize("field", ["rho", "feature_std",
+                                       "class_mean_separation"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            SbmConfig(**{"num_classes": 2, "total_nodes": 10, "rho": 2,
+                         "p_intra": 0.5, "p_inter": 0.1, "feature_dim": 2,
+                         field: value})
+
 
 def test_sbm_pair_inclusion_chi_square():
     # classes of 8 and 4 nodes: each of the 66 pairs is wired in

@@ -483,6 +483,13 @@ class TestEmitReport:
 
 
 class TestConfigLoading:
+    @pytest.mark.parametrize("field", ["train_frac", "val_frac"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fraction_rejected(self, field, value):
+        # NaN passes the range checks, so it is rejected on its own
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            ProtocolConfig(**{field: value})
+
     def test_json_round_trip(self, tmp_path):
         payload = {
             "dataset": {"num_classes": 3, "total_nodes": 120, "rho": 2,
@@ -658,10 +665,19 @@ class TestRunRecords:
         graph = generate_sbm(cfg.dataset)
         return cfg, graph, stratified_split(graph, 0.15, 0.15, 3, seed=0)
 
+    @staticmethod
+    def _method_flags(cfg, rows):
+        """Whether each row calibrates as the method does: subtraction at
+        the logits against the configured neutral variant."""
+        variant = cfg.neutral.construction_variant
+        return [r.spec == CalibrationSpec("subtract") and r.neutral_variant == variant
+                for r in rows]
+
     def test_mmd_computed_once_per_distinct_samples(self, tmp_path, monkeypatch):
-        # the rows of one (seed, fold) share a memo keyed by the compared
-        # samples: one mmd_rbf call per distinct pair of sample sets, and
-        # every reported value equals a direct call on that row's samples
+        # only the method's rows carry the MMD diagnostic; they share one
+        # output, so a (seed, fold) makes one mmd_rbf call before
+        # calibration and one after, and every reported value equals a
+        # direct call on that row's samples
         import neubm.harness as harness
         from neubm.metrics import mmd_rbf
         from neubm.training import softmax
@@ -673,6 +689,10 @@ class TestRunRecords:
         _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
         _spy(monkeypatch, harness, "predict_logits", logits_seen)
         _spy(monkeypatch, harness, "calibrate", outputs)
+        rows = harness.ablation_rows()
+        is_method = self._method_flags(cfg, rows)
+        assert [r.row_id for r, m in zip(rows, is_method) if m] == [
+            "cal=subtract", "neutral=mean_cov", "pos=logits"]
 
         def key(pair):
             return tuple(a.tobytes() for a in pair)
@@ -680,16 +700,15 @@ class TestRunRecords:
         for run_index in (0, 1):
             mmd_calls.clear()
             outputs.clear()
-            records = harness._run_single(graph, cfg, harness.ablation_rows(),
-                                          run_index, 0, fold, None, None, "h")
+            records = harness._run_single(graph, cfg, rows, run_index, 0, fold,
+                                          None, None, "h")
             assert all(r["status"] == "ok" for r in records)
-            assert all("mmd_prob_before" not in r["bias"]
-                       for r in records if r["spec"]["variant"] == "none")
-            calibrated = [(r, out) for r, (_, out) in zip(records, outputs)
-                          if r["spec"]["variant"] != "none"]
-            assert 0 < len(calibrated) < len(records)
+            for r, m in zip(records, is_method):
+                assert m == any(k.startswith("mmd_") for k in r["bias"]), r["row_id"]
+            method = [(r, out) for r, (_, out), m in zip(records, outputs, is_method)
+                      if m]
 
-            (c1, c2), = {tuple(r["bias"]["mmd_classes"]) for r, _ in calibrated}
+            (c1, c2), = {tuple(r["bias"]["mmd_classes"]) for r, _ in method}
             assert counts[c1] >= counts[c2] >= np.delete(counts, [c1, c2]).max()
 
             def samples(probs):  # probabilities of the test rows
@@ -697,15 +716,39 @@ class TestRunRecords:
                         for c in (c1, c2)]
 
             before = samples(softmax(logits_seen[-1][1][fold.test]))
-            distinct = {key(before)}
-            for r, out in calibrated:
+            afters = {key(samples(out.probabilities)) for _, out in method}
+            assert len(afters) == 1  # the method's rows share one output
+            for r, out in method:
                 after = samples(out.probabilities)
-                distinct.add(key(after))
                 assert r["bias"]["mmd_prob_before"] == mmd_rbf(*before)
                 assert r["bias"]["mmd_prob_after"] == mmd_rbf(*after)
-            assert sorted(key(args) for args, _ in mmd_calls) == sorted(distinct)
-            # cal=scale(1) and neutral=none repeat other rows' probabilities
-            assert len(mmd_calls) < 1 + len(calibrated)
+            assert [key(args) for args, _ in mmd_calls] == [key(before), *afters]
+
+    def test_default_rows_keep_mmd_on_the_subtract_row(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        mmd_calls = []
+        _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
+        none, subtract = harness._run_single(graph, cfg, harness.default_rows(cfg),
+                                             0, 0, fold, None, None, "h")
+        assert not any(k.startswith("mmd_") for k in none["bias"])
+        assert {"mmd_classes", "mmd_prob_before", "mmd_prob_after"} <= set(
+            subtract["bias"])
+        assert len(mmd_calls) == 2
+
+    def test_method_rows_follow_the_configured_variant(self, tmp_path, monkeypatch):
+        import neubm.harness as harness
+
+        cfg, graph, fold = self._graph_and_fold(tmp_path)
+        cfg = replace(cfg, neutral=NeutralConfig(construction_variant="random"))
+        mmd_calls = []
+        _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
+        records = harness._run_single(graph, cfg, harness.ablation_rows(),
+                                      0, 0, fold, None, None, "h")
+        assert [r["row_id"] for r in records
+                if r["bias"] and "mmd_prob_after" in r["bias"]] == ["neutral=random"]
+        assert len(mmd_calls) == 2
 
     def test_no_mmd_when_every_row_is_uncalibrated(self, tmp_path, monkeypatch):
         import neubm.harness as harness
@@ -732,13 +775,17 @@ class TestRunRecords:
             return original(*args)
 
         monkeypatch.setattr(harness, "mmd_rbf", fails_first)
-        records = harness._run_single(graph, cfg, harness.ablation_rows(),
-                                      0, 0, fold, None, None, "h")
-        calibrated = [r for r in records if r["spec"]["variant"] != "none"]
-        assert calibrated[0]["status"] == "failed"
-        assert "NumericError" in calibrated[0]["error"]
-        assert all(r["status"] == "ok" for r in calibrated[1:])
-        assert all("mmd_prob_before" in r["bias"] for r in calibrated[1:])
+        rows = harness.ablation_rows()
+        records = harness._run_single(graph, cfg, rows, 0, 0, fold, None, None, "h")
+        is_method = self._method_flags(cfg, rows)
+        method = [r for r, m in zip(records, is_method) if m]
+        assert method[0]["status"] == "failed"
+        assert "NumericError" in method[0]["error"]
+        assert all(r["status"] == "ok" for r in method[1:])
+        assert all("mmd_prob_before" in r["bias"] for r in method[1:])
+        others = [r for r, m in zip(records, is_method) if not m]
+        assert all(r["status"] == "ok" for r in others)
+        assert not any("mmd_prob_before" in r["bias"] for r in others)
 
     def test_train_summary_reports_curves(self, tmp_path, monkeypatch):
         import neubm.harness as harness

@@ -4,11 +4,14 @@ The ``former_*`` functions are the kernels as they were before each array
 was held once: every edge-sized step (scores, LeakyReLU, shift, exp,
 normalisation) in a fresh array, a float slope per entry in the cache, two
 copies of A_alpha in the backward, each layer-1 head's output concatenated
-into a second z1, and a fresh dz1. The rewritten kernels must match them
-bit for bit, zero signs included.
+into a second z1, and a fresh dz1; and the GCN backward that took
+row_adj.T, a new CSC wrapper, every step where a row view now stores its
+transpose as a CSR. The rewritten kernels must match them bit for bit,
+zero signs included.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from neubm.models import (
     prepare_operator,
     row_view,
 )
-from neubm.training import loss_and_gradients
+from neubm.training import TrainConfig, loss_and_gradients, train
 
 
 def former_gate_grad(dh1, z1, gate):
@@ -330,6 +333,52 @@ def test_gcn_backward_matches_former_gate_grad(n, p, rows, mode, seed):
     for got, want in zip(grads, former_gcn_backward(params, operator, dlogits,
                                                     cache)):
         assert_bits_equal(got, want)
+
+
+@pytest.mark.parametrize("graph", ["random", "criterion-5"])
+def test_gcn_training_matches_former_backward(graph, monkeypatch):
+    # train() through row views that store their transpose, against a run
+    # whose backward multiplies by row_adj.T every step: the same
+    # parameters bit for bit and the same report but its wall time
+    import neubm.models as models
+    import neubm.training as training
+
+    if graph == "random":
+        g = small_graph(np.random.default_rng(3), 60, 4, 0.1)
+        cfg = ModelConfig("gcn", input_dim=4, hidden_dim=8, num_classes=3,
+                          dropout=0.5, seed=1)
+        split = stratified_split(g, 0.2, 0.2, 2, seed=0)
+    else:
+        g = criterion_5_graph()
+        cfg = ModelConfig("gcn", input_dim=16, hidden_dim=32, num_classes=5,
+                          dropout=0.5, seed=17)
+        split = stratified_split(g, 0.1, 0.1, 5, seed=0)
+    train_config = TrainConfig(learning_rate=0.01, max_epochs=60, patience=60,
+                               seed=29)
+    views = []
+
+    def recording_row_view(operator, rows):
+        views.append(row_view(operator, rows))
+        return views[-1]
+
+    monkeypatch.setattr(training, "row_view", recording_row_view)
+    params, report = train(g, split, cfg, train_config)
+    train_view, val_view = views
+    assert list(train_view.cache) == ["row_adj_t"] and val_view.cache == {}
+
+    former_steps = []
+
+    def counting_former_backward(*args):
+        former_steps.append(args[1])
+        return former_gcn_backward(*args)
+
+    monkeypatch.setattr(models, "_gcn_backward", counting_former_backward)
+    want_params, want_report = train(g, split, cfg, train_config)
+    assert len(former_steps) == report.epochs_run == 60
+    for got, want in zip(params.arrays, want_params.arrays):
+        assert_bits_equal(got, want)
+    assert (replace(report, wall_time_seconds=0.0)
+            == replace(want_report, wall_time_seconds=0.0))
 
 
 @settings(max_examples=200, deadline=None)

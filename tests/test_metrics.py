@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from neubm.errors import DataError, NumericError
 from neubm.metrics import (
+    class_scores,
     confusion,
     evaluate,
     f1_scores,
@@ -185,6 +186,62 @@ class TestF1:
         assert {"class", "precision", "recall", "f1", "support"} == set(
             d["per_class"][0].keys()
         )
+
+
+def former_class_scores(counts):
+    """class_scores as it was, in numpy vector arithmetic."""
+    if counts.sum() == 0:
+        raise DataError("metrics undefined for an empty confusion matrix")
+    tp = np.diag(counts).astype(np.float64)
+    support = counts.sum(axis=1).astype(np.float64)
+    predicted = counts.sum(axis=0).astype(np.float64)
+    zeros = np.zeros_like(tp)
+    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
+    recall = np.divide(tp, support, out=zeros.copy(), where=support > 0)
+    denom = precision + recall
+    f1 = np.divide(2 * precision * recall, denom, out=zeros, where=denom > 0)
+    return precision, recall, f1
+
+
+@st.composite
+def count_matrices(draw):
+    """A C x C count matrix, C in 1..12: dense small counts, mostly-zero
+    counts up to 10^9, or a single nonzero cell; then some rows (true
+    classes without support) and columns (classes never predicted)
+    emptied. May come out all zero."""
+    c = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["dense", "sparse", "single"]))
+    if kind == "single":
+        counts = np.zeros((c, c), dtype=np.int64)
+        cell = draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1))
+        counts[cell] = draw(st.integers(1, 10**9))
+        return counts
+    cell = (st.integers(0, 40) if kind == "dense"
+            else st.sampled_from([0, 0, 0, 0, 1, 3, 10**9]))
+    counts = np.array(draw(st.lists(cell, min_size=c * c, max_size=c * c)),
+                      dtype=np.int64).reshape(c, c)
+    counts[sorted(draw(st.sets(st.integers(0, c - 1), max_size=c)))] = 0
+    counts[:, sorted(draw(st.sets(st.integers(0, c - 1), max_size=c)))] = 0
+    return counts
+
+
+@settings(max_examples=400, deadline=None)
+@given(count_matrices())
+@example(np.zeros((3, 3), dtype=np.int64))
+@example(np.array([[0, 5], [0, 0]]))  # class 0 never predicted, 1 unsupported
+def test_class_scores_matches_former_vectorised_body(counts):
+    if counts.sum() == 0:
+        for scores in (class_scores, former_class_scores):
+            with pytest.raises(DataError, match="empty confusion matrix"):
+                scores(counts)
+        return
+    got, want = class_scores(counts), former_class_scores(counts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64 and g.shape == w.shape
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+    # train() selects on f1.mean(), numpy's sum of the vector
+    assert got[2].mean().tobytes() == want[2].mean().tobytes()
 
 
 class TestImbalanceRatio:

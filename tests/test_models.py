@@ -21,6 +21,7 @@ from neubm.models import (
     _attention_layer,
     _dropout_mask,
     _first_row_max,
+    _row_adj_t,
     _slopes,
     backward_with_operator,
     forward_with_operator,
@@ -571,6 +572,7 @@ def test_transposed_row_product_matches_a_stored_transpose(graph):
         ))
     cfg = ModelConfig("gcn", input_dim=g.features.shape[1], hidden_dim=8,
                       num_classes=5)
+    params = init_params(cfg)
     operator = prepare_operator(g, cfg)
     split = stratified_split(g, 0.1, 0.1, 1, seed=0)
     views = [row_view(operator, rows) for rows in (split.train, split.val)]
@@ -579,11 +581,38 @@ def test_transposed_row_product_matches_a_stored_transpose(graph):
         d[rng.random(d.shape) < 0.2] = -0.0
         got = op.row_adj.T @ d
         wants = [op.row_adj.T.tocsr() @ d]
+        # a backward makes a view store its transpose, which later ones read
+        logits, cache = forward_with_operator(params, op, mode="train")
+        backward_with_operator(params, op, np.ones_like(logits), cache)
         if op is operator:
             wants.append(operator.adj @ d)
+            assert op.cache == {}
+        else:
+            stored = op.cache["row_adj_t"]
+            assert sp.isspmatrix_csr(stored) and _row_adj_t(op) is stored
+            wants.append(stored @ d)
         for want in wants:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("architecture", ["gcn", "gat"])
+def test_only_gcn_row_views_store_a_transpose(architecture):
+    # a forward and backward through the full operator and through a row
+    # view add no array to either, but the transpose of a GCN view
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, n=30, d=4, p=0.2, num_classes=3)
+    cfg = ModelConfig(architecture, input_dim=4, hidden_dim=6, num_classes=3)
+    params = init_params(cfg)
+    operator = prepare_operator(g, cfg)
+    view = row_view(operator, np.arange(0, 30, 3))
+    fields = {name: id(value) for name, value in vars(operator).items()}
+    for op in (operator, view):
+        logits, cache = forward_with_operator(params, op, mode="train")
+        backward_with_operator(params, op, np.ones_like(logits), cache)
+    assert {name: id(value) for name, value in vars(operator).items()} == fields
+    assert operator.cache == {}
+    assert list(view.cache) == (["row_adj_t"] if architecture == "gcn" else [])
 
 
 class TestCheckpoint:
