@@ -141,6 +141,10 @@ class ExperimentConfig:
             raise ConfigError(f"model keys {keys} come from the graph and train.seed")
         dims = {"input_dim": 1, "num_classes": 1}  # the graph's, at run time
         build("model", ModelConfig, {**MODEL_DEFAULTS, **self.model, **dims}, ConfigError)
+        # a repeated id would merge into one aggregate cell
+        ids = [s.spec_id for s in self.calibration]
+        if repeated := sorted({i for i in ids if ids.count(i) > 1}):
+            raise ConfigError(f"calibration repeats spec ids {repeated}")
         # every rho point, checked before any data is made or model trained
         _check_distinct("rho_sweep", self.rho_sweep or ())
         for rho in self.rho_sweep or ():
@@ -300,8 +304,8 @@ def _run_single(
     sweep_value,
     config_hash: str,
 ) -> list[dict]:
-    """Train one model for (run, fold) and evaluate every row post hoc; one
-    records.jsonl row per row."""
+    """Train one model for (run, fold) and evaluate each distinct calibration
+    of its rows post hoc, once; one records.jsonl row per row."""
     base_seed = config.train.seed
     run_seed = base_seed + run_index + 1000 * fold_id
     model_config = _resolve_model_config(config, graph, seed=run_seed + 17)
@@ -374,49 +378,40 @@ def _run_single(
         return neutral_logit_vector(params, neutral), neutral_fidelity(neutral)
 
     method = (CalibrationSpec("subtract"), config.neutral.construction_variant)
-    method_mmd: dict = {}  # the MMD fields of the method's rows
+
+    @lru_cache(maxsize=None)
+    def outcome(spec, variant):
+        """(metrics, bias, fidelity) of one calibration; the rows that share
+        a (spec, reference) label this one outcome. A raised error is not
+        kept, so each of its rows fails, and retries, on its own."""
+        vec, fidelity = reference_for(variant)
+        out = calibrate(logits, vec, spec)
+        metrics = evaluate(out.predicted_labels, test_labels,
+                           num_classes=graph.num_classes)
+        bias = check_bias_reduction(uncal_probs, out.probabilities, majority, vec,
+                                    logits_before=logits,
+                                    logits_after=out.corrected_logits)
+        if bias["min_shift_exceeds_maj"] is False and spec.variant == "subtract":
+            # corrected = L - v makes delta = -v, so for subtraction a violated
+            # ordering means the implementation broke; other variants add
+            # data-dependent terms and carry no such guarantee
+            raise NumericError("per-class shift ordering violated")
+        if (spec, variant) == method:
+            bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, test_labels))
+        return metrics.to_dict(), bias, fidelity
+
     records = []
     for row in rows:
         timestamp = _now()
         try:
-            vec, fidelity = reference_for(row.neutral_variant)
-            out = calibrate(logits, vec, row.spec)
-            metrics = evaluate(out.predicted_labels, test_labels,
-                               num_classes=graph.num_classes)
-            is_method = (row.spec, row.neutral_variant) == method
-            bias = _bias_diagnostics(logits, uncal_probs, out, vec, test_labels,
-                                     majority, row.spec,
-                                     method_mmd if is_method else None)
-            records.append(record(
-                row, "ok", train_summary, timestamp,
-                metrics=metrics.to_dict(), bias=bias,
-                neutral_fidelity=fidelity,
-            ))
+            metrics, bias, fidelity = outcome(row.spec, row.neutral_variant)
+            records.append(record(row, "ok", train_summary, timestamp,
+                                  metrics=metrics, bias=bias,
+                                  neutral_fidelity=fidelity))
         except NeubmError as exc:
             records.append(record(row, "failed", train_summary, timestamp,
                                   error=f"{type(exc).__name__}: {exc}"))
     return records
-
-
-def _bias_diagnostics(logits, uncal_probs, out, vec, labels, majority, spec,
-                      mmd):
-    """The ``bias`` fields of one record; every array holds the test rows
-    only, ``labels`` their true classes. ``mmd`` is None but on the
-    method's rows, which share one output and so one dict of MMD fields:
-    the first to succeed fills it, the rest copy it."""
-    bias = check_bias_reduction(uncal_probs, out.probabilities, majority, vec,
-                                logits_before=logits,
-                                logits_after=out.corrected_logits)
-    if bias["min_shift_exceeds_maj"] is False and spec.variant == "subtract":
-        # corrected = L - v makes delta = -v, so for subtraction a violated
-        # ordering means the implementation broke; other variants add
-        # data-dependent terms and carry no such guarantee
-        raise NumericError("per-class shift ordering violated")
-    if mmd is not None:
-        if not mmd:
-            mmd.update(_mmd_diagnostic(uncal_probs, out.probabilities, labels))
-        bias.update(mmd)
-    return bias
 
 
 def _mmd_diagnostic(probs_before, probs_after, labels):

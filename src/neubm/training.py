@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_finite
 from .graph import Graph
 from .metrics import check_classes, class_scores
 from .models import (
@@ -38,6 +38,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "learning_rate", "weight_decay")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if not self.weight_decay >= 0:

@@ -439,6 +439,9 @@ class TestExperimentCommands:
         ({"rho_sweep": [2, 2.0]}, ("rho_sweep repeats a point", "exp.json")),
         ({"noise": {"kind": "feature", "levels": [0.1, 0.1]}},
          ("section 'noise': levels repeats a point", "exp.json")),
+        # so would a repeated calibration spec id
+        ({"calibration": [{"variant": "subtract"}, {"variant": "subtract"}]},
+         ("calibration repeats spec ids ['subtract@logits']", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
@@ -458,7 +461,8 @@ class TestExperimentCommands:
             "drawn_split_empty_test", "protocol_negative_train_frac",
             "noise_levels_empty", "protocol_nan_train_frac",
             "calibration_infinite_lambda", "dataset_nan_feature_std",
-            "rho_sweep_repeated_point", "noise_levels_repeated_point"])
+            "rho_sweep_repeated_point", "noise_levels_repeated_point",
+            "calibration_repeated_spec_id"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback, and is rejected before anything runs."""

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -327,10 +328,19 @@ class TestRunExperiment:
 
 
 class TestAblations:
-    def test_rows_and_identities(self, tmp_path):
-        cfg = small_config(tmp_path, name="abl")
+    @pytest.mark.parametrize("architecture", ["gcn", "gat"])
+    def test_rows_and_identities(self, tmp_path, architecture):
+        cfg = small_config(tmp_path, name="abl",
+                           model={"architecture": architecture, "hidden_dim": 12,
+                                  "dropout": 0.2})
         agg = run_ablations(cfg)
         by_id = {(r["group"], r["row_id"]): r for r in agg}
+        # three labels of one calibration: subtract@logits against mean_cov
+        cells = [{k: v for k, v in by_id[key].items() if k not in ("group", "row_id")}
+                 for key in (("calibration_variant", "cal=subtract"),
+                             ("neutral_construction", "neutral=mean_cov"),
+                             ("position", "pos=logits"))]
+        assert cells[0] == cells[1] == cells[2]
         # lambda grid: 5 labeled rows; lambda=1 equals subtract exactly
         lam_rows = [k for k in by_id if k[1].startswith("cal=scale(")]
         assert len(lam_rows) == 5
@@ -414,32 +424,30 @@ class TestSensitivity:
 
 
 class TestBiasDiagnostics:
-    def test_ordering_violation_fatal_only_for_subtract(self):
-        # normalize rescales by 1/std(vec), so its per-class shift picks up a
-        # data-dependent term and may legitimately violate the ordering; the
-        # harness must record that, not fail the row
-        from neubm.calibrate import calibrate
-        from neubm.harness import _bias_diagnostics
-        from neubm.training import softmax
+    def test_ordering_violation_fatal_only_for_subtract(self, tmp_path, monkeypatch):
+        # normalize rescales by 1/std(vec) and scale by lambda, so their
+        # per-class shifts pick up data-dependent terms and may legitimately
+        # violate the ordering; subtraction guarantees it, so there a
+        # violation fails the row
+        import neubm.harness as harness
 
-        rng = np.random.default_rng(0)
-        logits = np.array([[5.0, 0.0]]) + 0.01 * rng.normal(size=(40, 2))
-        vec = np.array([1.0, 0.0])
-        labels = rng.integers(0, 2, size=40)
-
-        spec = CalibrationSpec("normalize")
-        out = calibrate(logits, vec, spec)
-        bias = _bias_diagnostics(
-            logits, softmax(logits), out, vec, labels, 0, spec, {}
-        )
-        assert bias["min_shift_exceeds_maj"] is False  # informational only
-
-        spec = CalibrationSpec("subtract")
-        out = calibrate(logits, vec, spec)
-        bias = _bias_diagnostics(
-            logits, softmax(logits), out, vec, labels, 0, spec, {}
-        )
-        assert bias["min_shift_exceeds_maj"] is True  # guaranteed by algebra
+        cfg = small_config(tmp_path)
+        graph = generate_sbm(cfg.dataset)
+        fold = stratified_split(graph, 0.15, 0.15, 3, seed=0)
+        check = harness.check_bias_reduction
+        monkeypatch.setattr(harness, "check_bias_reduction", lambda *a, **kw: {
+            **check(*a, **kw), "min_shift_exceeds_maj": False})
+        rows = harness.ablation_rows()
+        records = harness._run_single(graph, cfg, rows, 0, 0, fold, None, None, "h")
+        for row, r in zip(rows, records):
+            if row.spec.variant == "subtract":
+                assert r["status"] == "failed", row.row_id
+                assert r["error"] == "NumericError: per-class shift ordering violated"
+            else:
+                assert r["status"] == "ok", row.row_id
+                assert r["bias"]["min_shift_exceeds_maj"] is False  # informational
+        assert {row.spec.variant for row in rows} == {
+            "none", "subtract", "normalize", "scale"}
 
 
 class TestEmitReport:
@@ -489,6 +497,18 @@ class TestConfigLoading:
         # NaN passes the range checks, so it is rejected on its own
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             ProtocolConfig(**{field: value})
+
+    # two specs with one id would merge into one aggregate cell; scale
+    # lambdas 1 and 1.0000001 both print as scale(1)
+    @pytest.mark.parametrize("specs, spec_id", [
+        ([{"variant": "subtract"}, {"variant": "subtract"}], "subtract@logits"),
+        ([{"variant": "none"}, {"variant": "scale", "lambda": 1},
+          {"variant": "scale", "lambda": 1.0000001}], "scale(1)@logits"),
+    ], ids=["same_spec", "same_printed_lambda"])
+    def test_repeated_spec_id_rejected(self, specs, spec_id):
+        raw = {"dataset": README_CONFIG["dataset"], "calibration": specs}
+        with pytest.raises(ConfigError, match=re.escape(repr([spec_id]))):
+            load_experiment_config(raw)
 
     def test_json_round_trip(self, tmp_path):
         payload = {
@@ -674,10 +694,11 @@ class TestRunRecords:
                 for r in rows]
 
     def test_mmd_computed_once_per_distinct_samples(self, tmp_path, monkeypatch):
-        # only the method's rows carry the MMD diagnostic; they share one
-        # output, so a (seed, fold) makes one mmd_rbf call before
-        # calibration and one after, and every reported value equals a
-        # direct call on that row's samples
+        # a model calibrates once per distinct (spec, reference), and the
+        # rows that share one label its outcome; only the method's rows
+        # carry the MMD diagnostic, so a (seed, fold) makes one mmd_rbf call
+        # before calibration and one after, and every reported value equals
+        # a direct call on the method's samples
         import neubm.harness as harness
         from neubm.metrics import mmd_rbf
         from neubm.training import softmax
@@ -689,10 +710,21 @@ class TestRunRecords:
         _spy(monkeypatch, harness, "mmd_rbf", mmd_calls)
         _spy(monkeypatch, harness, "predict_logits", logits_seen)
         _spy(monkeypatch, harness, "calibrate", outputs)
+
+        def distinct(rows):  # first-use order, the order of the calls
+            return list(dict.fromkeys((r.spec, r.neutral_variant) for r in rows))
+
+        default_rows = harness.default_rows(cfg)
+        harness._run_single(graph, cfg, default_rows, 0, 0, fold, None, None, "h")
+        assert [args[2] for args, _ in outputs] == [s for s, _ in distinct(default_rows)]
+        assert len(outputs) == 2
+
         rows = harness.ablation_rows()
         is_method = self._method_flags(cfg, rows)
         assert [r.row_id for r, m in zip(rows, is_method) if m] == [
             "cal=subtract", "neutral=mean_cov", "pos=logits"]
+        pairs = distinct(rows)
+        assert len(pairs) == 12
 
         def key(pair):
             return tuple(a.tobytes() for a in pair)
@@ -703,12 +735,14 @@ class TestRunRecords:
             records = harness._run_single(graph, cfg, rows, run_index, 0, fold,
                                           None, None, "h")
             assert all(r["status"] == "ok" for r in records)
+            assert [args[2] for args, _ in outputs] == [s for s, _ in pairs]
             for r, m in zip(records, is_method):
                 assert m == any(k.startswith("mmd_") for k in r["bias"]), r["row_id"]
-            method = [(r, out) for r, (_, out), m in zip(records, outputs, is_method)
-                      if m]
+            method = [r for r, m in zip(records, is_method) if m]
+            (_, out), = [call for call, pair in zip(outputs, pairs)
+                         if pair == (CalibrationSpec("subtract"), "mean_cov")]
 
-            (c1, c2), = {tuple(r["bias"]["mmd_classes"]) for r, _ in method}
+            (c1, c2), = {tuple(r["bias"]["mmd_classes"]) for r in method}
             assert counts[c1] >= counts[c2] >= np.delete(counts, [c1, c2]).max()
 
             def samples(probs):  # probabilities of the test rows
@@ -716,13 +750,11 @@ class TestRunRecords:
                         for c in (c1, c2)]
 
             before = samples(softmax(logits_seen[-1][1][fold.test]))
-            afters = {key(samples(out.probabilities)) for _, out in method}
-            assert len(afters) == 1  # the method's rows share one output
-            for r, out in method:
-                after = samples(out.probabilities)
+            after = samples(out.probabilities)
+            for r in method:
                 assert r["bias"]["mmd_prob_before"] == mmd_rbf(*before)
                 assert r["bias"]["mmd_prob_after"] == mmd_rbf(*after)
-            assert [key(args) for args, _ in mmd_calls] == [key(before), *afters]
+            assert [key(args) for args, _ in mmd_calls] == [key(before), key(after)]
 
     def test_default_rows_keep_mmd_on_the_subtract_row(self, tmp_path, monkeypatch):
         import neubm.harness as harness

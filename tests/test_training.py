@@ -479,6 +479,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="weight_decay"):
             TrainConfig(weight_decay=wd)
 
+    # inf passes the sign checks, and would fail only as a diverged epoch
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    def test_infinite_value_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            TrainConfig(**{field: float("inf")})
+
     def test_zero_weight_decay_allowed(self):
         assert TrainConfig(weight_decay=0.0).weight_decay == 0.0
 
@@ -584,9 +590,13 @@ class TestTrainLoop:
                 )
         assert exc.value.exit_code == 4
 
-    def test_non_finite_parameters_reported_with_epoch(self):
+    def test_non_finite_parameters_reported_with_epoch(self, monkeypatch):
         # an infinite step makes the epoch-1 parameters non-finite while the
-        # loss and gradients stay finite: validation must fail categorized
+        # loss and gradients stay finite: validation must fail categorized.
+        # TrainConfig rejects an infinite learning rate, so the step takes one
+        adam_step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", lambda state, flat, grad, lr:
+                            adam_step(state, flat, grad, np.inf))
         g = easy_sbm(seed=6)
         split = stratified_split(g, 0.3, 0.3, 2, seed=4)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -594,8 +604,7 @@ class TestTrainLoop:
                 train(
                     g, split,
                     ModelConfig("gcn", 4, 8, 2, dropout=0.0, seed=0),
-                    TrainConfig(learning_rate=np.inf, max_epochs=5, patience=5,
-                                seed=0),
+                    TrainConfig(max_epochs=5, patience=5, seed=0),
                 )
 
     @pytest.mark.parametrize("architecture", ["gcn", "gat"])
