@@ -108,6 +108,15 @@ class FiniteFloat(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class Seed(argparse.Action):
+    """A seed flag's action: a negative seed is a config error naming the flag."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise ConfigError(f"{option_string} must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 # `gen`'s generator flags: flag -> (SbmConfig field, type, default)
 GEN_FLAGS = {
     "--classes": ("num_classes", int, 5), "--nodes": ("total_nodes", int, 2000),
@@ -131,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="canonical dataset directory")
     p.add_argument("--config", help="JSON generator settings, instead of the flags")
     for flag, (field, kind, default) in GEN_FLAGS.items():
+        action = FiniteFloat if kind is float else Seed if field == "seed" else None
         p.add_argument(flag, dest=field, type=kind, help=f"default {default}",
-                       action=FiniteFloat if kind is float else None)
+                       action=action)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("stats", help="print dataset summary")
@@ -154,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=TrainConfig.weight_decay)
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=int, action=Seed, default=TrainConfig.seed)
     # the split flags default to None: they apply to a drawn split only,
     # and ProtocolConfig fills in what is not given
     p.add_argument("--train-frac", type=float, action=FiniteFloat)
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neutral-dir", help="reuse a serialized neutral graph")
     # None when not given, so that a conflict with --neutral-dir shows;
     # NeutralConfig fills in what is not given
-    p.add_argument("--neutral-seed", type=int)
+    p.add_argument("--neutral-seed", type=int, action=Seed)
     p.add_argument("--neutral-variant", choices=CONSTRUCTION_VARIANTS)
     p.add_argument("--save-neutral", help="serialize the constructed neutral graph")
     p.set_defaults(func=cmd_calibrate)

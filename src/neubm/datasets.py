@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_finite, read_json, read_lines
+from .errors import (ConfigError, DataError, check_finite, check_seed, read_json,
+                     read_lines)
 from .graph import Graph, bernoulli_cells, bernoulli_pairs
 from .metrics import imbalance_ratio
 
@@ -171,6 +172,7 @@ class SbmConfig:
     def __post_init__(self):
         # NaN passes every range check below, and a NaN rho never generates
         check_finite(self, "rho", "class_mean_separation", "feature_std")
+        check_seed(self)
         if self.num_classes < 1:
             raise ConfigError("need at least one class")
         if self.total_nodes < self.num_classes:
@@ -435,6 +437,7 @@ class NoiseSpec:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.level <= 1.0:
             raise ConfigError("noise level must lie in [0, 1]")
+        check_seed(self)
 
 
 def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
@@ -465,19 +468,32 @@ def inject_noise(graph: Graph, spec: NoiseSpec) -> Graph:
     if total_pairs - m < k:
         raise ConfigError("not enough absent pairs to rewire into")
     chosen = rng.choice(m, size=k, replace=False)
-    # the kept edges are original ones: one set holds every taken pair
-    taken = {(int(u), int(v)) for u, v in graph.edges}
-    added = []
-    while len(added) < k:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        pair = (min(u, v), max(u, v))
-        if pair in taken:
-            continue
-        taken.add(pair)
-        added.append(pair)
     kept = np.delete(graph.edges, chosen, axis=0)
-    added = np.array(added, dtype=np.int64).reshape(-1, 2)
-    return replace(graph, edges=np.concatenate([kept, added]))
+    return replace(graph, edges=np.concatenate([kept, _absent_pairs(rng, graph, k)]))
+
+
+def _absent_pairs(rng, graph: Graph, k: int) -> np.ndarray:
+    """k distinct pairs u < v, none an edge of ``graph``, uniform over such
+    pairs: ordered pairs are drawn in batches and the first k new ones are
+    taken in draw order, which is rejection sampling one pair at a time.
+    A pair is the key u * n + v; the taken keys are kept sorted, as the
+    canonical edges give them."""
+    n = graph.num_nodes
+    taken = graph.edges[:, 0] * n + graph.edges[:, 1]
+    total_pairs = n * (n - 1) // 2
+    added = np.empty(0, dtype=np.int64)
+    while added.size < k:
+        need = k - added.size
+        # a draw is new with probability (n-1)/n * free/total_pairs
+        free = total_pairs - taken.size
+        batch = need * n * total_pairs // ((n - 1) * free) * 5 // 4 + 64
+        u, v = rng.integers(0, n, size=(2, batch))
+        keys = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        at = np.minimum(np.searchsorted(taken, keys), taken.size - 1)
+        keys = keys[taken[at] != keys]
+        keys, first = np.unique(keys, return_index=True)
+        new = keys[np.argsort(first)][:need]
+        added = np.concatenate([added, new])
+        new = np.sort(new)
+        taken = np.insert(taken, np.searchsorted(taken, new), new)
+    return np.stack(np.divmod(added, n), axis=1)

@@ -171,6 +171,13 @@ def check_finite(config, *names) -> None:
             raise ConfigError(f"{name} must be a finite number, got {value}")
 
 
+def check_seed(config) -> None:
+    """Raise ConfigError if ``config.seed`` is negative, which numpy's
+    generators reject: every seed field is checked where it is set."""
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
+
+
 def _describe(tp) -> str:
     if get_origin(tp) is tuple:
         return f"a list of {_describe(get_args(tp)[0])}"

@@ -67,9 +67,16 @@ RUN_METADATA = {
     "aggregate_std": "population (divide by n)",
     "selection_metric": "validation f1_macro",
     "weight_init": "seeded Glorot uniform",
-    "seed_derivation": "fold f, run index i, refresh block b: split=train.seed+f; "
-                       "run=train.seed+i+1000*f; model=run+17; dropout=run+29; "
+    "seed_derivation": "fold f, run index i, epoch e, refresh block b: "
+                       "split=train.seed+f; run=train.seed+i+1000*f; model=run+17; "
+                       "dropout=run+29; mask=dropout*1_000_003+e; "
                        "neutral=neutral.seed+run; refresh=neutral+b",
+    "dropout_mask": "entry kept iff u < keep = 1 - dropout, exactly: the mask "
+                    "seed's generator gives u's base-256 digits as raw bytes, "
+                    "byte j of 64-bit word w (least significant first) for "
+                    "entry 8w+j in C order; entries tied with keep's digit "
+                    "read one more byte each, in index order, and a tie on "
+                    "its last digit drops; kept entries scaled by 1/keep",
     "kernels": "float64 numpy/scipy.sparse, sequential (bit-deterministic)",
 }
 

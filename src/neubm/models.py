@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, DataError, NumericError, build, read_json
+from .errors import ConfigError, DataError, NumericError, build, check_seed, read_json
 from .graph import Graph, build_adjacency, symmetric_normalize, with_values
 
 LEAKY_SLOPE = 0.2  # attention score nonlinearity
@@ -49,6 +49,7 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.num_heads < 1:
             raise ConfigError("num_heads must be >= 1")
+        check_seed(self)
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,51 @@ def array_names(config: ModelConfig) -> list[str]:
     return names + ["out.W", "out.a_src", "out.a_dst"]
 
 
+def _keep_digits(keep):
+    """The base-256 digits of ``keep`` in (0, 1), most significant first; a
+    float is dyadic, so the expansion ends."""
+    num, den = keep.as_integer_ratio()
+    digits = []
+    while num:
+        digit, num = divmod(num * 256, den)
+        digits.append(digit)
+    return digits
+
+
+def _random_bytes(rng, count):
+    """``count`` bytes of ``rng``'s raw 64-bit words, least significant byte
+    first whatever the host's byte order."""
+    words = rng.bit_generator.random_raw(-(-count // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:count]
+
+
 def _dropout_mask(rng, shape, rate, active=True):
     """Inverted dropout: kept entries scaled by 1/keep so eval needs no
     rescaling. Entries where ``active`` is False are dropped as well,
-    after the draw, so the random stream does not depend on it."""
+    after the draw, so the random stream does not depend on it.
+
+    Each entry is kept with probability exactly keep = 1 - rate: it reads
+    a random byte per base-256 digit of keep, as the digits of a uniform
+    u, and is kept iff u < keep. A byte below the digit keeps the entry,
+    one above drops it, and the entries tied with it (about 1 in 256) each
+    read one more byte, in index order, for the next digit; a tie on the
+    last digit drops the entry, as u >= keep there. The first round reads
+    byte j of word w for entry 8w + j in C order.
+    """
     keep = 1.0 - rate
-    kept = rng.random(shape) < keep
+    kept = np.ones(shape, dtype=bool)
+    if keep < 1.0:  # else 1 - rate rounds to 1 and every entry is kept
+        digits = _keep_digits(keep)
+        flat = kept.reshape(-1)
+        u = _random_bytes(rng, flat.size)
+        np.less(u, digits[0], out=flat)
+        tied = np.flatnonzero(u == digits[0]) if len(digits) > 1 else ()
+        for digit in digits[1:]:
+            if len(tied) == 0:
+                break
+            u = _random_bytes(rng, len(tied))
+            flat[tied[u < digit]] = True
+            tied = tied[u == digit]
     kept &= active
     return kept * (1.0 / keep)
 

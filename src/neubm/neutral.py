@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, build, read_json
+from .errors import ConfigError, DataError, build, check_seed, read_json
 from .datasets import load_canonical, save_canonical
 from .graph import DatasetStats, Graph, bernoulli_pairs
 from .models import ModelParams, forward_with_operator, prepare_operator
@@ -50,6 +50,7 @@ class NeutralConfig:
             isinstance(self.refresh_every, int) and 1 <= self.refresh_every <= 10
         ):
             raise ConfigError("refresh_every must be 'never' or an int in [1, 10]")
+        check_seed(self)
 
 
 @dataclass(frozen=True)

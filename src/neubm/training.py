@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, check_finite
+from .errors import ConfigError, DataError, NumericError, check_finite, check_seed
 from .graph import Graph
 from .metrics import check_classes, class_scores
 from .models import (
@@ -39,6 +39,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_finite(self, "learning_rate", "weight_decay")
+        check_seed(self)
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if not self.weight_decay >= 0:

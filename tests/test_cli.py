@@ -221,11 +221,13 @@ class TestTrainCalibrateEval:
         # argparse's float takes nan; a float flag does not
         (("--train-frac", "nan"), "--train-frac must be a finite number, got nan",
          False),
+        # argparse's int takes -1; numpy's generators do not
+        (("--seed", -1), "--seed must be >= 0, got -1", False),
     ], ids=["split_leaves_no_test_nodes", "negative_lr", "zero_lr",
             "negative_weight_decay", "drawn_split_empty_test",
             "drawn_split_empty_val", "negative_val_frac",
             "stored_split_with_fractions", "stored_split_with_min_per_class",
-            "stored_split_with_write_masks", "nan_train_frac"])
+            "stored_split_with_write_masks", "nan_train_frac", "negative_seed"])
     def test_train_flags_checked_before_training(self, dataset_dir, tmp_path,
                                                  capsys, flags, named, stored):
         # a config error (exit 2) before anything is trained or written;
@@ -244,6 +246,21 @@ class TestTrainCalibrateEval:
         assert "Traceback" not in captured.err
         assert not model.exists()
         assert (masks.read_bytes() if masks.exists() else None) == written
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--seed"), ("calibrate", "--neutral-seed")])
+    def test_negative_seed_flag_exit_code(self, dataset_dir, tmp_path, capsys,
+                                          command, flag):
+        # a config error naming the flag, before any file is read or written
+        out = tmp_path / "out"
+        args = {"gen": ("--out", out),
+                "calibrate": ("--model", tmp_path / "missing.json", "--data",
+                              dataset_dir, "--out", out)}[command]
+        assert run_cli(command, *args, flag, -1) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_scale_variant_requires_lambda(self, dataset_dir, tmp_path):
         model = tmp_path / "model.json"
@@ -442,6 +459,17 @@ class TestExperimentCommands:
         # so would a repeated calibration spec id
         ({"calibration": [{"variant": "subtract"}, {"variant": "subtract"}]},
          ("calibration repeats spec ids ['subtract@logits']", "exp.json")),
+        # numpy's generators take seeds >= 0 only
+        ({"train": {"seed": -100}},
+         ("section 'train': seed must be >= 0, got -100", "exp.json")),
+        ({"neutral": {"seed": -50}},
+         ("section 'neutral': seed must be >= 0, got -50", "exp.json")),
+        ({"dataset": {"num_classes": 3, "total_nodes": 200, "rho": 4,
+                      "p_intra": 0.1, "p_inter": 0.01, "feature_dim": 6,
+                      "seed": -3}},
+         ("section 'dataset': seed must be >= 0, got -3", "exp.json")),
+        ({"noise": {"kind": "structural", "levels": [0.1], "seed": -1}},
+         ("section 'noise': seed must be >= 0, got -1", "exp.json")),
     ], ids=["train_key", "dataset_key", "noise_without_kind", "model_key",
             "top_level_key", "calibration_key", "malformed_json", "missing_file",
             "dataset_not_path_or_object", "calibration_not_a_list",
@@ -462,7 +490,9 @@ class TestExperimentCommands:
             "noise_levels_empty", "protocol_nan_train_frac",
             "calibration_infinite_lambda", "dataset_nan_feature_std",
             "rho_sweep_repeated_point", "noise_levels_repeated_point",
-            "calibration_repeated_spec_id"])
+            "calibration_repeated_spec_id", "train_negative_seed",
+            "neutral_negative_seed", "dataset_negative_seed",
+            "noise_negative_seed"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback, and is rejected before anything runs."""

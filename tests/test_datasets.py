@@ -483,41 +483,37 @@ class TestKfold:
             np.testing.assert_array_equal(fa.train, fb.train)
 
 
-def former_structural_noise(graph, spec):
-    """inject_noise's structural kind as it was before it kept one edge set:
-    two sets of edge tuples, the original and the current, and the current
-    one sorted into the result."""
+def loop_structural_noise(graph, spec):
+    """inject_noise's structural kind one candidate pair at a time: the same
+    batches of draws, each ordered pair accepted in draw order when it is
+    no self-loop and new, into a set of taken pairs."""
     rng = np.random.default_rng(spec.seed)
-    m = graph.num_edges
+    m, n = graph.num_edges, graph.num_nodes
     k = int(round(spec.level * m))
-    n = graph.num_nodes
     total_pairs = n * (n - 1) // 2
-    if total_pairs - m < k:
-        raise ConfigError("not enough absent pairs to rewire into")
     chosen = rng.choice(m, size=k, replace=False)
-    original = {(int(u), int(v)) for u, v in graph.edges}
-    keep_mask = np.ones(m, dtype=bool)
-    keep_mask[chosen] = False
-    current = {(int(u), int(v)) for u, v in graph.edges[keep_mask]}
+    taken = {(int(u), int(v)) for u, v in graph.edges}
     added = []
     while len(added) < k:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        pair = (min(u, v), max(u, v))
-        if pair in original or pair in current:
-            continue
-        current.add(pair)
-        added.append(pair)
-    edges = np.array(sorted(current), dtype=np.int64)
-    return dataclasses.replace(graph, edges=edges)
+        need = k - len(added)
+        free = total_pairs - len(taken)
+        batch = need * n * total_pairs // ((n - 1) * free) * 5 // 4 + 64
+        u, v = rng.integers(0, n, size=(2, batch))
+        for a, b in zip(u.tolist(), v.tolist()):
+            pair = (min(a, b), max(a, b))
+            if len(added) < k and a != b and pair not in taken:
+                taken.add(pair)
+                added.append(pair)
+    kept = np.delete(graph.edges, chosen, axis=0)
+    return dataclasses.replace(graph, edges=np.concatenate([kept, added]))
 
 
 class TestNoise:
-    def test_structural_matches_former_rewiring(self):
-        # same draws, so bit-identical edges, and the same error where the
-        # near-complete graph has too few absent pairs to rewire into
+    def test_structural_rewiring_invariants(self):
+        # k = round(level * |E|) edges leave and k distinct pairs u < v that
+        # were no edge take their place, so |E| holds, as the one-pair-at-a-
+        # time loop gives them; a near-complete graph with fewer than k
+        # absent pairs is a config error
         graphs = [
             generate_sbm(SbmConfig(num_classes=2, total_nodes=n, rho=1,
                                    p_intra=p, p_inter=p, feature_dim=2, seed=s))
@@ -525,21 +521,46 @@ class TestNoise:
         ]
         outcomes = set()
         for g in graphs:
+            n, m = g.num_nodes, g.num_edges
+            original = {tuple(e) for e in g.edges.tolist()}
             for level in (0.05, 0.2, 0.5, 0.8, 1.0):
+                k = round(level * m)
                 for seed in range(5):
                     spec = NoiseSpec("structural", level, seed=seed)
-                    try:
-                        expected = former_structural_noise(g, spec)
-                    except ConfigError as exc:
-                        with pytest.raises(ConfigError, match=str(exc)):
+                    if n * (n - 1) // 2 - m < k:
+                        with pytest.raises(ConfigError, match="not enough absent pairs"):
                             inject_noise(g, spec)
                         outcomes.add("error")
                         continue
                     got = inject_noise(g, spec)
-                    assert got.edges.dtype == expected.edges.dtype
-                    np.testing.assert_array_equal(got.edges, expected.edges)
+                    assert got.edges.dtype == np.int64
+                    assert got.num_edges == m
+                    assert np.all(got.edges[:, 0] < got.edges[:, 1])
+                    new = {tuple(e) for e in got.edges.tolist()}
+                    assert len(new) == m
+                    assert len(new - original) == k and len(original - new) == k
+                    np.testing.assert_array_equal(
+                        got.edges, loop_structural_noise(g, spec).edges)
                     outcomes.add("rewired")
         assert outcomes == {"error", "rewired"}
+
+    def test_structural_pairs_uniform_over_absent_pairs(self):
+        # one rewired edge of a 6-node path: the new pair is uniform over the
+        # 10 pairs that are no edge; each count within 5 binomial sigma
+        g = Graph(num_nodes=6, features=np.zeros((6, 1)),
+                  edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        original = {tuple(e) for e in g.edges.tolist()}
+        draws = 4000
+        counts = {}
+        for seed in range(draws):
+            noisy = inject_noise(g, NoiseSpec("structural", 0.2, seed=seed))
+            (pair,) = {tuple(e) for e in noisy.edges.tolist()} - original
+            counts[pair] = counts.get(pair, 0) + 1
+        assert len(counts) == 10 and not set(counts) & original
+        p = 1 / 10
+        sigma = np.sqrt(draws * p * (1 - p))
+        for pair, count in counts.items():
+            assert abs(count - draws * p) < 5 * sigma, (pair, count)
 
     def test_zero_level_identity(self):
         g = small_graph()

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from neubm.calibrate import CalibrationSpec
-from neubm.datasets import SbmConfig, generate_sbm, save_canonical, stratified_split
+from neubm.datasets import (
+    NoiseSpec,
+    SbmConfig,
+    generate_sbm,
+    save_canonical,
+    stratified_split,
+)
 from neubm.errors import ConfigError, NumericError
 from neubm.harness import (
     ExperimentConfig,
@@ -142,6 +148,7 @@ class TestRunExperiment:
         from types import SimpleNamespace
 
         import neubm.harness as harness
+        import neubm.training as training
 
         cfg = small_config(
             tmp_path,
@@ -152,17 +159,26 @@ class TestRunExperiment:
         )
         built = []
         _spy(monkeypatch, harness, "construct_neutral", built)
+        masks = []  # the dropout seed of every training step
+        step = training.loss_and_gradients
+
+        def spy_step(*args, **kwargs):
+            masks.append(kwargs["dropout_seed"])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "loss_and_gradients", spy_step)
         run_experiment(cfg)
         aggregate = json.loads((tmp_path / "exp" / "aggregate.json").read_text())
         text = aggregate["metadata"]["decisions"]["seed_derivation"]
         rules = [rule.split("=") for rule in text.split(": ", 1)[1].split("; ")]
         assert [name for name, _ in rules] == [
-            "split", "run", "model", "dropout", "neutral", "refresh"]
+            "split", "run", "model", "dropout", "mask", "neutral", "refresh"]
 
-        def derive(record, block):
+        def derive(record, block, epoch=1):
             names = {"train": SimpleNamespace(seed=5),
                      "neutral": SimpleNamespace(seed=3),
-                     "f": record["fold_id"], "i": record["seed"], "b": block}
+                     "f": record["fold_id"], "i": record["seed"], "b": block,
+                     "e": epoch}
             for name, expr in rules:
                 names[name] = eval(expr, {"__builtins__": {}}, names)
             return {name: names[name] for name, _ in rules}
@@ -170,15 +186,19 @@ class TestRunExperiment:
         records = read_records(tmp_path / "exp" / "records.jsonl")
         assert len(records) == 8
         drawn = []  # every neutral seed the rule gives, per (run, fold)
+        stepped = []  # every dropout seed it gives, per (run, fold) and epoch
         for r in records:
             derived = derive(r, 0)
             assert r["derived_seeds"] == {k: derived[k] for k in r["derived_seeds"]}
-            assert sorted(r["derived_seeds"]) == sorted(set(derived) - {"refresh"})
+            assert sorted(r["derived_seeds"]) == sorted(set(derived) - {"mask", "refresh"})
             if r["row_id"] == "subtract@logits":
-                blocks = r["train_summary"]["epochs_run"] // 2 + 1
+                epochs = r["train_summary"]["epochs_run"]
+                blocks = epochs // 2 + 1
                 drawn += [derive(r, b)["refresh"] for b in range(blocks)]
                 drawn.append(derived["neutral"])  # the post-hoc reference
+                stepped += [derive(r, 0, e)["mask"] for e in range(1, epochs + 1)]
         assert sorted(n.config.seed for _, n in built) == sorted(drawn)
+        assert sorted(masks) == sorted(stepped) and len(masks) == 4 * 3
 
     def test_recorded_split_seed_redraws_the_fold(self, tmp_path, monkeypatch):
         # 2 seeds x 2 folds: every run of fold f trains on the split drawn
@@ -497,6 +517,21 @@ class TestConfigLoading:
         # NaN passes the range checks, so it is rejected on its own
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             ProtocolConfig(**{field: value})
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: SbmConfig(3, 60, 2.0, 0.2, 0.02, 4, seed=seed),
+        lambda seed: TrainConfig(seed=seed),
+        lambda seed: NeutralConfig(seed=seed),
+        lambda seed: NoiseSpec("structural", 0.1, seed=seed),
+        lambda seed: ModelConfig("gcn", 4, 8, 3, seed=seed),
+    ], ids=["dataset", "train", "neutral", "noise", "model"])
+    def test_negative_seed_rejected(self, make):
+        # built in Python, not only through a config file: numpy's
+        # generators take seeds >= 0 only, so a negative one is rejected
+        # where it is set, not where it is first drawn with
+        assert make(0).seed == 0
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            make(-1)
 
     # two specs with one id would merge into one aggregate cell; scale
     # lambdas 1 and 1.0000001 both print as scale(1)

@@ -127,6 +127,86 @@ class TestGcnForward:
         assert DataError.exit_code == 3
 
 
+class StubWords:
+    """A generator stand-in whose bit generator hands out the given raw
+    64-bit words, recording how many each call asks for."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+        self.requests = []
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.requests.append(size)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def word(*entry_bytes):
+    """The raw word whose bytes, least significant first, are entry_bytes."""
+    return int.from_bytes(bytes(entry_bytes).ljust(8, b"\0"), "little")
+
+
+class TestDropoutMask:
+    def test_tie_rounds(self):
+        # keep = 0x804020 / 2**24 has the base-256 digits 0x80, 0x40, 0x20:
+        # a byte below a digit keeps, above drops, equal reads one more
+        # byte, in index order; equal to the last digit drops (u >= keep)
+        keep = 0x804020 / 2**24
+        rng = StubWords(
+            word(0x7F, 0x81, 0x80, 0x00, 0xFF, 0x80, 0x80, 0x80),
+            word(0x80, 0x80, 0x12, 0x80),  # entries 8-11
+            word(0x3F, 0x41, 0x40, 0x40, 0x00, 0x40, 0xFF),  # ties 2, 5-9, 11
+            word(0x1F, 0x20, 0x21),  # ties 6, 7, 9
+        )
+        mask = _dropout_mask(rng, (3, 4), 1.0 - keep)
+        assert rng.requests == [2, 1, 1] and not rng.words
+        expected = np.zeros(12)
+        expected[[0, 2, 3, 6, 8, 10]] = 1.0 / keep
+        np.testing.assert_array_equal(mask, expected.reshape(3, 4))
+
+    def test_half_rate_draws_one_round(self):
+        # keep = 1/2 has the one digit 0x80: a tie drops, nothing draws again
+        rng = StubWords(word(0x7F, 0x80, 0x81, 0x00, 0xFF, 0x80, 0x01, 0x80))
+        mask = _dropout_mask(rng, (8,), 0.5)
+        assert rng.requests == [1]
+        np.testing.assert_array_equal(mask, [2, 0, 0, 2, 0, 0, 2, 0])
+
+    @pytest.mark.parametrize("rate", [0.1, 1 / 3, 0.5, 0.7])
+    def test_kept_fraction_is_keep(self, rate):
+        # 10**6 entries: the kept count lies within 5 binomial sigma of its mean
+        mask = _dropout_mask(np.random.default_rng(11), (1000, 1000), rate)
+        keep = 1.0 - rate
+        kept = np.count_nonzero(mask)
+        assert abs(kept - 10**6 * keep) < 5 * np.sqrt(10**6 * keep * rate)
+        assert set(np.unique(mask)) == {0.0, 1.0 / keep}
+
+    def test_rate_below_float_resolution_keeps_every_entry(self):
+        rate = 1e-17
+        assert 1.0 - rate == 1.0
+        active = np.array([[True, False, True]])
+        np.testing.assert_array_equal(
+            _dropout_mask(np.random.default_rng(0), (1, 3), rate, active=active),
+            [[1.0, 0.0, 1.0]])
+
+    def test_same_seed_same_mask_whatever_active(self):
+        # inactive entries are dropped after the draw, so they move no draw
+        active = np.random.default_rng(1).random((40, 30)) < 0.5
+        full = _dropout_mask(np.random.default_rng(5), (40, 30), 0.3)
+        again = _dropout_mask(np.random.default_rng(5), (40, 30), 0.3)
+        gated = _dropout_mask(np.random.default_rng(5), (40, 30), 0.3, active=active)
+        np.testing.assert_array_equal(full, again)
+        np.testing.assert_array_equal(gated, full * active)
+        assert not np.array_equal(
+            full, _dropout_mask(np.random.default_rng(6), (40, 30), 0.3))
+
+    def test_pinned_prefix(self):
+        # byte j of raw word w is entry 8w + j in C order
+        mask = _dropout_mask(np.random.default_rng(0), (2, 8), 0.5)
+        np.testing.assert_array_equal(mask.ravel(), [
+            2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 2, 2])
+
+
 def reference_gcn_pass(params, norm_adj, features, mode, dropout_seed):
     """The former GCN pass: A_hat . X per call, layer 2 as (A_hat . h1) . W1."""
     w0, w1 = params.arrays
