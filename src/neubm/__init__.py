@@ -36,7 +36,6 @@ from .harness import (
     load_experiment_config,
     run_ablations,
     run_experiment,
-    run_sensitivity,
 )
 from .metrics import (
     MetricsReport,

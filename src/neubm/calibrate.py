@@ -27,7 +27,9 @@ POSITIONS = ("logits", "post_softmax")
 class CalibrationSpec:
     variant: str = "subtract"
     position: str = "logits"
-    lam: float | None = None  # scale variant only, searched in [0.5, 1.5]
+    # scale variant only; nothing searches it: harness.LAMBDA_GRID lists the
+    # ablation's values, and no lam > 0 moves an argmax from subtract's
+    lam: float | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

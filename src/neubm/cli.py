@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen, stats, train, calibrate, eval, experiment, ablate, sweep,
-plot. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
-The NEUBM_OUTPUT_ROOT environment variable re-roots relative experiment
-output directories.
+Subcommands: gen, stats, train, calibrate, eval, experiment, ablate, plot;
+experiment and ablate run every sweep point of their config. Exit codes: 0
+success, 2 config error, 3 data error, 4 numeric error. The NEUBM_OUTPUT_ROOT
+environment variable re-roots relative experiment output directories.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .harness import (
     resolve_output_dir,
     run_ablations,
     run_experiment,
-    run_sensitivity,
     write_sweep_charts,
 )
 from .metrics import evaluate
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, runner, desc in (
         ("experiment", run_experiment, "seeds x folds x calibration specs"),
         ("ablate", run_ablations, "neutral/calibration/position ablations"),
-        ("sweep", run_sensitivity, "noise and imbalance-ratio sweeps"),
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="experiment config JSON")

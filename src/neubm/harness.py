@@ -148,6 +148,8 @@ class ExperimentConfig:
             raise ConfigError(f"model keys {keys} come from the graph and train.seed")
         dims = {"input_dim": 1, "num_classes": 1}  # the graph's, at run time
         build("model", ModelConfig, {**MODEL_DEFAULTS, **self.model, **dims}, ConfigError)
+        if not self.calibration:
+            raise ConfigError("calibration must list at least one spec")
         # a repeated id would merge into one aggregate cell
         ids = [s.spec_id for s in self.calibration]
         if repeated := sorted({i for i in ids if ids.count(i) > 1}):
@@ -188,7 +190,7 @@ def load_experiment_config(source) -> ExperimentConfig:
             {("lam" if k == "lambda" else k): v for k, v in spec.items()}
             if isinstance(spec, dict) else spec
             for spec in raw["calibration"]
-        ] or ExperimentConfig.calibration
+        ]
     if raw.get("rho_sweep") in ([], ()):  # only an empty list means no sweep
         raw["rho_sweep"] = None
     return build("config", ExperimentConfig, raw, ConfigError, file)
@@ -598,23 +600,36 @@ def _record(line: str) -> dict:
 # entry points
 
 
-def _run(
-    command: str,
-    config: ExperimentConfig,
-    rows: list[AblationRow],
-    sweep_points,
-) -> list[dict]:
+def sweep_points(config: ExperimentConfig):
+    """Yield (sweep_variable, sweep_value, graph) for every sweep point: the
+    configured dataset alone as (None, None, graph) when the config has no
+    sweep section, else each noise level of it, then each rho_sweep value
+    regenerated."""
+    noise, rhos = config.noise, config.rho_sweep or ()
+    if noise is None and not rhos:
+        yield None, None, _load_base_dataset(config)
+    if noise is not None:
+        base = _load_base_dataset(config)
+        for level in noise.levels:
+            noisy = inject_noise(base, NoiseSpec(noise.kind, level, seed=noise.seed))
+            yield f"noise_{noise.kind}", float(level), noisy
+    for rho in rhos:
+        regenerated = generate_sbm(replace(config.dataset, rho=float(rho)))
+        yield "rho", float(rho), regenerated
+
+
+def _run(command: str, config: ExperimentConfig,
+         rows: list[AblationRow]) -> list[dict]:
     """Train and evaluate every (sweep point, seed, fold), then write
     records.jsonl, the reports and config.json. Returns the aggregate rows.
 
-    `sweep_points` yields (sweep_variable, sweep_value, graph). Every call
-    computes and overwrites the output dir; identical configs give
-    byte-identical reports.
+    Every call computes and overwrites the output dir; identical configs
+    give byte-identical reports.
     """
     config_hash = config.config_hash()
     protocol = config.protocol
     records = []
-    for sweep_variable, sweep_value, graph in sweep_points:
+    for sweep_variable, sweep_value, graph in sweep_points(config):
         # one fold family per sweep point: the splits are a property of the
         # data; repeated runs vary the training randomness on top of them
         folds = kfold_splits(
@@ -634,32 +649,11 @@ def _run(
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """seeds x folds x calibration specs on the configured dataset."""
-    return _run("experiment", config, default_rows(config),
-                [(None, None, _load_base_dataset(config))])
+    """seeds x folds x calibration specs at every sweep point."""
+    return _run("experiment", config, default_rows(config))
 
 
 def run_ablations(config: ExperimentConfig) -> list[dict]:
-    """Neutral-construction, calibration-variant, and position ablations,
-    all evaluated post hoc on the same trained models."""
-    return _run("ablate", config, ablation_rows(),
-                [(None, None, _load_base_dataset(config))])
-
-
-def run_sensitivity(config: ExperimentConfig) -> list[dict]:
-    """Noise and/or imbalance-ratio sweeps; one aggregate per sweep point."""
-    if config.noise is None and config.rho_sweep is None:
-        raise ConfigError("sensitivity run needs a noise sweep or rho_sweep")
-
-    def sweep_points():
-        noise = config.noise
-        if noise is not None:
-            base = _load_base_dataset(config)
-            for level in noise.levels:
-                noisy = inject_noise(base, NoiseSpec(noise.kind, level, seed=noise.seed))
-                yield f"noise_{noise.kind}", float(level), noisy
-        for rho in config.rho_sweep or ():
-            regenerated = generate_sbm(replace(config.dataset, rho=float(rho)))
-            yield "rho", float(rho), regenerated
-
-    return _run("sweep", config, default_rows(config), sweep_points())
+    """Neutral-construction, calibration-variant, and position ablations at
+    every sweep point, all evaluated post hoc on the same trained models."""
+    return _run("ablate", config, ablation_rows())

@@ -350,12 +350,21 @@ class TestExperimentCommands:
         cfg = self.exp_config(
             tmp_path, noise={"kind": "feature", "levels": [0.0, 0.5], "seed": 2}
         )
-        assert run_cli("sweep", "--config", cfg) == 0
+        assert run_cli("experiment", "--config", cfg) == 0
         svg = tmp_path / "out" / "sweep_noise_feature.svg"
         drawn = svg.read_bytes()
         svg.unlink()
         assert run_cli("plot", "--results", tmp_path / "out") == 0
         assert svg.read_bytes() == drawn  # redrawn from records.jsonl alone
+
+    def test_sweep_is_not_a_command(self, tmp_path, capsys):
+        # experiment and ablate run every sweep point; no command of its own
+        cfg = self.exp_config(tmp_path, rho_sweep=[1, 4])
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--config", cfg)
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ablate_runs(self, tmp_path, capsys):
         cfg = self.exp_config(tmp_path)
@@ -459,6 +468,10 @@ class TestExperimentCommands:
         # so would a repeated calibration spec id
         ({"calibration": [{"variant": "subtract"}, {"variant": "subtract"}]},
          ("calibration repeats spec ids ['subtract@logits']", "exp.json")),
+        # an empty list runs no spec, not the default ones
+        ({"calibration": []},
+         ("section 'config': calibration must list at least one spec",
+          "exp.json")),
         # numpy's generators take seeds >= 0 only
         ({"train": {"seed": -100}},
          ("section 'train': seed must be >= 0, got -100", "exp.json")),
@@ -490,9 +503,9 @@ class TestExperimentCommands:
             "noise_levels_empty", "protocol_nan_train_frac",
             "calibration_infinite_lambda", "dataset_nan_feature_std",
             "rho_sweep_repeated_point", "noise_levels_repeated_point",
-            "calibration_repeated_spec_id", "train_negative_seed",
-            "neutral_negative_seed", "dataset_negative_seed",
-            "noise_negative_seed"])
+            "calibration_repeated_spec_id", "calibration_empty_list",
+            "train_negative_seed", "neutral_negative_seed",
+            "dataset_negative_seed", "noise_negative_seed"])
     def test_config_file_errors_exit_code(self, tmp_path, capsys, content, named):
         """A bad config file is a config error (exit 2) naming the section
         or file, not a traceback, and is rejected before anything runs."""

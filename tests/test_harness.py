@@ -24,7 +24,6 @@ from neubm.harness import (
     read_records,
     run_ablations,
     run_experiment,
-    run_sensitivity,
     write_run,
 )
 from neubm.models import ModelConfig
@@ -390,12 +389,24 @@ class TestAblations:
         assert saved["command"] == "ablate"
         assert run_ablations(cfg) == agg  # a rerun recomputes the same rows
 
+    def test_every_sweep_point_runs_every_row(self, tmp_path):
+        plain = run_ablations(small_config(tmp_path, name="plain"))
+        one = run_ablations(small_config(tmp_path, name="one", rho_sweep=(4.0,)))
+        assert [{**r, "sweep_variable": None, "sweep_value": None}
+                for r in one] == plain
+        assert {(r["sweep_variable"], r["sweep_value"]) for r in one} == {("rho", 4.0)}
+        two = run_ablations(small_config(tmp_path, name="two", rho_sweep=(1.0, 4.0)))
+        assert len(two) == 28
+        for rho in (1.0, 4.0):
+            assert ([r["row_id"] for r in two if r["sweep_value"] == rho]
+                    == [r["row_id"] for r in plain])
+
 
 class TestSensitivity:
     def test_noise_level_zero_equals_baseline(self, tmp_path):
         sweep = NoiseSweep(kind="feature", levels=(0.0, 0.4), seed=3)
         cfg = small_config(tmp_path, name="noise", noise=sweep)
-        agg = run_sensitivity(cfg)
+        agg = run_experiment(cfg)
         base_cfg = small_config(tmp_path, name="noise_base")
         base = run_experiment(base_cfg)
         zero = [r for r in agg if r["sweep_value"] == 0.0]
@@ -405,14 +416,10 @@ class TestSensitivity:
 
     def test_rho_sweep_regenerates_data(self, tmp_path):
         cfg = small_config(tmp_path, name="rho", rho_sweep=(1.0, 4.0))
-        agg = run_sensitivity(cfg)
+        agg = run_experiment(cfg)
         assert sorted({r["sweep_value"] for r in agg}) == [1.0, 4.0]
         svg = tmp_path / "rho" / "sweep_rho.svg"
         assert svg.exists() and svg.read_text().startswith("<svg")
-
-    def test_requires_a_sweep(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_sensitivity(small_config(tmp_path, name="nosweep"))
 
     def test_balanced_data_shrinks_the_calibration_gap(self, tmp_path):
         # on rho=1 the reference has little bias to remove; the f1 gap
@@ -430,7 +437,7 @@ class TestSensitivity:
                                     val_frac=0.1, min_per_class=3),
             rho_sweep=(1.0, 8.0),
         )
-        agg = run_sensitivity(cfg)
+        agg = run_experiment(cfg)
 
         def gap(rho):
             none = next(r for r in agg if r["sweep_value"] == rho
