@@ -439,7 +439,9 @@ def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     """The former per-edge head backward: gathers dout[rows] and g[cols],
     two (edges x width) arrays, on the full adjacency. g = h . W and the
     scores e are recomputed, whichever side the head cache holds; only the
-    attention coefficients come from the cache."""
+    attention coefficients come from the cache. It computes in the dtype
+    of its inputs, so np.longdouble inputs give an extended-precision
+    reference."""
     att = cache[2]
     g = h @ w
     alpha, rows, cols = att.data, csr_rows(adj), adj.indices
@@ -449,7 +451,8 @@ def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
     row_dot = np.add.reduceat(alpha * dalpha, adj.indptr[:-1])
     de = alpha * (dalpha - row_dot[rows]) * np.where(e > 0.0, 1.0, LEAKY_SLOPE)
     ds_src = np.add.reduceat(de, adj.indptr[:-1])
-    ds_dst = np.bincount(cols, weights=de, minlength=g.shape[0])
+    ds_dst = np.zeros(g.shape[0], dtype=de.dtype)  # bincount rounds to float64
+    np.add.at(ds_dst, cols, de)
     dg += np.outer(ds_src, a_src) + np.outer(ds_dst, a_dst)
     return dg @ w.T, h.T @ dg, g.T @ ds_src, g.T @ ds_dst
 
@@ -467,16 +470,17 @@ def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
 @example(n=9, d_in=3, d_out=3, p=0.5, rows="some", seed=5)
 @example(n=9, d_in=4, d_out=2, p=0.5, rows="some", seed=6)
 @example(n=9, d_in=2, d_out=5, p=0.5, rows="one", seed=7)
+@example(n=12, d_in=1, d_out=5, p=1.0, rows="one", seed=1821)
 def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
                                                        seed):
     # the row view's CSR is rectangular (len(rows) x n); node 0 is isolated.
     # A head on given rows aggregates its projection whatever the widths, so
     # its rows match the full operator's bit for bit; a head over every node
     # (rows None, layer 1) aggregates its input when d_in < d_out.
-    # Weights at about the scale init_params draws: with unit-normal weights
-    # the summed terms reach ~10, both kernels land within about 1e-14 of
-    # an extended-precision reference, and the absolute atol splits them
-    # in about 1 case in 270.
+    # Weights at about the scale init_params draws. The reference runs in
+    # extended precision: in float64 its own rounding, up to 2e-14 where a
+    # row's score gradients cancel (n=12, d_in=1, p=1, one row), broke the
+    # absolute atol against a kernel that got the exact 0.
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
     edges = [pr for pr in pairs if rng.random() < p]
@@ -502,7 +506,9 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     full_dout = np.zeros((n, d_out))
     full_dout[idx] = dout
     ref_grads = reference_attention_backward(
-        full_dout, g.features, w, a_s, a_d, adj, full_cache
+        *(np.asarray(x, dtype=np.longdouble)
+          for x in (full_dout, g.features, w, a_s, a_d)),
+        adj, full_cache,
     )
     for got, want in zip(grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
