@@ -1,11 +1,14 @@
 """Config-driven experiment runner: repeated seeds, k-fold splits, calibration
 comparisons, ablations, and sensitivity sweeps, with machine-readable reports.
 
-Each (seed, fold) pair trains exactly one model; every calibration spec,
-ablation row, and diagnostic is computed post hoc from that model's logits,
-so the method never requires retraining. Reports (aggregate.json, results.csv,
-SVG charts) carry no wall-clock values, so identical configs produce
-byte-identical reports; timestamps and timings live in records.jsonl.
+Each (seed, fold) pair is one job, run in two phases. The fit phase trains
+exactly one model (its refresh hook, if any, draws neutral graphs from the
+train rows). The score phase computes every calibration spec, ablation row
+and diagnostic post hoc from that model's test logits, so the method never
+requires retraining; the bias diagnostic's majority class comes from the
+train labels, so no test label reaches it. Reports (aggregate.json,
+results.csv, SVG charts) carry no wall-clock values, so identical configs
+produce byte-identical reports; timestamps and timings live in records.jsonl.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -218,14 +221,6 @@ def resolve_output_dir(output_dir: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# records
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-# ---------------------------------------------------------------------------
 # core execution
 
 
@@ -290,6 +285,26 @@ def ablation_rows() -> list[AblationRow]:
     return rows
 
 
+def _job_seeds(config: ExperimentConfig, run_index: int, fold_id: int) -> dict:
+    """The seeds of run ``run_index`` on fold ``fold_id``, by the rule that
+    RUN_METADATA["seed_derivation"] states; training derives the mask seeds
+    from "dropout", and the refresh hook its blocks' from "neutral"."""
+    run = config.train.seed + run_index + 1000 * fold_id
+    return {"split": config.train.seed + fold_id,  # kfold_splits drew the fold with it
+            "run": run, "model": run + 17, "dropout": run + 29,
+            "neutral": config.neutral.seed + run}
+
+
+def _neutral_graph(stats, source, neutral: NeutralConfig, seed: int, offset=0,
+                   variant=None):
+    """The neutral graph drawn at ``seed + offset`` (offset 0 is the post-hoc
+    rows' reference, b is refresh block b's), with ``neutral``'s variant
+    unless ``variant`` names another; ``source`` holds the train rows."""
+    cfg = replace(neutral, construction_variant=variant or neutral.construction_variant,
+                  seed=seed + offset)
+    return construct_neutral(stats, cfg, labeled_source=source)
+
+
 def _make_refresh_hook(neutral_for, k):
     """Validation-selection hook: score validation on logits calibrated by
     subtraction against ``neutral_for(epoch // k)``, one reference per block
@@ -302,51 +317,11 @@ def _make_refresh_hook(neutral_for, k):
     return hook
 
 
-def _run_single(
-    graph: Graph,
-    config: ExperimentConfig,
-    rows: list[AblationRow],
-    run_index: int,
-    fold_id: int,
-    fold,
-    sweep_variable,
-    sweep_value,
-    config_hash: str,
-) -> list[dict]:
-    """Train one model for (run, fold) and evaluate each distinct calibration
-    of its rows post hoc, once; one records.jsonl row per row."""
-    base_seed = config.train.seed
-    run_seed = base_seed + run_index + 1000 * fold_id
-    model_config = _resolve_model_config(config, graph, seed=run_seed + 17)
-    train_config = replace(config.train, seed=run_seed + 29)
-    neutral_seed = config.neutral.seed + run_seed
-    derived_seeds = {
-        "split": base_seed + fold_id,  # the seed kfold_splits drew the fold with
-        "run": run_seed, "model": model_config.seed,
-        "dropout": train_config.seed, "neutral": neutral_seed,
-    }
-
-    def record(row, status, summary, timestamp, metrics=None, bias=None,
-               error=None, neutral_fidelity=None):
-        return {
-            "config_hash": config_hash, "seed": run_index,
-            "fold_id": fold_id, "group": row.group,
-            "row_id": row.row_id, "spec": row.spec.to_dict(),
-            "sweep_variable": sweep_variable, "sweep_value": sweep_value,
-            "status": status, "train_summary": summary, "timestamp": timestamp,
-            "metrics": metrics, "bias": bias, "error": error,
-            "derived_seeds": derived_seeds, "neutral_fidelity": neutral_fidelity,
-        }
-
-    stats = compute_dataset_stats(graph)
-    source = train_rows(graph, fold.train)
-
-    def neutral_for(offset, variant=config.neutral.construction_variant):
-        # the post-hoc rows' reference at offset 0, refresh block b's at b
-        cfg = replace(config.neutral, construction_variant=variant,
-                      seed=neutral_seed + offset)
-        return construct_neutral(stats, cfg, labeled_source=source)
-
+def _fit(graph: Graph, config: ExperimentConfig, fold, seeds: dict, neutral_for):
+    """Train the job's model: (params, train summary), or (the NeubmError
+    that stopped training, a summary of its wall time alone)."""
+    model_config = _resolve_model_config(config, graph, seed=seeds["model"])
+    train_config = replace(config.train, seed=seeds["dropout"])
     k = config.neutral.refresh_every
     start = time.perf_counter()
     try:
@@ -354,15 +329,8 @@ def _run_single(
                                val_logits_transform=None if k == "never"
                                else _make_refresh_hook(neutral_for, k))
     except NeubmError as exc:
-        # training failed: every row of this (seed, fold) becomes a failed
-        # record so the sweep continues and aggregates mark the gap
-        summary = {"wall_time_seconds": time.perf_counter() - start}
-        return [
-            record(row, "failed", summary, _now(),
-                   error=f"{type(exc).__name__}: {exc}")
-            for row in rows
-        ]
-    train_summary = {
+        return exc, {"wall_time_seconds": time.perf_counter() - start}
+    return params, {
         "epochs_run": report.epochs_run,
         "best_epoch": report.best_epoch,
         "final_loss": report.loss_curve[-1] if report.loss_curve else None,
@@ -371,56 +339,85 @@ def _run_single(
         "wall_time_seconds": time.perf_counter() - start,
     }
 
-    labels = graph.labels
-    majority = int(np.bincount(labels[labels >= 0]).argmax())
-    # post hoc: every row below is scored on the test rows alone
+
+def _score(graph: Graph, config: ExperimentConfig, rows: list[AblationRow], fold,
+           params, neutral_for) -> list:
+    """Each row's outcome, post hoc on the test rows alone: (metrics, bias,
+    neutral fidelity), or the NeubmError that stopped it. Each distinct
+    reference is computed once and each distinct (spec, reference) outcome
+    once; the rows that share one label it. A raised error is not kept, so
+    each of its rows fails, and retries, on its own."""
     logits = predict_logits(params, graph)[fold.test]
-    test_labels = labels[fold.test]
+    test_labels = graph.labels[fold.test]
     uncal_probs = softmax(logits)
-
-    @lru_cache(maxsize=None)
-    def reference_for(variant):
-        """(neutral logit vector, fidelity); None is the zero reference."""
-        if variant is None:
-            return np.zeros(logits.shape[1]), None
-        neutral = neutral_for(0, variant)
-        return neutral_logit_vector(params, neutral), neutral_fidelity(neutral)
-
+    # the bias diagnostic's majority class, from train labels only
+    majority = int(np.bincount(graph.labels[fold.train]).argmax())
     method = (CalibrationSpec("subtract"), config.neutral.construction_variant)
-
-    @lru_cache(maxsize=None)
-    def outcome(spec, variant):
-        """(metrics, bias, fidelity) of one calibration; the rows that share
-        a (spec, reference) label this one outcome. A raised error is not
-        kept, so each of its rows fails, and retries, on its own."""
-        vec, fidelity = reference_for(variant)
-        out = calibrate(logits, vec, spec)
-        metrics = evaluate(out.predicted_labels, test_labels,
-                           num_classes=graph.num_classes)
-        bias = check_bias_reduction(uncal_probs, out.probabilities, majority, vec,
-                                    logits_before=logits,
-                                    logits_after=out.corrected_logits)
-        if bias["min_shift_exceeds_maj"] is False and spec.variant == "subtract":
-            # corrected = L - v makes delta = -v, so for subtraction a violated
-            # ordering means the implementation broke; other variants add
-            # data-dependent terms and carry no such guarantee
-            raise NumericError("per-class shift ordering violated")
-        if (spec, variant) == method:
-            bias.update(_mmd_diagnostic(uncal_probs, out.probabilities, test_labels))
-        return metrics.to_dict(), bias, fidelity
-
-    records = []
+    references = {None: (np.zeros(logits.shape[1]), None)}  # the zero reference
+    outcomes, results = {}, []
     for row in rows:
-        timestamp = _now()
+        spec, variant = key = (row.spec, row.neutral_variant)
         try:
-            metrics, bias, fidelity = outcome(row.spec, row.neutral_variant)
-            records.append(record(row, "ok", train_summary, timestamp,
-                                  metrics=metrics, bias=bias,
-                                  neutral_fidelity=fidelity))
+            if variant not in references:
+                neutral = neutral_for(0, variant)
+                references[variant] = (neutral_logit_vector(params, neutral),
+                                       neutral_fidelity(neutral))
+                del neutral  # the graph and its operator are not needed again
+            if key not in outcomes:
+                vec, fidelity = references[variant]
+                out = calibrate(logits, vec, spec)
+                metrics = evaluate(out.predicted_labels, test_labels,
+                                   num_classes=graph.num_classes)
+                bias = check_bias_reduction(uncal_probs, out.probabilities, majority,
+                                            vec, logits_before=logits,
+                                            logits_after=out.corrected_logits)
+                if bias["min_shift_exceeds_maj"] is False and spec.variant == "subtract":
+                    # corrected = L - v makes delta = -v, so for subtraction a
+                    # violated ordering means the implementation broke; other
+                    # variants add data-dependent terms and carry no such guarantee
+                    raise NumericError("per-class shift ordering violated")
+                if key == method:
+                    bias.update(_mmd_diagnostic(uncal_probs, out.probabilities,
+                                                test_labels))
+                outcomes[key] = metrics.to_dict(), bias, fidelity
+            results.append(outcomes[key])
         except NeubmError as exc:
-            records.append(record(row, "failed", train_summary, timestamp,
-                                  error=f"{type(exc).__name__}: {exc}"))
-    return records
+            results.append(exc)
+    return results
+
+
+def _job_record(job: dict, row: AblationRow, summary: dict, outcome) -> dict:
+    """One records.jsonl row: ok with ``outcome``'s values, or failed by it."""
+    failed = isinstance(outcome, NeubmError)
+    metrics, bias, fidelity = (None, None, None) if failed else outcome
+    return {
+        **job, "group": row.group, "row_id": row.row_id, "spec": row.spec.to_dict(),
+        "status": "failed" if failed else "ok", "train_summary": summary,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "metrics": metrics, "bias": bias,
+        "error": f"{type(outcome).__name__}: {outcome}" if failed else None,
+        "neutral_fidelity": fidelity,
+    }
+
+
+def _run_single(graph: Graph, config: ExperimentConfig, rows: list[AblationRow],
+                run_index: int, fold_id: int, fold, sweep_variable, sweep_value,
+                config_hash: str) -> list[dict]:
+    """Fit one model for (run, fold), then score each distinct calibration
+    of its rows post hoc, once; one records.jsonl row per row. A failed fit
+    fails every row, so the sweep continues and aggregates mark the gap."""
+    seeds = _job_seeds(config, run_index, fold_id)
+    neutral_for = partial(_neutral_graph, compute_dataset_stats(graph),
+                          train_rows(graph, fold.train), config.neutral,
+                          seeds["neutral"])
+    params, summary = _fit(graph, config, fold, seeds, neutral_for)
+    outcomes = ([params] * len(rows) if isinstance(params, NeubmError)
+                else _score(graph, config, rows, fold, params, neutral_for))
+    job = {"config_hash": config_hash, "seed": run_index, "fold_id": fold_id,
+           "sweep_variable": sweep_variable, "sweep_value": sweep_value,
+           "derived_seeds": seeds}
+    return [_job_record(job, row, summary, outcome)
+            for row, outcome in zip(rows, outcomes)]
 
 
 def _mmd_diagnostic(probs_before, probs_after, labels):

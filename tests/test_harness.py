@@ -201,12 +201,14 @@ class TestRunExperiment:
 
     def test_recorded_split_seed_redraws_the_fold(self, tmp_path, monkeypatch):
         # 2 seeds x 2 folds: every run of fold f trains on the split drawn
-        # with train.seed + f, and its records must name that seed
+        # with train.seed + f, and its records must name that seed and the
+        # others the seed rule derives
         import neubm.harness as harness
 
         cfg = small_config(
             tmp_path,
             train=TrainConfig(learning_rate=0.01, max_epochs=3, patience=3, seed=5),
+            neutral=NeutralConfig(seed=3),
             protocol=ProtocolConfig(num_seeds=2, k_folds=2, train_frac=0.15,
                                     val_frac=0.15, min_per_class=3),
         )
@@ -228,6 +230,8 @@ class TestRunExperiment:
             seeds = r["derived_seeds"]
             assert seeds["run"] == 5 + r["seed"] + 1000 * r["fold_id"]
             assert seeds["model"] == seeds["run"] + 17
+            assert seeds["dropout"] == seeds["run"] + 29
+            assert seeds["neutral"] == cfg.neutral.seed + seeds["run"]
 
     def test_rerun_recomputes(self, tmp_path, monkeypatch):
         # a rerun into a completed directory computes afresh: the same code
@@ -707,6 +711,38 @@ class TestPostHocLeakage:
             return {r["row_id"]: r["bias"]["neutral_vector"] for r in records}
 
         assert neutral_vectors(permuted) == neutral_vectors(graph)
+
+    def test_test_labels_leave_bias_diagnostics_unchanged(self, tmp_path):
+        # relabel test rows from the all-label majority class to another one
+        # until that majority flips: a permutation would keep the class
+        # counts. The bias diagnostics must not move; only the MMD fields,
+        # which measure the test classes as the metrics do, may.
+        from neubm.graph import Graph
+        from neubm.harness import _run_single, ablation_rows
+
+        cfg = small_config(tmp_path)
+        graph = generate_sbm(cfg.dataset)
+        fold = stratified_split(graph, 0.15, 0.15, 3, seed=0)
+        labels = graph.labels.copy()
+        majority = np.bincount(labels).argmax()
+        other = (majority + 1) % graph.num_classes
+        for node in fold.test[labels[fold.test] == majority]:
+            labels[node] = other
+            if np.bincount(labels).argmax() != majority:
+                break
+        assert np.bincount(labels).argmax() != majority
+        assert np.bincount(labels[fold.train]).argmax() == majority
+        relabelled = Graph(num_nodes=graph.num_nodes, features=graph.features,
+                           edges=graph.edges, labels=labels,
+                           num_classes=graph.num_classes)
+
+        def bias(g):
+            records = _run_single(g, cfg, ablation_rows(), 0, 0, fold, None, None, "h")
+            assert all(r["status"] == "ok" for r in records)
+            return [{k: v for k, v in r["bias"].items() if not k.startswith("mmd_")}
+                    for r in records]
+
+        assert bias(relabelled) == bias(graph)
 
 
 def _spy(monkeypatch, module, name, seen):

@@ -435,26 +435,39 @@ def test_sparse_attention_matches_dense_reference(n, d_in, d_out, p, seed):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14 * m.max())
 
 
-def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
+def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache,
+                                 absolute=False):
     """The former per-edge head backward: gathers dout[rows] and g[cols],
     two (edges x width) arrays, on the full adjacency. g = h . W and the
     scores e are recomputed, whichever side the head cache holds; only the
     attention coefficients come from the cache. It computes in the dtype
     of its inputs, so np.longdouble inputs give an extended-precision
-    reference."""
+    reference. With ``absolute``, every input enters as its size and the
+    one difference as a sum, with the scores' slopes kept: per gradient
+    entry, the sum of its terms' sizes, which rounding errors scale with."""
     att = cache[2]
     g = h @ w
     alpha, rows, cols = att.data, csr_rows(adj), adj.indices
-    e = (g @ a_src)[rows] + (g @ a_dst)[cols]
+    slope = np.where((g @ a_src)[rows] + (g @ a_dst)[cols] > 0.0, 1.0, LEAKY_SLOPE)
+    if absolute:
+        dout, h, w, a_src, a_dst = (abs(x) for x in (dout, h, w, a_src, a_dst))
+        g = h @ w
     dalpha = np.einsum("ij,ij->i", dout[rows], g[cols])
     dg = att.T @ dout
     row_dot = np.add.reduceat(alpha * dalpha, adj.indptr[:-1])
-    de = alpha * (dalpha - row_dot[rows]) * np.where(e > 0.0, 1.0, LEAKY_SLOPE)
+    de = alpha * (dalpha + row_dot[rows] if absolute else dalpha - row_dot[rows]) * slope
     ds_src = np.add.reduceat(de, adj.indptr[:-1])
     ds_dst = np.zeros(g.shape[0], dtype=de.dtype)  # bincount rounds to float64
     np.add.at(ds_dst, cols, de)
     dg += np.outer(ds_src, a_src) + np.outer(ds_dst, a_dst)
     return dg @ w.T, h.T @ dg, g.T @ ds_src, g.T @ ds_dst
+
+
+def assert_within(got, want, atol, rtol=1e-12):
+    """assert_allclose's test, |got - want| <= atol + rtol |want|, with an
+    atol per entry."""
+    excess = np.abs(got - want) - (atol + rtol * np.abs(want))
+    assert (excess <= 0).all(), f"off by {float(excess.max()):.3g} past the bound"
 
 
 @settings(max_examples=150, deadline=None)
@@ -471,6 +484,8 @@ def reference_attention_backward(dout, h, w, a_src, a_dst, adj, cache):
 @example(n=9, d_in=4, d_out=2, p=0.5, rows="some", seed=6)
 @example(n=9, d_in=2, d_out=5, p=0.5, rows="one", seed=7)
 @example(n=12, d_in=1, d_out=5, p=1.0, rows="one", seed=1821)
+@example(n=5, d_in=1, d_out=3, p=0.25, rows="all", seed=39095)
+@example(n=8, d_in=1, d_out=3, p=0.40625, rows="one", seed=8207046)
 def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
                                                        seed):
     # the row view's CSR is rectangular (len(rows) x n); node 0 is isolated.
@@ -479,8 +494,17 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     # (rows None, layer 1) aggregates its input when d_in < d_out.
     # Weights at about the scale init_params draws. The reference runs in
     # extended precision: in float64 its own rounding, up to 2e-14 where a
-    # row's score gradients cancel (n=12, d_in=1, p=1, one row), broke the
-    # absolute atol against a kernel that got the exact 0.
+    # row's score gradients cancel (n=12, d_in=1, p=1, one row), broke an
+    # absolute atol against a kernel that got the exact 0. The kernel's own
+    # error is bounded as in Higham (2002), ch. 3-4: an entry whose terms
+    # each pass through at most k roundings is off by at most gamma_k =
+    # k u / (1 - k u) times the sum of its terms' sizes, which the
+    # reference gives per entry. Along the kernel's longest chain (g, the
+    # forward's aggregate, the row dot, the score-gradient sums, the
+    # final products) k <= 2 d_in + 3 n + 2 d_out + 10, plus n + 2 for its
+    # use of sum(alpha) = 1, which the forward's coefficients meet to
+    # within gamma_n. An absolute atol of 1e-14 sat below the kernel's own
+    # error where the summed terms reach 1-10 (the last two examples).
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
     edges = [pr for pr in pairs if rng.random() < p]
@@ -505,20 +529,22 @@ def test_attention_backward_matches_per_edge_reference(n, d_in, d_out, p, rows,
     assert np.array_equal(out, full[idx])
     full_dout = np.zeros((n, d_out))
     full_dout[idx] = dout
-    ref_grads = reference_attention_backward(
-        *(np.asarray(x, dtype=np.longdouble)
-          for x in (full_dout, g.features, w, a_s, a_d)),
-        adj, full_cache,
-    )
-    for got, want in zip(grads, ref_grads):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    inputs = [np.asarray(x, dtype=np.longdouble)
+              for x in (full_dout, g.features, w, a_s, a_d)]
+    ref_grads = reference_attention_backward(*inputs, adj, full_cache)
+    k = 2 * d_in + 4 * n + 2 * d_out + 12
+    u = np.finfo(np.float64).eps / 2
+    atols = [k * u / (1 - k * u) * size for size in reference_attention_backward(
+        *inputs, adj, full_cache, absolute=True)]
+    for got, want, atol in zip(grads, ref_grads, atols):
+        assert_within(got, want, atol)
 
     every, every_cache = _attention_layer(g.features, w, a_s, a_d, adj)
     np.testing.assert_allclose(every, full, rtol=1e-12, atol=1e-14)
     every_grads = _attention_backward(full_dout, g.features, w, a_s, a_d,
                                       every_cache, adj)
-    for got, want in zip(every_grads, ref_grads):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    for got, want, atol in zip(every_grads, ref_grads, atols):
+        assert_within(got, want, atol)
 
 
 @pytest.mark.parametrize("seed", range(4))
