@@ -38,7 +38,6 @@ from .harness import (
     run_experiment,
 )
 from .metrics import (
-    MetricsReport,
     confusion,
     evaluate,
     f1_scores,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import json
 import math
 import sys
 from pathlib import Path
@@ -278,7 +279,7 @@ def cmd_train(args) -> int:
     save_checkpoint(params, args.out)
     pred = predict_logits(params, graph).argmax(axis=1)
     test_f1 = evaluate(pred[split.test], graph.labels[split.test],
-                       num_classes=graph.num_classes).f1_macro
+                       num_classes=graph.num_classes)["f1_macro"]
     print(
         f"trained {args.arch}: epochs={report.epochs_run} "
         f"best_epoch={report.best_epoch} "
@@ -352,10 +353,10 @@ def cmd_eval(args) -> int:
         rows = getattr(split, args.mask)
     report = evaluate(pred[rows], graph.labels[rows],
                       num_classes=graph.num_classes)
-    Path(args.out).write_text(report.to_json() + "\n")
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(
-        f"f1_macro={report.f1_macro:.4f} f1_weighted={report.f1_weighted:.4f} "
-        f"f1_micro={report.f1_micro:.4f} rho={report.rho:.4g} -> {args.out}"
+        f"f1_macro={report['f1_macro']:.4f} f1_weighted={report['f1_weighted']:.4f} "
+        f"f1_micro={report['f1_micro']:.4f} rho={report['rho']:.4g} -> {args.out}"
     )
     return 0
 

@@ -400,8 +400,8 @@ def stratified_split(
         test.append(nodes[t + v :])
     return SplitAssignment(
         train=np.sort(np.concatenate(train)),
-        val=np.sort(np.concatenate(val)) if val else np.array([], dtype=np.int64),
-        test=np.sort(np.concatenate(test)) if test else np.array([], dtype=np.int64),
+        val=np.sort(np.concatenate(val)),
+        test=np.sort(np.concatenate(test)),
     )
 
 

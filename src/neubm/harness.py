@@ -256,11 +256,9 @@ def default_rows(config: ExperimentConfig) -> list[AblationRow]:
 def ablation_rows() -> list[AblationRow]:
     rows = []
     for variant in ("none", "subtract", "normalize"):
-        spec = CalibrationSpec(variant) if variant != "none" else CalibrationSpec("none")
-        rows.append(
-            AblationRow("calibration_variant", f"cal={variant}", spec,
-                        "mean_cov" if variant != "none" else None)
-        )
+        rows.append(AblationRow("calibration_variant", f"cal={variant}",
+                                CalibrationSpec(variant),
+                                "mean_cov" if variant != "none" else None))
     for lam in LAMBDA_GRID:
         rows.append(
             AblationRow(
@@ -379,7 +377,7 @@ def _score(graph: Graph, config: ExperimentConfig, rows: list[AblationRow], fold
                 if key == method:
                     bias.update(_mmd_diagnostic(uncal_probs, out.probabilities,
                                                 test_labels))
-                outcomes[key] = metrics.to_dict(), bias, fidelity
+                outcomes[key] = metrics, bias, fidelity
             results.append(outcomes[key])
         except NeubmError as exc:
             results.append(exc)

@@ -7,52 +7,9 @@ denominator vanishes (affects classes with no predictions or no support).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError, NumericError
-
-
-@dataclass(frozen=True)
-class ClassScores:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    f1_macro: float
-    f1_weighted: float
-    f1_micro: float
-    accuracy: float
-    rho: float
-    per_class: tuple[ClassScores, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "f1_macro": self.f1_macro,
-            "f1_weighted": self.f1_weighted,
-            "f1_micro": self.f1_micro,
-            "accuracy": self.accuracy,
-            "rho": self.rho,
-            "per_class": [
-                {
-                    "class": i,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                    "support": s.support,
-                }
-                for i, s in enumerate(self.per_class)
-            ],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
 
 def confusion(
@@ -106,31 +63,32 @@ def class_scores(counts: np.ndarray):
     return np.array(precision), np.array(recall), np.array(f1)
 
 
-def f1_scores(counts: np.ndarray, rho: float = float("nan")) -> MetricsReport:
+def f1_scores(counts: np.ndarray, rho: float = float("nan")) -> dict:
     """Per-class P/R/F1 plus macro, support-weighted, and micro aggregates
-    of a confusion count matrix."""
+    of a confusion count matrix: the `metrics` dict of a record, Python
+    floats and ints throughout."""
     precision, recall, f1 = class_scores(counts)
     support = counts.sum(axis=1)
     accuracy = float(np.trace(counts) / counts.sum())
-    per_class = tuple(
-        ClassScores(float(p), float(r), float(f), int(s))
-        for p, r, f, s in zip(precision, recall, f1, support)
-    )
-    return MetricsReport(
-        f1_macro=float(f1.mean()),
-        f1_weighted=float((f1 * support).sum() / support.sum()),
-        f1_micro=accuracy,
-        accuracy=accuracy,
-        rho=rho,
-        per_class=per_class,
-    )
+    return {
+        "f1_macro": float(f1.mean()),
+        "f1_weighted": float((f1 * support).sum() / support.sum()),
+        "f1_micro": accuracy,
+        "accuracy": accuracy,
+        "rho": rho,
+        "per_class": [
+            {"class": c, "precision": float(p), "recall": float(r),
+             "f1": float(f), "support": int(s)}
+            for c, (p, r, f, s) in enumerate(zip(precision, recall, f1, support))
+        ],
+    }
 
 
 def evaluate(
     pred: np.ndarray,
     truth: np.ndarray,
     num_classes: int | None = None,
-) -> MetricsReport:
+) -> dict:
     """confusion + f1_scores + imbalance ratio of the truth labels, for the
     evaluated rows the caller passes."""
     counts = confusion(pred, truth, num_classes=num_classes)

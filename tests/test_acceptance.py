@@ -148,14 +148,14 @@ def test_criterion_03_metric_oracle():
             prec = tp / (tp + fp) if tp + fp else 0.0
             rec = tp / (tp + fn) if tp + fn else 0.0
             f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-            assert abs(rep.per_class[cls].precision - prec) <= 1e-12
-            assert abs(rep.per_class[cls].recall - rec) <= 1e-12
-            assert abs(rep.per_class[cls].f1 - f1) <= 1e-12
+            assert abs(rep["per_class"][cls]["precision"] - prec) <= 1e-12
+            assert abs(rep["per_class"][cls]["recall"] - rec) <= 1e-12
+            assert abs(rep["per_class"][cls]["f1"] - f1) <= 1e-12
             f1s.append(f1)
             supports.append(tp + fn)
-        assert abs(rep.f1_macro - np.mean(f1s)) <= 1e-12
-        assert abs(rep.f1_weighted - np.dot(f1s, supports) / n) <= 1e-12
-        assert abs(rep.f1_micro - np.mean(pred == truth)) <= 1e-12
+        assert abs(rep["f1_macro"] - np.mean(f1s)) <= 1e-12
+        assert abs(rep["f1_weighted"] - np.dot(f1s, supports) / n) <= 1e-12
+        assert abs(rep["f1_micro"] - np.mean(pred == truth)) <= 1e-12
 
 
 @criterion(4, "neutral construction statistics", budget_seconds=30.0)

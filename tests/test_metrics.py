@@ -112,15 +112,15 @@ class TestF1:
         # [[1,0],[1,2]]: class0 P=.5 R=1 F1=2/3; class1 P=1 R=2/3 F1=.8
         cm = confusion([0, 0, 1, 1], [0, 1, 1, 1])
         rep = f1_scores(cm)
-        assert rep.per_class[0].f1 == pytest.approx(2 / 3)
-        assert rep.per_class[1].f1 == pytest.approx(0.8)
-        assert rep.f1_macro == pytest.approx(0.73333, abs=1e-5)
-        assert rep.f1_micro == pytest.approx(0.75)
+        assert rep["per_class"][0]["f1"] == pytest.approx(2 / 3)
+        assert rep["per_class"][1]["f1"] == pytest.approx(0.8)
+        assert rep["f1_macro"] == pytest.approx(0.73333, abs=1e-5)
+        assert rep["f1_micro"] == pytest.approx(0.75)
 
     def test_perfect(self):
         cm = confusion([0, 1, 2], [0, 1, 2])
         rep = f1_scores(cm)
-        assert rep.f1_macro == rep.f1_weighted == rep.f1_micro == 1.0
+        assert rep["f1_macro"] == rep["f1_weighted"] == rep["f1_micro"] == 1.0
 
     def test_empty_matrix_rejected(self):
         cm = confusion([], [], num_classes=2)
@@ -136,14 +136,14 @@ class TestF1:
             pred = rng.integers(0, c, size=n)
             rep = f1_scores(confusion(pred, truth, num_classes=c))
             per, macro, weighted, micro = brute_force_report(pred, truth, c)
-            for got, exp in zip(rep.per_class, per):
-                assert got.precision == pytest.approx(exp[0], abs=1e-12)
-                assert got.recall == pytest.approx(exp[1], abs=1e-12)
-                assert got.f1 == pytest.approx(exp[2], abs=1e-12)
-                assert got.support == exp[3]
-            assert rep.f1_macro == pytest.approx(macro, abs=1e-12)
-            assert rep.f1_weighted == pytest.approx(weighted, abs=1e-12)
-            assert rep.f1_micro == pytest.approx(micro, abs=1e-12)
+            for got, exp in zip(rep["per_class"], per):
+                assert got["precision"] == pytest.approx(exp[0], abs=1e-12)
+                assert got["recall"] == pytest.approx(exp[1], abs=1e-12)
+                assert got["f1"] == pytest.approx(exp[2], abs=1e-12)
+                assert got["support"] == exp[3]
+            assert rep["f1_macro"] == pytest.approx(macro, abs=1e-12)
+            assert rep["f1_weighted"] == pytest.approx(weighted, abs=1e-12)
+            assert rep["f1_micro"] == pytest.approx(micro, abs=1e-12)
 
     def test_micro_equals_accuracy_property(self):
         rng = np.random.default_rng(3)
@@ -153,7 +153,7 @@ class TestF1:
             rep = f1_scores(
                 confusion(rng.integers(0, c, n), rng.integers(0, c, n), num_classes=c)
             )
-            assert rep.f1_micro == rep.accuracy
+            assert rep["f1_micro"] == rep["accuracy"]
 
     def test_weighted_between_min_and_max(self):
         rng = np.random.default_rng(4)
@@ -162,8 +162,8 @@ class TestF1:
             n = int(rng.integers(5, 40))
             truth = rng.integers(0, c, n)
             rep = f1_scores(confusion(rng.integers(0, c, n), truth, num_classes=c))
-            f1s = [s.f1 for s in rep.per_class if s.support > 0]
-            assert min(f1s) - 1e-12 <= rep.f1_weighted <= max(f1s) + 1e-12
+            f1s = [s["f1"] for s in rep["per_class"] if s["support"] > 0]
+            assert min(f1s) - 1e-12 <= rep["f1_weighted"] <= max(f1s) + 1e-12
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
@@ -173,19 +173,24 @@ class TestF1:
         perm = rng.permutation(c)
         base = f1_scores(confusion(pred, truth, num_classes=c))
         relabeled = f1_scores(confusion(perm[pred], perm[truth], num_classes=c))
-        assert base.f1_macro == pytest.approx(relabeled.f1_macro, abs=1e-12)
-        assert base.f1_micro == pytest.approx(relabeled.f1_micro, abs=1e-12)
-        assert base.f1_weighted == pytest.approx(relabeled.f1_weighted, abs=1e-12)
+        assert base["f1_macro"] == pytest.approx(relabeled["f1_macro"], abs=1e-12)
+        assert base["f1_micro"] == pytest.approx(relabeled["f1_micro"], abs=1e-12)
+        assert base["f1_weighted"] == pytest.approx(relabeled["f1_weighted"], abs=1e-12)
 
     def test_json_field_names(self):
-        rep = evaluate([0, 1], [0, 1], num_classes=2)
-        d = rep.to_dict()
+        d = evaluate([0, 1], [0, 1], num_classes=2)
         assert list(d.keys()) == [
             "f1_macro", "f1_weighted", "f1_micro", "accuracy", "rho", "per_class",
         ]
         assert {"class", "precision", "recall", "f1", "support"} == set(
             d["per_class"][0].keys()
         )
+        # plain Python numbers, never numpy scalars, which json.dumps rejects
+        # only when records.jsonl is written, after every model has trained
+        assert all(type(d[k]) is float for k in list(d)[:-1])
+        for row in d["per_class"]:
+            assert type(row["class"]) is int and type(row["support"]) is int
+            assert all(type(row[k]) is float for k in ("precision", "recall", "f1"))
 
 
 def former_class_scores(counts):
@@ -389,4 +394,4 @@ def test_micro_accuracy_identity_property(seed, c):
     rep = f1_scores(
         confusion(rng.integers(0, c, n), rng.integers(0, c, n), num_classes=c)
     )
-    assert rep.f1_micro == rep.accuracy
+    assert rep["f1_micro"] == rep["accuracy"]

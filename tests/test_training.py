@@ -669,6 +669,6 @@ class TestTrainLoop:
             logits, _ = forward_with_operator(params, operator)
             pred = full_hook(epoch, params, logits).argmax(axis=1)
             curve.append(evaluate(pred[split.val], g.labels[split.val],
-                                  num_classes=2).f1_macro)
+                                  num_classes=2)["f1_macro"])
         assert tuple(curve) == report.val_metric_curve
         assert report.best_epoch == int(np.argmax(curve))
